@@ -5,7 +5,10 @@ Three problem classes, all low dimensional:
 * isotonic projection with equality groups and an exactly pinned zero level
   (the n = 1 face closures are order cones, so PAV applies);
 * Euclidean projection onto a polyhedral cone {z : G z >= 0}, solved through
-  the Moreau decomposition with a nonnegative least squares dual;
+  the Moreau decomposition with a nonnegative least squares dual.  This is
+  the test oracle: the face closures of the embedded cone are projected
+  exactly by active-set enumeration over precomputed projectors
+  (`embed._project_cone_rows`), which the tests compare against it;
 * Chebyshev-type extension values min_y max_i (|y - v_i| - r_i), solved by
   bisection over the level t with a ball-intersection feasibility test, which
   itself is a concave maximization over the simplex (all balls share the
@@ -14,7 +17,7 @@ Three problem classes, all low dimensional:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import lsq_linear
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,10 @@ def project_polyhedral_cone(point, G, tol: float = 1e-11):
     """Project onto {z : G z >= 0}.  Returns (projection, kkt_residual).
 
     Moreau: z* = z + P_C(-z) where C = cone{rows of G}; P_C is a nonnegative
-    least squares problem, solved exactly by an active-set method.
+    least squares problem, solved exactly by the bounded-variable active-set
+    method on the unit vector z / |z| (the projection is positively
+    homogeneous).  scipy's `nnls` is not used: on degenerate ties it returns
+    non-optimal multipliers with a zero reported residual.
     """
     z = np.asarray(point, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -75,7 +81,9 @@ def project_polyhedral_cone(point, G, tol: float = 1e-11):
         return z.copy(), 0.0
     if np.all(G @ z >= -tol * (1.0 + np.linalg.norm(z))):
         return z.copy(), 0.0
-    mu, _ = nnls(G.T, -z)
+    size = np.linalg.norm(z)
+    mu = size * lsq_linear(G.T, -z / size, bounds=(0.0, np.inf), method="bvls",
+                           tol=1e-15).x
     proj = z + G.T @ mu
     scale = 1.0 + np.linalg.norm(z)
     viol = float(max(0.0, -(G @ proj).min(initial=0.0)))

@@ -22,11 +22,14 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .coneproj import pava_pinned, project_polyhedral_cone
+from .coneproj import pava_pinned
 from .qspace import QPoint, metric_g, random_qpoint
 
 _FEAS_TOL = 1e-7
 _SPAN_TOL = 1e-9
+# rows per active-set enumeration; bounds the (rows, candidates, constraints)
+# temporaries of the face kernel
+_PROJECT_CHUNK = 1024
 
 
 class NotOnImageError(ValueError):
@@ -419,16 +422,18 @@ class FaceSignature:
 class FaceRecord:
     """One face: canonical labeled pattern plus its span and closure inequalities."""
 
-    __slots__ = ("index", "pattern", "dim", "basis", "normal_basis", "cons",
+    __slots__ = ("index", "pattern", "dim", "basis", "cons", "projectors",
                  "signature", "closure_of")
 
-    def __init__(self, index, pattern, dim, basis, normal_basis, cons, signature):
+    def __init__(self, index, pattern, dim, basis, cons, projectors, signature):
         self.index = index
         self.pattern = pattern
         self.dim = dim
         self.basis = basis  # (N, dim) orthonormal
-        self.normal_basis = normal_basis  # (N, N-dim) orthonormal
         self.cons = cons  # (n_strict, dim): closure = {basis @ y : cons @ y >= 0}
+        # (K, dim, dim): orthogonal projectors onto null(cons[S]), one per
+        # nonempty linearly independent row set S with |S| <= dim
+        self.projectors = projectors
         self.signature = signature
         self.closure_of = frozenset()
 
@@ -436,8 +441,71 @@ class FaceRecord:
         return f"Face(dim={self.dim}, idx={self.index})"
 
 
+def _active_set_projectors(cons: np.ndarray) -> np.ndarray:
+    """Projectors onto null(cons[S]) for the nonempty independent row sets S.
+
+    The Euclidean projection onto {y : cons @ y >= 0} lies in the relative
+    interior of one face of that cone, and the face spans null(cons[S]) for a
+    maximal independent subset S of its active rows; so the projection is one
+    of y, y @ P_S.  (Rows are unit vectors; subsets are either dependent or
+    have smallest singular value far above 1e-10.)
+    """
+    m, dim = cons.shape
+    out = []
+    for size in range(1, min(m, dim) + 1):
+        for rows in itertools.combinations(range(m), size):
+            _u, s, vt = np.linalg.svd(cons[list(rows)])
+            if s[-1] > 1e-10:
+                null = vt[size:]
+                out.append(null.T @ null)
+    return np.asarray(out, dtype=float).reshape(-1, dim, dim)
+
+
+def _project_cone_rows(face: FaceRecord, y: np.ndarray):
+    """Exact projection of the rows of y onto {y : face.cons @ y >= 0}.
+
+    Returns (rows, ystar): the indices of the rows outside the cone and their
+    projections; every other row is its own projection.  An outside row's
+    projection is its nearest candidate y @ P_S (see `_active_set_projectors`)
+    satisfying the constraints to _SPAN_TOL * (1 + |y|).
+    """
+    cons = face.cons
+    tol = _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=1))
+    rows = np.flatnonzero((y @ cons.T).min(axis=1, initial=np.inf) < -tol)
+    k, dim = len(face.projectors), face.dim
+    stacked = face.projectors.transpose(1, 0, 2).reshape(dim, k * dim)
+    ystar = np.empty((len(rows), dim))
+    for lo in range(0, len(rows), _PROJECT_CHUNK):
+        sel = rows[lo:lo + _PROJECT_CHUNK]
+        yb = y[sel]
+        cand = (yb @ stacked).reshape(len(sel), k, dim)
+        feasible = (cand @ cons.T).min(axis=2) >= -tol[sel, None]
+        gap = np.einsum("pkd,pkd->pk", cand - yb[:, None], cand - yb[:, None])
+        gap[~feasible] = np.inf
+        ystar[lo:lo + len(sel)] = cand[np.arange(len(sel)), gap.argmin(axis=1)]
+    return rows, ystar
+
+
+def _face_distance(face: FaceRecord, pts: np.ndarray, bound):
+    """Distance from each row of pts to the closure of face, and the nearest
+    point there.  Rows whose distance to the face's span already reaches
+    `bound` are not projected: they keep that lower bound and their point on
+    the span."""
+    y = pts @ face.basis
+    near = y @ face.basis.T
+    d = np.linalg.norm(pts - near, axis=1)
+    todo = np.flatnonzero(d < bound)
+    rows, ystar = _project_cone_rows(face, y[todo])
+    if len(rows):
+        rows = todo[rows]
+        d[rows] = np.sqrt(d[rows] ** 2 + np.sum((y[rows] - ystar) ** 2, axis=1))
+        near[rows] = ystar @ face.basis.T
+    return d, near
+
+
 def _face_geometry(spec, pattern):
-    """Span basis, normal basis and closure inequalities of one labeled face."""
+    """Span basis, closure inequalities and active-set projectors of one
+    labeled face."""
     dims = spec.dims
     nq, big_n = dims.nq, dims.big_n
     eq_rows, strict_rows = [], []
@@ -459,13 +527,11 @@ def _face_geometry(spec, pattern):
             lmat[k * dims.q + pos] = spec.scale * _row(spec, k, j, nq)
 
     if dim == 0:
-        return (np.zeros((big_n, 0)), np.eye(big_n), np.zeros((0, 0)))
+        return np.zeros((big_n, 0)), np.zeros((0, 0)), np.zeros((0, 0, 0))
     raw = lmat @ b  # (N, dim), full column rank
-    u, s, _vt = np.linalg.svd(raw, full_matrices=True)
+    basis, s, _vt = np.linalg.svd(raw, full_matrices=False)
     if np.sum(s > 1e-10) != dim:
         raise RuntimeError("face span is rank deficient")
-    basis = u[:, :dim]
-    normal = u[:, dim:]
     # P(y) = b @ pinv(raw) @ basis @ y reconstructs a configuration from span coords
     pmap = b @ np.linalg.pinv(raw) @ basis  # (nq, dim)
     if strict_rows:
@@ -479,7 +545,7 @@ def _face_geometry(spec, pattern):
             g = g[np.sort(idx)]
     else:
         g = np.zeros((0, dim))
-    return basis, normal, g
+    return basis, g, _active_set_projectors(g)
 
 
 def _closure_leq(pat_lo, pat_hi) -> bool:
@@ -526,76 +592,31 @@ class FaceLattice:
     # -- distances ---------------------------------------------------------
 
     def closure_distance(self, v, face, with_point=False):
-        v = np.asarray(v, dtype=float)
-        if face.dim == 0:
-            d = float(np.linalg.norm(v))
-            return (d, np.zeros_like(v)) if with_point else d
-        y = face.basis.T @ v
-        plane_sq = max(float(v @ v - y @ y), 0.0)
-        if face.cons.size == 0 or np.all(face.cons @ y >= -_SPAN_TOL * (1 + np.linalg.norm(y))):
-            d = float(np.sqrt(plane_sq))
-            return (d, face.basis @ y) if with_point else d
-        ystar, _ = project_polyhedral_cone(y, face.cons)
-        d = float(np.sqrt(plane_sq + float(np.sum((y - ystar) ** 2))))
-        return (d, face.basis @ ystar) if with_point else d
+        d, p = _face_distance(face, np.asarray(v, dtype=float)[None], np.inf)
+        return (float(d[0]), p[0]) if with_point else float(d[0])
 
     def skeleton_distance(self, v, k: int) -> float:
-        if k < 0:
-            return float("inf")
-        return min(self.closure_distance(v, f) for f in self.faces_up_to(k))
+        return float(self.skeleton_distance_batch(np.asarray(v, dtype=float)[None], k)[0])
 
     def skeleton_distance_batch(self, pts: np.ndarray, k: int) -> np.ndarray:
         """Distance from each row of pts to the union of faces of dim <= k."""
         pts = np.asarray(pts, dtype=float)
-        if k < 0:
-            return np.full(pts.shape[0], np.inf)
         best = np.full(pts.shape[0], np.inf)
-        norms_sq = np.einsum("ij,ij->i", pts, pts)
         for f in self.faces_up_to(k):
-            if f.dim == 0:
-                d = np.sqrt(norms_sq)
-            else:
-                y = pts @ f.basis  # (P, dim)
-                plane_sq = np.maximum(norms_sq - np.einsum("ij,ij->i", y, y), 0.0)
-                d = np.sqrt(plane_sq)
-                if f.cons.size:
-                    margins = (f.cons @ y.T).min(axis=0)
-                    bad = margins < -_SPAN_TOL * (1 + np.sqrt(norms_sq))
-                    # plane distance is only a lower bound there; project exactly,
-                    # but skip points whose bound already exceeds the running min
-                    for i in np.flatnonzero(bad & (d < best)):
-                        ystar, _ = project_polyhedral_cone(y[i], f.cons)
-                        d[i] = np.sqrt(plane_sq[i] + np.sum((y[i] - ystar) ** 2))
-            np.minimum(best, d, out=best)
+            np.minimum(best, _face_distance(f, pts, best)[0], out=best)
         return best
 
     def nearest_point(self, v):
         """Nearest point of the embedded cone and its distance."""
-        best = (np.inf, None)
-        for f in self.top_faces:
-            d, p = self.closure_distance(v, f, with_point=True)
-            if d < best[0]:
-                best = (d, p)
-        return best[1], best[0]
+        p, d = self.nearest_point_batch(np.asarray(v, dtype=float)[None])
+        return p[0], float(d[0])
 
     def nearest_point_batch(self, pts: np.ndarray):
         pts = np.asarray(pts, dtype=float)
         out = np.empty_like(pts)
         dist = np.full(pts.shape[0], np.inf)
-        norms_sq = np.einsum("ij,ij->i", pts, pts)
-        cand = np.empty_like(pts)
         for f in self.top_faces:
-            y = pts @ f.basis
-            plane_sq = np.maximum(norms_sq - np.einsum("ij,ij->i", y, y), 0.0)
-            d = np.sqrt(plane_sq)
-            np.matmul(y, f.basis.T, out=cand)
-            if f.cons.size:
-                margins = (f.cons @ y.T).min(axis=0)
-                bad = margins < -_SPAN_TOL * (1 + np.sqrt(norms_sq))
-                for i in np.flatnonzero(bad & (d - 1e-15 < dist)):
-                    ystar, _ = project_polyhedral_cone(y[i], f.cons)
-                    d[i] = np.sqrt(plane_sq[i] + np.sum((y[i] - ystar) ** 2))
-                    cand[i] = f.basis @ ystar
+            d, cand = _face_distance(f, pts, dist)
             better = d < dist
             dist[better] = d[better]
             out[better] = cand[better]
@@ -626,8 +647,8 @@ class FaceLattice:
         faces = []
         for i, fo in enumerate(obj["faces"]):
             pattern = tuple((tuple(b[0]), int(b[1]), int(b[2])) for b in fo["pattern"])
-            basis, normal, cons = _face_geometry(spec, pattern)
-            rec = FaceRecord(i, pattern, int(fo["dim"]), basis, normal, cons,
+            basis, cons, projectors = _face_geometry(spec, pattern)
+            rec = FaceRecord(i, pattern, int(fo["dim"]), basis, cons, projectors,
                              FaceSignature(_sorted_signature(pattern)))
             rec.closure_of = frozenset(fo["closure_of"])
             faces.append(rec)
@@ -648,6 +669,10 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     patterns = _block_patterns(dims.q)
     rows_cache = [[_pattern_rows(spec, k, p) for p in patterns] for k in range(dims.h)]
 
+    # a common relabeling maps feasible patterns to feasible patterns, so
+    # block 0 needs one representative per relabeling orbit
+    block0 = [pi for pi, p in enumerate(patterns)
+              if _canonical_pattern((p,), dims.q) == (p,)]
     found = {}
 
     def dfs(k, chosen, eq_rows, strict_rows):
@@ -656,7 +681,8 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
             if canon not in found:
                 found[canon] = True
             return
-        for pi, pat in enumerate(patterns):
+        for pi in block0 if k == 0 else range(len(patterns)):
+            pat = patterns[pi]
             e, s = rows_cache[k][pi]
             if _feasible(eq_rows + e, strict_rows + s, dims.nq):
                 dfs(k + 1, chosen + [pat], eq_rows + e, strict_rows + s)
@@ -665,9 +691,9 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
 
     faces = []
     for i, pattern in enumerate(sorted(found)):
-        basis, normal, cons = _face_geometry(spec, pattern)
+        basis, cons, projectors = _face_geometry(spec, pattern)
         sig = FaceSignature(_sorted_signature(pattern))
-        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, normal, cons, sig))
+        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons, projectors, sig))
 
     # closure relation through pattern weakening up to a common relabeling
     perms = list(itertools.permutations(range(dims.q)))
@@ -690,24 +716,27 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
 
 
 def _face_samples(lattice, face, count, seed):
-    """Points of the open face at unit distance from the next lower skeleton."""
+    """Points of the open face at unit distance from the next lower skeleton.
+
+    Tries up to 40 * count Gaussian span coordinates in draw order and keeps
+    the first `count` that lie strictly inside the face closure.  (Projecting
+    an outside draw onto the closure lands on its boundary, so such draws are
+    rejected without projecting them.)
+    """
     rng = np.random.default_rng(seed)
+    y = rng.normal(size=(40 * count, face.dim))
+    if face.cons.size:
+        margin = (y @ face.cons.T).min(axis=1)
+        y = y[margin >= 1e-9 * (1.0 + np.linalg.norm(y, axis=1))]
     out = []
-    tries = 0
-    while len(out) < count and tries < 40 * count:
-        tries += 1
-        y = rng.normal(size=face.dim)
-        if face.cons.size:
-            ystar, _ = project_polyhedral_cone(y, face.cons)
-            if (face.cons @ ystar).min() < 1e-9 * (1.0 + np.linalg.norm(ystar)):
-                continue  # landed on the boundary, try again
-            y = ystar
-        p = face.basis @ y
-        d = lattice.skeleton_distance(p, face.dim - 1)
-        if not np.isfinite(d) or d < 1e-12:
-            continue
-        out.append(p / d)
-    return np.asarray(out)
+    for lo in range(0, len(y), count):
+        p = y[lo:lo + count] @ face.basis.T
+        d = lattice.skeleton_distance_batch(p, face.dim - 1)
+        ok = np.isfinite(d) & (d >= 1e-12)
+        out.extend(p[ok] / d[ok, None])
+        if len(out) >= count:
+            break
+    return np.asarray(out[:count])
 
 
 def _measure_pair_separation(lattice) -> dict:
@@ -841,16 +870,6 @@ def face_of_point(spec: EmbeddingSpec, lattice: FaceLattice, v: np.ndarray,
     if rec is None:
         raise NotOnImageError("pattern not present in the lattice")
     return rec
-
-
-def skeleton_distance(spec: EmbeddingSpec, lattice: FaceLattice, v, k: int) -> float:
-    return lattice.skeleton_distance(np.asarray(v, dtype=float), k)
-
-
-def cone_coordinates(spec: EmbeddingSpec, lattice: FaceLattice, face: FaceRecord, v):
-    """Split v into span coordinates y along the face and normal coordinates z."""
-    v = np.asarray(v, dtype=float)
-    return face.basis.T @ v, face.normal_basis.T @ v
 
 
 def project_face_closure_line(face: FaceRecord, v: np.ndarray) -> np.ndarray:

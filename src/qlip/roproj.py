@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coneproj import kirszbraun_value, project_polyhedral_cone
+from .coneproj import kirszbraun_value
 from .embed import (EmbeddingSpec, FaceLattice, NotOnImageError,
                     build_embedding, face_lattice,
                     project_face_closure_line, xi, xi_batch, xi_inverse)
@@ -350,13 +350,8 @@ class AlmostProjection:
             if d <= 4.0 * lad.delta ** level:
                 anchors.append(p)
         # one far anchor in the projection region of the face
-        y = face.basis.T @ x
         if face.dim > 0:
-            if face.cons.size:
-                y0, _ = project_polyhedral_cone(y, face.cons)
-            else:
-                y0 = y
-            p0 = face.basis @ y0
+            _, p0 = lat.closure_distance(x, face, with_point=True)
             dlow = lat.skeleton_distance(p0, face.dim - 1)
             if dlow > 1e-9:
                 anchors.append(p0 * max(1.0, 2.0 * self.far_scale / dlow))

@@ -1,4 +1,7 @@
 """Embedding and face lattice: isometry defect, inverse, lattice structure."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -134,8 +137,25 @@ def test_face_count_line_three():
     # (75 + 3*13 + 2*3) / 6 = 20
     lat = face_lattice(spec13())
     assert len(lat.faces) == 20
-    assert len(lat.faces_of_dim(0)) == 1
+    assert {k: len(lat.faces_of_dim(k)) for k in range(4)} == {0: 1, 1: 6, 2: 9, 3: 4}
     assert lat.max_dim == 3
+    assert lat.tilde_c == 0.25
+
+
+def test_lattice_snapshot_plane_two():
+    # pins the (2, 2) build: faces, closure relation, aperture and separations
+    lat = face_lattice(spec22())
+    assert len(lat.faces) == 253
+    assert {k: len(lat.faces_of_dim(k)) for k in range(5)} == {
+        0: 1, 1: 18, 2: 75, 3: 108, 4: 51}
+    blob = json.dumps(lat.to_json()["faces"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8026081813255fe72c821a6b08ef994fd5a53372f0b136514e7523ec9bf3ddc4")
+    assert lat.tilde_c == 0.25
+    expect = {1: 0.7071067811865472, 2: 0.6986736317740696, 3: 0.7679706585688186}
+    assert lat.pair_separation.keys() == expect.keys()
+    for k, sep in expect.items():
+        assert abs(lat.pair_separation[k] - sep) <= 1e-12
 
 
 def test_lattice_grading_and_vertex():
@@ -288,7 +308,6 @@ def test_pattern_of_points_roundtrip():
 def test_lattice_json_roundtrip():
     spec = spec22()
     lat = face_lattice(spec)
-    import json
     blob = json.loads(json.dumps(lat.to_json()))
     lat2 = lat.from_json(spec, blob)
     assert len(lat2.faces) == len(lat.faces)
