@@ -32,6 +32,14 @@ _SPAN_TOL = 1e-9
 _PROJECT_CHUNK = 1024
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last axis of a, rounded the same way for a row whatever
+    batch it comes in.  A BLAS product of one row can round differently from
+    the same row inside a larger product, and rho_star's Kirszbraun step turns
+    such last-bit differences into visible ones."""
+    return np.einsum("...i,ij->...j", a, b)
+
+
 class NotOnImageError(ValueError):
     """Raised when a vector is not within tolerance of the embedded cone."""
 
@@ -471,15 +479,15 @@ def _project_cone_rows(face: FaceRecord, y: np.ndarray):
     """
     cons = face.cons
     tol = _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=1))
-    rows = np.flatnonzero((y @ cons.T).min(axis=1, initial=np.inf) < -tol)
+    rows = np.flatnonzero(rowdot(y, cons.T).min(axis=1, initial=np.inf) < -tol)
     k, dim = len(face.projectors), face.dim
     stacked = face.projectors.transpose(1, 0, 2).reshape(dim, k * dim)
     ystar = np.empty((len(rows), dim))
     for lo in range(0, len(rows), _PROJECT_CHUNK):
         sel = rows[lo:lo + _PROJECT_CHUNK]
         yb = y[sel]
-        cand = (yb @ stacked).reshape(len(sel), k, dim)
-        feasible = (cand @ cons.T).min(axis=2) >= -tol[sel, None]
+        cand = rowdot(yb, stacked).reshape(len(sel), k, dim)
+        feasible = rowdot(cand, cons.T).min(axis=2) >= -tol[sel, None]
         gap = np.einsum("pkd,pkd->pk", cand - yb[:, None], cand - yb[:, None])
         gap[~feasible] = np.inf
         ystar[lo:lo + len(sel)] = cand[np.arange(len(sel)), gap.argmin(axis=1)]
@@ -491,15 +499,15 @@ def _face_distance(face: FaceRecord, pts: np.ndarray, bound):
     point there.  Rows whose distance to the face's span already reaches
     `bound` are not projected: they keep that lower bound and their point on
     the span."""
-    y = pts @ face.basis
-    near = y @ face.basis.T
+    y = rowdot(pts, face.basis)
+    near = rowdot(y, face.basis.T)
     d = np.linalg.norm(pts - near, axis=1)
     todo = np.flatnonzero(d < bound)
     rows, ystar = _project_cone_rows(face, y[todo])
     if len(rows):
         rows = todo[rows]
         d[rows] = np.sqrt(d[rows] ** 2 + np.sum((y[rows] - ystar) ** 2, axis=1))
-        near[rows] = ystar @ face.basis.T
+        near[rows] = rowdot(ystar, face.basis.T)
     return d, near
 
 
@@ -577,13 +585,15 @@ class FaceLattice:
         self._by_dim = {}
         for f in faces:
             self._by_dim.setdefault(f.dim, []).append(f)
+        # ascending dimension: cheap low faces seed the running minimum early
+        self._up_to = [[f for j in range(k + 1) for f in self.faces_of_dim(j)]
+                       for k in range(self.max_dim + 1)]
 
     def faces_of_dim(self, k: int) -> list:
         return self._by_dim.get(k, [])
 
     def faces_up_to(self, k: int) -> list:
-        # ascending dimension: cheap low faces seed the running minimum early
-        return sorted((f for f in self.faces if f.dim <= k), key=lambda f: f.dim)
+        return self._up_to[min(k, self.max_dim)] if k >= 0 else []
 
     @property
     def top_faces(self) -> list:
@@ -592,19 +602,21 @@ class FaceLattice:
     # -- distances ---------------------------------------------------------
 
     def closure_distance(self, v, face, with_point=False):
-        d, p = _face_distance(face, np.asarray(v, dtype=float)[None], np.inf)
+        d, p = self.closure_distance_batch(np.asarray(v, dtype=float)[None], face)
         return (float(d[0]), p[0]) if with_point else float(d[0])
+
+    def closure_distance_batch(self, pts: np.ndarray, face, bound=np.inf):
+        """Distance from each row of pts to the closure of face and the
+        nearest point there; rows at span distance >= `bound` keep that lower
+        bound and their point on the span."""
+        return _face_distance(face, np.asarray(pts, dtype=float), bound)
 
     def skeleton_distance(self, v, k: int) -> float:
         return float(self.skeleton_distance_batch(np.asarray(v, dtype=float)[None], k)[0])
 
     def skeleton_distance_batch(self, pts: np.ndarray, k: int) -> np.ndarray:
         """Distance from each row of pts to the union of faces of dim <= k."""
-        pts = np.asarray(pts, dtype=float)
-        best = np.full(pts.shape[0], np.inf)
-        for f in self.faces_up_to(k):
-            np.minimum(best, _face_distance(f, pts, best)[0], out=best)
-        return best
+        return self.nearest_on_faces(pts, self.faces_up_to(k))[1]
 
     def nearest_point(self, v):
         """Nearest point of the embedded cone and its distance."""
@@ -612,15 +624,23 @@ class FaceLattice:
         return p[0], float(d[0])
 
     def nearest_point_batch(self, pts: np.ndarray):
+        return self.nearest_on_faces(pts, self.top_faces)[:2]
+
+    def nearest_on_faces(self, pts: np.ndarray, faces: list):
+        """Nearest point of the union of the closures of `faces` to each row
+        of pts, its distance, and the position in `faces` of the first face
+        realizing it (-1 when `faces` is empty)."""
         pts = np.asarray(pts, dtype=float)
         out = np.empty_like(pts)
         dist = np.full(pts.shape[0], np.inf)
-        for f in self.top_faces:
+        which = np.full(pts.shape[0], -1)
+        for j, f in enumerate(faces):
             d, cand = _face_distance(f, pts, dist)
             better = d < dist
             dist[better] = d[better]
             out[better] = cand[better]
-        return out, dist
+            which[better] = j
+        return out, dist, which
 
     # -- serialization -----------------------------------------------------
 
@@ -715,28 +735,37 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     return lattice
 
 
-def _face_samples(lattice, face, count, seed):
-    """Points of the open face at unit distance from the next lower skeleton.
+def _face_samples(lattice, faces, count, seed):
+    """Per face, points of the open face at unit distance from the next lower
+    skeleton; all `faces` share one dimension.
 
-    Tries up to 40 * count Gaussian span coordinates in draw order and keeps
-    the first `count` that lie strictly inside the face closure.  (Projecting
-    an outside draw onto the closure lands on its boundary, so such draws are
-    rejected without projecting them.)
+    Tries up to 40 * count Gaussian span coordinates per face, drawn from the
+    generator seeded `seed + face.index`, and keeps in draw order the first
+    `count` that lie strictly inside the face closure.  (Projecting an outside
+    draw onto the closure lands on its boundary, so such draws are rejected
+    without projecting them.)  Each round measures the next `count` draws of
+    every face still short of samples in one skeleton-distance call.
     """
-    rng = np.random.default_rng(seed)
-    y = rng.normal(size=(40 * count, face.dim))
-    if face.cons.size:
-        margin = (y @ face.cons.T).min(axis=1)
-        y = y[margin >= 1e-9 * (1.0 + np.linalg.norm(y, axis=1))]
-    out = []
-    for lo in range(0, len(y), count):
-        p = y[lo:lo + count] @ face.basis.T
-        d = lattice.skeleton_distance_batch(p, face.dim - 1)
-        ok = np.isfinite(d) & (d >= 1e-12)
-        out.extend(p[ok] / d[ok, None])
-        if len(out) >= count:
+    draws = []
+    for f in faces:
+        y = np.random.default_rng(seed + f.index).normal(size=(40 * count, f.dim))
+        if f.cons.size:
+            margin = (y @ f.cons.T).min(axis=1)
+            y = y[margin >= 1e-9 * (1.0 + np.linalg.norm(y, axis=1))]
+        draws.append(y)
+    out = [[] for _ in faces]
+    for lo in range(0, 40 * count, count):
+        short = [i for i in range(len(faces))
+                 if len(out[i]) < count and lo < len(draws[i])]
+        if not short:
             break
-    return np.asarray(out[:count])
+        pts = [draws[i][lo:lo + count] @ faces[i].basis.T for i in short]
+        dist = lattice.skeleton_distance_batch(np.concatenate(pts), faces[0].dim - 1)
+        dist = np.split(dist, np.cumsum([len(p) for p in pts])[:-1])
+        for i, p, d in zip(short, pts, dist):
+            ok = np.isfinite(d) & (d >= 1e-12)
+            out[i].extend(p[ok] / d[ok, None])
+    return [np.asarray(o[:count]) for o in out]
 
 
 def _measure_pair_separation(lattice) -> dict:
@@ -747,7 +776,7 @@ def _measure_pair_separation(lattice) -> dict:
         faces = lattice.faces_of_dim(k)
         if len(faces) < 2:
             continue
-        samples = [_face_samples(lattice, f, 24, seed=101 + f.index) for f in faces]
+        samples = _face_samples(lattice, faces, 24, seed=101)
         best = np.inf
         for (ia, a), (ib, b) in itertools.combinations(enumerate(samples), 2):
             if len(a) == 0 or len(b) == 0:
@@ -771,23 +800,32 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
         pts.append(xi(spec, t))
     pts = np.asarray(pts)
 
+    # per face: the distance |z| of each point to the face's span, whether its
+    # span point is off the face itself and inside the closure, and (for
+    # those points) that span point's distance to the lower skeleton; none
+    # depends on the aperture
+    fibers = []
+    for k in range(1, lattice.max_dim):
+        faces = lattice.faces_of_dim(k)
+        if len(faces) < 2:
+            continue
+        fibers.append([])
+        for f in faces:
+            y = pts @ f.basis
+            base = y @ f.basis.T
+            absz = np.linalg.norm(pts - base, axis=1)
+            ok = absz > 1e-12  # points on the face itself are unambiguous
+            if f.cons.size:
+                ok &= (f.cons @ y.T).min(axis=0) >= -1e-10
+            dlow = np.zeros(len(pts))
+            dlow[ok] = lattice.skeleton_distance_batch(base[ok], k - 1)
+            fibers[-1].append((f, absz, ok, dlow))
+
     def claims(c_tilde):
-        for k in range(1, lattice.max_dim):
-            faces = lattice.faces_of_dim(k)
-            if len(faces) < 2:
-                continue
+        for dim_fibers in fibers:
             owner = np.full(len(pts), -1)
-            for f in faces:
-                y = pts @ f.basis
-                base = y @ f.basis.T
-                absz = np.linalg.norm(pts - base, axis=1)
-                ok = np.ones(len(pts), dtype=bool)
-                if f.cons.size:
-                    ok &= (f.cons @ y.T).min(axis=0) >= -1e-10
-                dlow = lattice.skeleton_distance_batch(base, k - 1)
-                ok &= absz <= c_tilde * dlow
-                ok &= absz > 1e-12  # points on the face itself are unambiguous
-                for i in np.flatnonzero(ok):
+            for f, absz, ok, dlow in dim_fibers:
+                for i in np.flatnonzero(ok & (absz <= c_tilde * dlow)):
                     if owner[i] >= 0 and f.index not in lattice.faces[owner[i]].closure_of \
                             and owner[i] not in f.closure_of:
                         return False

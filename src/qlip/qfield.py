@@ -339,12 +339,12 @@ def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float,
     qpts = pts[tuple(np.asarray(todo).T)]
     dists = np.linalg.norm(qpts[:, None, :] - anchors[None, :, :], axis=-1)
     ext = np.min(avals[None, :, :] + lip * dists[:, :, None], axis=1)
-    snapped, resid = lat.nearest_point_batch(ext)
-    tol = machinery.on_image_tol * (1 + np.linalg.norm(ext, axis=1))
+    vals, resid = lat.nearest_point_batch(ext)
+    off = resid > machinery.on_image_tol * (1 + np.linalg.norm(ext, axis=1))
+    if np.any(off):
+        vals[off] = machinery.rho_star_batch(ext[off])
     for row, idx in enumerate(todo):
-        v = snapped[row] if resid[row] <= tol[row] else machinery.rho_star(ext[row])
-        t = xi_inverse(spec, v, tol=1e-5)
-        out.values[tuple(idx)] = t.points
+        out.values[tuple(idx)] = xi_inverse(spec, vals[row], tol=1e-5).points
     return out
 
 
@@ -394,8 +394,9 @@ def retract_embedded(emb: np.ndarray, machinery, select: np.ndarray = None) -> n
     tol = machinery.on_image_tol * (1 + np.linalg.norm(flat[sel], axis=1))
     rows = np.flatnonzero(sel)
     out[rows] = snapped
-    for j in np.flatnonzero(resid > tol):
-        out[rows[j]] = machinery.rho_star(flat[rows[j]])
+    off = rows[resid > tol]
+    if len(off):
+        out[off] = machinery.rho_star_batch(flat[off])
     return out.reshape(emb.shape)
 
 

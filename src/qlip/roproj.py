@@ -22,17 +22,16 @@ visible magnitudes.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coneproj import kirszbraun_value
 from .embed import (EmbeddingSpec, FaceLattice, NotOnImageError,
                     build_embedding, face_lattice,
-                    project_face_closure_line, xi, xi_batch, xi_inverse)
-from .qspace import QPoint
+                    project_face_closure_line, rowdot, xi_batch,
+                    xi_inverse)
 
 _LOG8 = math.log(8.0)
 
@@ -195,12 +194,14 @@ class ConstantLadder:
 
 
 def project_face_closure(lattice: FaceLattice, face, x: np.ndarray) -> np.ndarray:
-    """Nearest point of the closed face cone; exact isotonic fit when n = 1."""
+    """Nearest point of the closed face cone to x, or to each row of a 2-D x;
+    exact isotonic fit when n = 1."""
     x = np.asarray(x, dtype=float)
     if lattice.spec.dims.n == 1 and lattice.spec.dims.h == 1:
+        if x.ndim == 2:
+            return np.stack([project_face_closure_line(face, row) for row in x])
         return project_face_closure_line(face, x)
-    _, p = lattice.closure_distance(x, face, with_point=True)
-    return p
+    return lattice.closure_distance_batch(np.atleast_2d(x), face)[1].reshape(x.shape)
 
 
 class AlmostProjection:
@@ -252,12 +253,12 @@ class AlmostProjection:
                     base = np.zeros_like(pts[cand])
                     ok = np.ones(int(cand.sum()), dtype=bool)
                 else:
-                    y = pts @ f.basis
-                    base_all = y @ f.basis.T
+                    y = rowdot(pts, f.basis)
+                    base_all = rowdot(y, f.basis.T)
                     znorm = np.linalg.norm(pts - base_all, axis=1)
                     cand = znorm <= wide
                     if f.cons.size:
-                        cand &= (f.cons @ y.T).min(axis=0) >= -1e-10 * (1 + znorm)
+                        cand &= rowdot(y, f.cons.T).min(axis=1) >= -1e-10 * (1 + znorm)
                     if not np.any(cand):
                         continue
                     base = base_all[cand]
@@ -280,89 +281,162 @@ class AlmostProjection:
                 move = ~snap
                 if np.any(move):
                     rows = sel[move]
-                    zc = cur[rows] - (cur[rows] @ f.basis) @ f.basis.T
+                    zc = cur[rows] - rowdot(rowdot(cur[rows], f.basis), f.basis.T)
                     fac = _phi_factor(np.linalg.norm(zc, axis=1), 2.0 * c_k)
                     out[move] = best_base[rows] + fac[:, None] * zc
                 cur[sel] = out
         return cur[0] if single else cur
 
     # -- rho_sharp -----------------------------------------------------------
+    #
+    # Every stage runs once over a batch of rows.  The one-row methods are
+    # views of the batch code; a row's result does not depend on its batch.
 
     def tube_level(self, x: np.ndarray):
         """Smallest l with dist(x, S_l) <= delta^(l+1), counting the cone
         itself as level nq; None when x is outside every tube."""
-        x = np.asarray(x, dtype=float)
-        lat, d = self.lattice, self.ladder.delta
-        for lvl in range(self.ladder.nq):
-            if lat.skeleton_distance(x, lvl) <= d ** (lvl + 1):
-                return lvl
-        _, dq = lat.nearest_point(x)
-        if dq <= d ** (self.ladder.nq + 1) * (1 + 1e-9) + 1e-15:
-            return self.ladder.nq
-        return None
+        x = np.asarray(x, dtype=float)[None]
+        level = self._tube_levels(x, self.lattice.nearest_point_batch(x)[1])[0]
+        return None if level < 0 else int(level)
+
+    def _tube_levels(self, pts: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        """`tube_level` of each row, given its distance dq to the cone; -1
+        marks a row outside every tube."""
+        lat, d, nq = self.lattice, self.ladder.delta, self.ladder.nq
+        level = np.full(len(pts), -1)
+        todo = np.arange(len(pts))
+        for lvl in range(nq):
+            if not len(todo):
+                return level
+            inside = lat.skeleton_distance_batch(pts[todo], lvl) <= d ** (lvl + 1)
+            level[todo[inside]] = lvl
+            todo = todo[~inside]
+        inside = dq[todo] <= d ** (nq + 1) * (1 + 1e-9) + 1e-15
+        level[todo[inside]] = nq
+        return level
+
+    @staticmethod
+    def _on_cone(pts: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        return dq <= 1e-12 * (1.0 + np.linalg.norm(pts, axis=1))
+
+    def _locate(self, pts: np.ndarray):
+        """Per row: nearest cone point, its distance and the tube level.  Rows
+        on the cone inside the smallest tube skip the level search, which
+        `_sharp` never reads for them, and report level nq."""
+        nq = self.ladder.nq
+        near, dq = self.lattice.nearest_point_batch(pts)
+        level = np.full(len(pts), nq)
+        search = ~(self._on_cone(pts, dq)
+                   & (dq <= self.ladder.delta ** (nq + 1)))
+        level[search] = self._tube_levels(pts[search], dq[search])
+        return near, dq, level
 
     def rho_sharp(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(x))
-        near, dq = self.lattice.nearest_point(x)
-        if dq <= 1e-12 * scale:
-            return self.rho_flat(near, assume_on_image=True)
-        level = self.tube_level(x)
-        if level is None:
-            raise OutsideNeighborhoodError(
-                f"point at distance {dq:.3e} from the cone, outside every tube")
-        if level == 0:
-            return np.zeros_like(x)
-        if level == self.ladder.nq:
-            face = min(self.lattice.top_faces,
-                       key=lambda f: self.lattice.closure_distance(x, f))
-        else:
-            face = min(self.lattice.faces_of_dim(level),
-                       key=lambda f: self.lattice.closure_distance(x, f))
-        y = face.basis.T @ x
-        plane = face.basis @ y
-        in_open = face.cons.size == 0 or (face.cons @ y).min() > 1e-9 * scale
-        if in_open and self.lattice.skeleton_distance(plane, face.dim - 1) >= self.far_scale:
-            return plane  # the prescribed orthogonal-projection region
-        return self._kirszbraun_gap(x, face, near, dq, level)
+        x = np.asarray(x, dtype=float)[None]
+        return self._sharp(x, *self._locate(x))[0]
 
-    def _kirszbraun_gap(self, x, face, near, dq, level):
-        lat, lad = self.lattice, self.ladder
+    def _sharp(self, x, near, dq, level):
+        """rho_sharp of each row of x, given `_locate(x)`."""
+        lat, nq = self.lattice, self.ladder.nq
+        flat = self._on_cone(x, dq)
+        outside = np.flatnonzero(~flat & (level < 0))
+        if len(outside):
+            far = outside[np.argmax(dq[outside])]
+            raise OutsideNeighborhoodError(
+                f"{len(outside)} point(s) outside every tube; the farthest at "
+                f"distance {dq[far]:.3e} from the cone")
+        out = np.zeros_like(x)  # level-0 rows: the delta-ball goes to 0
+        if np.any(flat):
+            out[flat] = self.rho_flat(near[flat], assume_on_image=True)
+        # the row's face: the nearest face of the level's dimension (the top
+        # faces on the cone's own tube); p0 is x's point there
+        face = np.full(len(x), -1)
+        p0 = np.empty_like(x)
+        for lvl in range(1, nq + 1):
+            rows = np.flatnonzero(~flat & (level == lvl))
+            if len(rows):
+                faces = lat.faces_of_dim(lvl)
+                p0[rows], _, which = lat.nearest_on_faces(x[rows], faces)
+                face[rows] = [faces[j].index for j in which]
+        scale = 1.0 + np.linalg.norm(x, axis=1)
+        gap = []
+        for fi in np.unique(face[face >= 0]):
+            f = lat.faces[fi]
+            rows = np.flatnonzero(face == fi)
+            y = rowdot(x[rows], f.basis)
+            plane = rowdot(y, f.basis.T)
+            region = np.ones(len(rows), dtype=bool)
+            if f.cons.size:
+                region = rowdot(y, f.cons.T).min(axis=1) > 1e-9 * scale[rows]
+            region[region] = lat.skeleton_distance_batch(
+                plane[region], f.dim - 1) >= self.far_scale
+            out[rows[region]] = plane[region]  # orthogonal-projection region
+            gap.append(rows[~region])
+        gap = np.concatenate(gap or [np.zeros(0, dtype=int)])
+        if len(gap):
+            out[gap] = self._kirszbraun_gap(x[gap], near[gap], dq[gap],
+                                            level[gap], face[gap], p0[gap])
+        return out
+
+    def _kirszbraun_gap(self, x, near, dq, level, face, p0):
+        """Lipschitz min-max interpolation of rho_flat at anchor points on the
+        cone, projected into the closure of each row's face."""
+        lat, lad, spec = self.lattice, self.ladder, self.spec
+        nq, q, n = lad.nq, spec.dims.q, spec.dims.n
         lip = 1.0 + 4.0 * lad.ck(-1)
-        rng = np.random.default_rng(np.frombuffer(
-            np.asarray(x, dtype=float).tobytes(), dtype=np.uint64) % (2 ** 31))
-        anchors = [near]
-        tube = lad.delta ** (level + 1)
-        eps_anchor = max(lad.ck(min(level, lad.nq - 1)) / 16.0, 1e-9)
-        base_s = max(2.0 * dq, tube, eps_anchor)
-        try:
-            t0 = xi_inverse(self.spec, near, tol=1e-5)
+        anchors = [[p] for p in near]
+        # Gaussian jitters of the decoded nearest point, seeded by the row's
+        # bytes so a row's anchors do not depend on its batch
+        jitters, owner = [], []
+        for i in range(len(x)):
+            lvl = int(level[i])
+            rng = np.random.default_rng(np.frombuffer(
+                x[i].tobytes(), dtype=np.uint64) % (2 ** 31))
+            eps_anchor = max(lad.ck(min(lvl, nq - 1)) / 16.0, 1e-9)
+            base_s = max(2.0 * dq[i], lad.delta ** (lvl + 1), eps_anchor)
+            try:
+                t0 = xi_inverse(spec, near[i], tol=1e-5)
+            except (NotOnImageError, RuntimeError):
+                continue
             for s in (1.0, 2.0, 4.0, 8.0):
-                jit = t0.points[None] + rng.normal(
-                    size=(6, self.spec.dims.q, self.spec.dims.n)) * s * base_s
-                anchors.extend(xi_batch(self.spec, jit))
-        except (NotOnImageError, RuntimeError):
-            pass
+                jitters.append(t0.points[None] + rng.normal(size=(6, q, n)) * s * base_s)
+            owner += [i] * 24
+        if jitters:
+            for i, a in zip(owner, xi_batch(spec, np.concatenate(jitters))):
+                anchors[i].append(a)
         # anchors on the nearby lower skeleton keep the gap consistent with
         # the values already prescribed there
-        for f in lat.faces_up_to(level - 1):
-            d, p = lat.closure_distance(x, f, with_point=True)
-            if d <= 4.0 * lad.delta ** level:
-                anchors.append(p)
+        reach = np.array([4.0 * lad.delta ** lvl for lvl in range(nq + 1)])[level]
+        for f in lat.faces_up_to(int(level.max()) - 1):
+            rows = np.flatnonzero(level > f.dim)
+            # the bound just above reach projects rows at span distance reach
+            d, p = lat.closure_distance_batch(x[rows], f,
+                                              np.nextafter(reach[rows], np.inf))
+            near_face = d <= reach[rows]
+            for i, pt in zip(rows[near_face], p[near_face]):
+                anchors[i].append(pt)
         # one far anchor in the projection region of the face
-        if face.dim > 0:
-            _, p0 = lat.closure_distance(x, face, with_point=True)
-            dlow = lat.skeleton_distance(p0, face.dim - 1)
-            if dlow > 1e-9:
-                anchors.append(p0 * max(1.0, 2.0 * self.far_scale / dlow))
+        dim = np.array([lat.faces[fi].dim for fi in face])
+        for k in np.unique(dim[dim > 0]):
+            rows = np.flatnonzero(dim == k)
+            dlow = lat.skeleton_distance_batch(p0[rows], k - 1)
+            for i, dl in zip(rows, dlow):
+                if dl > 1e-9:
+                    anchors[i].append(p0[i] * max(1.0, 2.0 * self.far_scale / dl))
         # snap numerical fuzz onto the cone so anchor/value pairs are consistent
-        anchors = lat.nearest_point_batch(np.asarray(anchors))[0]
-        values = self.rho_flat(anchors, assume_on_image=True)
-        ybest, _level = kirszbraun_value(x, anchors, values, lip)
-        out = project_face_closure(lat, face, ybest)
-        q, resid = lat.nearest_point(out)
-        if resid > self.on_image_tol * (1.0 + np.linalg.norm(out)):
-            out = self.rho_flat(q, assume_on_image=True)
+        counts = np.cumsum([len(a) for a in anchors])[:-1]
+        pts = lat.nearest_point_batch(np.concatenate(anchors))[0]
+        vals = np.split(self.rho_flat(pts, assume_on_image=True), counts)
+        ybest = np.array([kirszbraun_value(row, a, v, lip)[0] for row, a, v
+                          in zip(x, np.split(pts, counts), vals)])
+        out = np.empty_like(x)
+        for fi in np.unique(face):
+            rows = np.flatnonzero(face == fi)
+            out[rows] = project_face_closure(lat, lat.faces[fi], ybest[rows])
+        q_pt, resid = lat.nearest_point_batch(out)
+        off = resid > self.on_image_tol * (1.0 + np.linalg.norm(out, axis=1))
+        if np.any(off):
+            out[off] = self.rho_flat(q_pt[off], assume_on_image=True)
         return out
 
     # -- rho_star ------------------------------------------------------------
@@ -371,39 +445,60 @@ class AlmostProjection:
                               margin: float = 1e-6) -> np.ndarray:
         """Nearest point of the union of tubes (along the segment to the
         realizing skeleton point), pulled `margin` inside the boundary so the
-        membership test stays stable under re-evaluation noise."""
-        x = np.asarray(x, dtype=float)
-        lat, d = self.lattice, self.ladder.delta
-        best = (np.inf, None)
-        for lvl in range(self.ladder.nq + 1):
-            r = d ** (lvl + 1)
-            if lvl == self.ladder.nq:
-                p, dist = lat.nearest_point(x)
-            else:
-                dist, p = min(
-                    (lat.closure_distance(x, f, with_point=True)
-                     for f in lat.faces_up_to(lvl)),
-                    key=lambda t: t[0])
-            gap = dist - r
-            if gap <= 0:
-                return x
-            if gap < best[0]:
-                best = (gap, p + (x - p) * (r * (1.0 - margin) / dist))
-        return best[1]
+        membership test stays stable under re-evaluation noise.  The rows of
+        a 2-D x are clamped independently.
+
+        A face of dim k lies in the skeleton S_k, whose tube has radius
+        delta^(k+1) (the top faces carry the cone's own tube), so the nearest
+        tube point comes from the face with the smallest closure distance
+        minus radius.
+        """
+        single = np.asarray(x).ndim == 1
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        radius = [self.ladder.delta ** (k + 1) for k in range(self.ladder.nq + 1)]
+        best = np.full(len(pts), np.inf)
+        dist = np.zeros(len(pts))
+        point = np.empty_like(pts)
+        rad = np.zeros(len(pts))
+        for f in self.lattice.faces_up_to(self.ladder.nq):
+            r = radius[f.dim]
+            d, p = self.lattice.closure_distance_batch(pts, f, best + r)
+            better = d - r < best
+            best[better] = d[better] - r
+            dist[better], point[better], rad[better] = d[better], p[better], r
+        out = pts.copy()
+        move = best > 0
+        out[move] = point[move] + (pts[move] - point[move]) * (
+            rad[move] * (1.0 - margin) / dist[move])[:, None]
+        return out[0] if single else out
 
     def rho_star(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.tube_level(x) is None:
-            x = self.clamp_to_neighborhood(x)
-        try:
-            return self.rho_sharp(x)
-        except OutsideNeighborhoodError:
-            # boundary-grazing input: pull decisively into the tube
-            return self.rho_sharp(self.clamp_to_neighborhood(x, margin=1e-3))
+        return self.rho_star_batch(np.asarray(x, dtype=float)[None])[0]
 
     def rho_star_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.stack([self.rho_star(p) for p in pts])
+        """rho_star of each row.  Rows outside every tube are clamped into
+        the tubes first (a second time, with a wider margin, if the clamped
+        point still grazes the boundary); then rho_sharp runs on the batch."""
+        x = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+        bad = ~np.all(np.isfinite(x), axis=1)
+        if np.any(bad):
+            raise ValueError(f"rho_star: {int(bad.sum())} of {len(x)} input "
+                             "rows are not finite")
+        loc = self._locate(x)
+        rows = np.flatnonzero(loc[2] < 0)
+        if len(rows):
+            x[rows] = self.clamp_to_neighborhood(x[rows])
+            sub = self._locate(x[rows])
+            # boundary-grazing inputs: pull decisively into the tube
+            again = (sub[2] < 0) & ~self._on_cone(x[rows], sub[1])
+            if np.any(again):
+                x[rows[again]] = self.clamp_to_neighborhood(x[rows[again]],
+                                                            margin=1e-3)
+                for whole, part in zip(sub, self._locate(x[rows[again]])):
+                    whole[again] = part
+            for whole, part in zip(loc, sub):
+                whole[rows] = part
+        return self._sharp(x, *loc)
 
     # -- diagnostics ----------------------------------------------------------
 

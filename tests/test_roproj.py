@@ -1,8 +1,13 @@
 """Almost-projection maps: radial collapse, ladders, cascade, extension."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlip.embed import NotOnImageError, face_lattice, xi, xi_inverse
+from qlip import cli
+from qlip.embed import NotOnImageError, face_lattice, xi, xi_batch, xi_inverse
 from qlip.qspace import QPoint, random_qpoint
 from qlip.roproj import (AlmostProjection, ConstantLadder, LadderError,
                          OutsideNeighborhoodError, default_machinery, phi_tau,
@@ -261,3 +266,89 @@ def test_project_face_closure_examples():
     assert np.allclose(out, [0.0, 0.0], atol=1e-12)
     inside = np.array([0.2, 0.7])
     assert np.allclose(project_face_closure(lat, top, inside), inside)
+
+
+# -- batched rho_star ----------------------------------------------------------
+
+
+def rho_star_inputs(mach, rng, count):
+    """The four rho-star-eval populations: xi images moved along a random unit
+    direction by 0, half the smallest tube, delta / 2 and 2 delta."""
+    n, q = mach.spec.dims.n, mach.spec.dims.q
+    delta = mach.ladder.delta
+    rows = []
+    for sigma in (0.0, 0.5 * delta ** (n * q + 1), 0.5 * delta, 2.0 * delta):
+        on = xi_batch(mach.spec, rng.normal(size=(count, q, n)))
+        noise = rng.normal(size=on.shape)
+        rows.append(on + sigma * noise / np.linalg.norm(noise, axis=1, keepdims=True))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rho_star_batch_matches_one_row(n, q, seed):
+    mach = default_machinery(n, q)
+    x = rho_star_inputs(mach, np.random.default_rng(seed), 3)
+    batch = mach.rho_star_batch(x)
+    one = np.stack([mach.rho_star(v) for v in x])
+    tol = 1e-12 * (1.0 + np.linalg.norm(x, axis=1))
+    assert np.all(np.linalg.norm(batch - one, axis=1) <= tol)
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_rho_star_batch_commutes_with_row_permutation(n, q, data):
+    mach = default_machinery(n, q)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    x = rho_star_inputs(mach, np.random.default_rng(seed), 4)
+    perm = np.array(data.draw(st.permutations(range(len(x)))))
+    assert np.array_equal(mach.rho_star_batch(x[perm]), mach.rho_star_batch(x)[perm])
+
+
+def test_rho_star_batch_rejects_non_finite_rows():
+    mach = default_machinery(1, 2)
+    x = np.array([[0.3, 0.4], [np.nan, 0.1], [np.inf, 0.0]])
+    with pytest.raises(ValueError, match="2 of 3 input rows are not finite"):
+        mach.rho_star_batch(x)
+    with pytest.raises(ValueError, match="not finite"):
+        mach.rho_star(np.array([-np.inf, 1.0]))
+
+
+# sigma, max_input_dist, max_residual, max_displacement, mean_displacement
+RHO_STAR_EVAL_22 = [
+    (0.0, 6.532886618304434e-16, 4.981836190663649e-16, 6.532886618304434e-16,
+     3.46475476778195e-16),
+    (5.000000000000001e-06, 4.676331995115975e-06, 8.31817995412987e-16,
+     2.1865178646857363e-05, 1.790590320762593e-05),
+    (0.05, 0.04318008765692402, 5.110343437176303e-16, 0.0431801895315259,
+     0.030294764371840154),
+    (0.2, 0.17936616272229455, 6.379632791138003e-16, 0.17936616453169257,
+     0.10937130179871335),
+]
+# lhs, near, far, C_far
+ENERGY_SPLIT_22 = [
+    (1.375327112943233, 1.3753271129432332, 0.0, 0.0),
+    (1.37532955275958, 0.00709426235347565, 1.3682859174380586, 0.9219496019471825),
+]
+
+
+def test_rho_star_snapshot_plane_two(tmp_path):
+    """rho-star-eval and energy-split rows on (2,2), seed 1.  Values at the
+    rounding level (residuals, on-cone distances) are pinned absolutely."""
+    def check(rows, want, keys):
+        assert len(rows) == len(want)
+        for row, ref in zip(rows, want):
+            for key, value in zip(keys, ref):
+                assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-14)
+
+    assert cli.main(["rho-star-eval", "--n", "2", "--q", "2", "--seed", "1",
+                     "--samples", "10", "--out", str(tmp_path / "r")]) == 0
+    rows = json.loads((tmp_path / "r" / "rho-star.json").read_text())["rows"]
+    check(rows, RHO_STAR_EVAL_22, ("sigma", "max_input_dist", "max_residual",
+                                   "max_displacement", "mean_displacement"))
+    assert cli.main(["probe", "energy-split", "--n", "2", "--q", "2", "--res", "9",
+                     "--seed", "1", "--out", str(tmp_path / "e")]) == 0
+    blob = json.loads((tmp_path / "e" / "probe-energy-split.json").read_text())
+    check(blob["report"]["rows"], ENERGY_SPLIT_22, ("lhs", "near", "far", "C_far"))
