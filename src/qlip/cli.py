@@ -100,34 +100,43 @@ class _Sink:
 
 _COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
 
+# Options of every command that builds a current (gen-current, approx,
+# probe): flag, argparse keywords, config default.  The current kind and
+# --scale default per command.
+_CURRENT_OPTIONS = (
+    ("--scale", {"type": float}, None),
+    ("--res", {"type": int}, None),
+    ("--radius4", {"type": float}, None),
+    ("--q", {"type": int}, None),
+    ("--n", {"type": int}, None),
+    ("--heights", {"help": "JSON (q, n) height rows"}, None),
+    ("--spike-center", {"nargs": 2, "type": float}, (0.3, 0.2)),
+    ("--spike-radius", {"type": float}, 0.05),
+    ("--spike-excess", {"type": float}, 0.008),
+    ("--input", {"help": "current JSON for custom-graph; field JSON for "
+                         "probe reverse-holder"}, None),
+)
+
+
+def _current_defaults(current, scale, **extra) -> dict:
+    cfg = {flag[2:].replace("-", "_"): default
+           for flag, _, default in _CURRENT_OPTIONS}
+    return dict(cfg, current=current, scale=scale, **extra)
+
+
 _DEFAULTS = {
-    "gen-current": {
-        "current": "w32", "scale": 1.0, "res": None, "radius4": None,
-        "q": None, "n": None, "heights": None, "input": None,
-        "spike_center": (0.3, 0.2), "spike_radius": 0.05,
-        "spike_excess": 0.008, "profile_points": 25,
-    },
-    "approx": {
-        "current": "flat", "scale": 1.0, "res": None, "radius4": None,
-        "q": None, "n": None, "heights": None, "input": None,
-        "spike_center": (0.3, 0.2), "spike_radius": 0.05,
-        "spike_excess": 0.008,
-        "delta11": None, "beta": 0.1, "strict": None,
-    },
+    "gen-current": _current_defaults("w32", 1.0, profile_points=25),
+    "approx": _current_defaults("flat", 1.0, delta11=None, beta=0.1,
+                                strict=None),
     "rho-star-eval": {
         "n": 1, "q": 2, "c0": 0.1, "delta": 0.1, "samples": 200,
     },
     "dirmin": {
         "boundary": "sqrt-branch", "res": 33, "starts": 4, "radius": 1.0,
     },
-    "probe": {
-        "probe": None, "current": None, "scale": None, "scales": None,
-        "s_list": None, "res": None, "p1": None, "p11": None,
-        "boundary": "sqrt-branch", "starts": None, "n": None, "q": None,
-        "input": None, "radius4": None, "heights": None,
-        "spike_center": (0.3, 0.2), "spike_radius": 0.05,
-        "spike_excess": 0.008,
-    },
+    "probe": _current_defaults(None, None, probe=None, scales=None,
+                               s_list=None, p1=None, p11=None,
+                               boundary="sqrt-branch", starts=None),
     "report": {"dir": None},
 }
 
@@ -165,10 +174,6 @@ def _merge_config(args) -> tuple:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if args.cmd == "gen-current":
-        cfg["current"] = args.kind
-    elif args.cmd == "probe":
-        cfg["probe"] = args.name
 
     if isinstance(cfg.get("heights"), str):
         try:
@@ -351,9 +356,12 @@ def _sqrt_rows(p):
 
 def _cmd_dirmin(cfg: dict, sink: _Sink) -> int:
     trace, q, n, reference = _TRACES[cfg["boundary"]]
-    f, rep = pb.solve_dir_minimizer(
-        trace, res=int(cfg["res"]), q=q, n=n, radius=float(cfg["radius"]),
-        starts=int(cfg["starts"]), seed=int(cfg["seed"]))
+    try:
+        f, rep = pb.solve_dir_minimizer(
+            trace, res=int(cfg["res"]), q=q, n=n, radius=float(cfg["radius"]),
+            starts=int(cfg["starts"]), seed=int(cfg["seed"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     blob = {"schema": SCHEMA, "boundary": cfg["boundary"], "q": q, "n": n,
             "res": int(cfg["res"]), "reference_energy": reference}
     for key in ("energy", "history", "start_energies", "converged",
@@ -565,6 +573,12 @@ _HANDLERS = {
 # argument parsing
 
 
+def _add_current_options(parser, skip=()) -> None:
+    for flag, kw, _ in _CURRENT_OPTIONS:
+        if flag not in skip:
+            parser.add_argument(flag, **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="artifact directory (default qlip-out)")
@@ -577,32 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-current", parents=[common],
                        help="build a benchmark current and its metrics")
-    g.add_argument("kind", choices=_CURRENT_KINDS)
-    g.add_argument("--scale", type=float)
-    g.add_argument("--res", type=int)
-    g.add_argument("--radius4", type=float)
-    g.add_argument("--q", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--heights", help="JSON (q, n) height rows")
-    g.add_argument("--spike-center", nargs=2, type=float)
-    g.add_argument("--spike-radius", type=float)
-    g.add_argument("--spike-excess", type=float)
-    g.add_argument("--input", help="current JSON for custom-graph")
+    g.add_argument("current", choices=_CURRENT_KINDS)
+    _add_current_options(g)
     g.add_argument("--profile-points", type=int)
 
     a = sub.add_parser("approx", parents=[common],
                        help="run the Lipschitz approximation pipeline")
     a.add_argument("--current", choices=_CURRENT_KINDS)
-    a.add_argument("--scale", type=float)
-    a.add_argument("--res", type=int)
-    a.add_argument("--radius4", type=float)
-    a.add_argument("--q", type=int)
-    a.add_argument("--n", type=int)
-    a.add_argument("--heights")
-    a.add_argument("--spike-center", nargs=2, type=float)
-    a.add_argument("--spike-radius", type=float)
-    a.add_argument("--spike-excess", type=float)
-    a.add_argument("--input")
+    _add_current_options(a)
     a.add_argument("--delta11", type=float)
     a.add_argument("--beta", type=float)
     a.add_argument("--strict", action="store_true", default=None)
@@ -624,23 +620,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", parents=[common],
                        help="run one empirical estimate")
-    p.add_argument("name", choices=_PROBE_NAMES)
+    p.add_argument("probe", choices=_PROBE_NAMES)
     p.add_argument("--current", choices=_CURRENT_KINDS)
-    p.add_argument("--scale", type=float)
+    _add_current_options(p, skip=("--heights",))
     p.add_argument("--scales", nargs="+", type=float)
     p.add_argument("--s-list", nargs="+", type=float)
-    p.add_argument("--res", type=int)
     p.add_argument("--p1", type=float)
     p.add_argument("--p11", type=float)
     p.add_argument("--boundary", choices=sorted(_TRACES))
     p.add_argument("--starts", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--input", help="field or current JSON")
-    p.add_argument("--radius4", type=float)
-    p.add_argument("--spike-center", nargs=2, type=float)
-    p.add_argument("--spike-radius", type=float)
-    p.add_argument("--spike-excess", type=float)
 
     rp = sub.add_parser("report", parents=[common],
                         help="aggregate artifacts into a summary and .dat")

@@ -14,6 +14,7 @@ on the grid are used.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from scipy.signal import fftconvolve
 
 from . import qfield as qf
 from .embed import xi_batch, xi_inverse
-from .qspace import QPoint, metric_g
 
 _OMEGA = {1: 2.0, 2: math.pi}  # unit-ball measure per base dimension
 
@@ -57,10 +57,6 @@ class ZeroCurrent:
 
     def total(self) -> int:
         return int(self.multiplicities.sum())
-
-    def push_sum(self, psi) -> float:
-        vals = np.asarray(psi(self.points), dtype=float).reshape(-1)
-        return float(np.dot(self.multiplicities, vals))
 
 
 class GraphCurrent:
@@ -173,33 +169,36 @@ def _tangent_defect(J: np.ndarray) -> np.ndarray:
     return 1.0 - 1.0 / a
 
 
+def _corners(nodes: np.ndarray):
+    """Views of a node array at the 2^m corners of each grid cell, the low
+    corner first and the first axis varying fastest (this order fixes how
+    _cell_average rounds)."""
+    for off in itertools.product((0, 1), repeat=nodes.ndim):
+        yield nodes[tuple(slice(o, o + n - 1)
+                          for o, n in zip(reversed(off), nodes.shape))]
+
+
+def _cell_valid(mask: np.ndarray) -> np.ndarray:
+    """Cells whose corners all lie in the mask."""
+    return functools.reduce(np.logical_and, _corners(mask))
+
+
+def _cell_average(w: np.ndarray) -> np.ndarray:
+    """Mean of a per-node weight over the corners of each cell."""
+    return 0.5 ** w.ndim * functools.reduce(np.add, _corners(w))
+
+
 def _cell_jacobians(f: qf.QGridFunction):
     """Matched forward differences at cells: (cells..., q, n, m) plus a
     cell validity mask.  Sheet alignment per cell minimizes the pair cost
     against the low corner."""
-    h = f.spacing
-    q = f.q
-    perms = np.array(list(itertools.permutations(range(q))))
-
-    def align(a, b):
-        costs = np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1))
-                          for p in perms])
-        best = perms[np.argmin(costs, axis=0)]
-        return np.take_along_axis(b, best[..., None], axis=-2)
-
-    if f.m == 1:
-        a, b = f.values[:-1], f.values[1:]
-        J = ((align(a, b) - a) / h)[..., None]
-        ok = f.mask[:-1] & f.mask[1:]
-        return J, ok
-    a = f.values[:-1, :-1]
-    b = f.values[1:, :-1]
-    c = f.values[:-1, 1:]
-    Dx = (align(a, b) - a) / h
-    Dy = (align(a, c) - a) / h
-    J = np.stack([Dx, Dy], axis=-1)
-    ok = f.mask[:-1, :-1] & f.mask[1:, :-1] & f.mask[:-1, 1:] & f.mask[1:, 1:]
-    return J, ok
+    low = (slice(0, f.res - 1),) * f.m
+    a = f.values[low]
+    cols = []
+    for ax in range(f.m):
+        b = f.values[low[:ax] + (slice(1, f.res),) + low[ax + 1:]]
+        cols.append((qf._align(a, b) - a) / f.spacing)
+    return np.stack(cols, axis=-1), _cell_valid(f.mask)
 
 
 def _cells_to_nodes(cell: np.ndarray, m: int) -> np.ndarray:
@@ -223,6 +222,17 @@ def _disk_overlap(d: float, r1: float, r2: float) -> float:
     a2 = math.acos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
     return (r1 * r1 * (a1 - math.sin(2 * a1) / 2)
             + r2 * r2 * (a2 - math.sin(2 * a2) / 2))
+
+
+def _spike_ball_mass(spikes, h: float, center, radius: float) -> float:
+    """Spike excess inside B_radius(center); each spike spreads its excess
+    evenly over a disk of radius at least 0.75 h."""
+    total = 0.0
+    for sp in spikes:
+        rr = max(sp.radius, 0.75 * h)
+        d = float(np.linalg.norm(np.asarray(center) - np.asarray(sp.center)))
+        total += sp.excess * _disk_overlap(d, radius, rr) / (math.pi * rr * rr)
+    return total
 
 
 def _polar_integral(fn, center, radius, n_theta=96, n_rad=32):
@@ -281,12 +291,7 @@ class ExcessField:
         else:
             w = qf.disk_weights(self.T.base, center, radius)
             graph = float(np.sum(self.graph_density * w) * self.h ** self.T.m)
-        spikes = 0.0
-        for sp in self.T.spikes:
-            rr = max(sp.radius, 0.75 * self.h)
-            d = float(np.linalg.norm(np.asarray(center) - np.asarray(sp.center)))
-            spikes += sp.excess * _disk_overlap(d, radius, rr) / (math.pi * rr * rr)
-        return graph + spikes
+        return graph + _spike_ball_mass(self.T.spikes, self.h, center, radius)
 
     def ball_mass(self, center, radius: float) -> float:
         area = _OMEGA[self.T.m] * radius ** self.T.m
@@ -319,11 +324,7 @@ def mass_and_excess(T: GraphCurrent, region=None):
         else:
             w = qf.disk_weights(T.base, c, s)
             gmass, energy = _grid_mass_energy(T.base, w)
-        spikes = sum(sp.excess * _disk_overlap(
-            float(np.linalg.norm(np.asarray(c) - np.asarray(sp.center))),
-            s, max(sp.radius, 0.75 * T.base.spacing))
-            / (math.pi * max(sp.radius, 0.75 * T.base.spacing) ** 2)
-            for sp in T.spikes)
+        spikes = _spike_ball_mass(T.spikes, T.base.spacing, c, s)
     else:
         w = np.asarray(region, dtype=float)
         area = float(np.sum(w * T.base.mask) * T.base.spacing ** T.m)
@@ -343,12 +344,7 @@ def _grid_mass_energy(f: qf.QGridFunction, node_weights: np.ndarray):
     J, ok = _cell_jacobians(f)
     a = _sqrt_det(J).sum(axis=-1)
     e = np.sum(J ** 2, axis=(-3, -2, -1))
-    w = np.asarray(node_weights, dtype=float) * f.mask
-    if f.m == 1:
-        cw = 0.5 * (w[:-1] + w[1:])
-    else:
-        cw = 0.25 * (w[:-1, :-1] + w[1:, :-1] + w[:-1, 1:] + w[1:, 1:])
-    cw = cw * ok
+    cw = _cell_average(np.asarray(node_weights, dtype=float) * f.mask) * ok
     h = f.spacing
     return float(np.sum(a * cw) * h ** f.m), float(np.sum(e * cw) * h ** f.m)
 
@@ -366,17 +362,10 @@ def excess_two_ways(T: GraphCurrent, center, radius: float):
     else:
         J, ok = _cell_jacobians(T.base)
         dm = (_tangent_defect(J) * _sqrt_det(J)).sum(axis=-1)
-        w = qf.disk_weights(T.base, center, radius)
-        if T.m == 1:
-            cw = 0.5 * (w[:-1] + w[1:]) * ok
-        else:
-            cw = 0.25 * (w[:-1, :-1] + w[1:, :-1] + w[:-1, 1:] + w[1:, 1:]) * ok
+        cw = _cell_average(qf.disk_weights(T.base, center, radius)) * ok
         second = float(np.sum(dm * cw) * T.base.spacing ** T.m)
-    for sp in T.spikes:
-        rr = max(sp.radius, 0.75 * T.base.spacing)
-        d = float(np.linalg.norm(np.asarray(center) - np.asarray(sp.center)))
-        second += sp.excess * _disk_overlap(d, radius, rr) / (math.pi * rr * rr)
-    return first, second
+    return first, second + _spike_ball_mass(T.spikes, T.base.spacing,
+                                            center, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +473,16 @@ def bv_functional(T: GraphCurrent, psi, regions=None):
     ex = ExcessField(T)
     h = f.spacing
     reports = []
+    if T.m == 1:
+        grad = np.abs(np.diff(phi)) / h
+    else:
+        dx = (phi[1:, :-1] - phi[:-1, :-1]) / h
+        dy = (phi[:-1, 1:] - phi[:-1, :-1]) / h
+        grad = np.hypot(dx, dy)
+    ok = _cell_valid(f.mask)
     for w in regions:
         w = np.asarray(w, dtype=float) * f.mask
-        if T.m == 1:
-            grad = np.abs(np.diff(phi)) / h
-            cw = 0.5 * (w[:-1] + w[1:]) * (f.mask[:-1] & f.mask[1:])
-            tv = float(np.sum(grad * cw) * h)
-        else:
-            dx = (phi[1:, :-1] - phi[:-1, :-1]) / h
-            dy = (phi[:-1, 1:] - phi[:-1, :-1]) / h
-            grad = np.hypot(dx, dy)
-            cw = 0.25 * (w[:-1, :-1] + w[1:, :-1] + w[:-1, 1:] + w[1:, 1:])
-            ok = (f.mask[:-1, :-1] & f.mask[1:, :-1] & f.mask[:-1, 1:]
-                  & f.mask[1:, 1:])
-            tv = float(np.sum(grad * cw * ok) * h ** 2)
+        tv = float(np.sum(grad * (_cell_average(w) * ok)) * h ** T.m)
         e = max(ex.region_excess(w), 0.0)
         area = float(np.sum(w) * h ** T.m)
         mass_region = T.q * area + e
@@ -656,7 +641,7 @@ def build_competitor(T: GraphCurrent, beta1: float, ladder=None,
     f = T.base
     h = f.spacing
     if machinery is None:
-        base_mach = default_machinery(T.n, T.q, m=T.m)
+        base_mach = default_machinery(T.n, T.q)
         if ladder is None:
             c0 = min(max(E ** a, 1e-3), 0.12)
             ladder = ConstantLadder.explicit(base_mach.ladder.nq, c0=c0,

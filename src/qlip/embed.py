@@ -50,15 +50,14 @@ class NotOnImageError(ValueError):
 
 @dataclass(frozen=True)
 class Dimensions:
-    """Problem sizes: domain dim m, target dim n, multiplicity q, frame size h."""
+    """Problem sizes: target dim n, multiplicity q, frame size h."""
 
-    m: int
     n: int
     q: int
     h: int
 
     def __post_init__(self):
-        if min(self.m, self.n, self.q, self.h) < 1:
+        if min(self.n, self.q, self.h) < 1:
             raise ValueError("all dimensions must be positive")
 
     @property
@@ -180,29 +179,30 @@ def _same_multiset(a, b) -> bool:
 _EMBED_CACHE: dict = {}
 
 
-def build_embedding(dims: Dimensions, seed: int = 0, certificate_pairs: int = 10_000) -> EmbeddingSpec:
+def build_embedding(n: int, q: int, seed: int = 0,
+                    certificate_pairs: int = 10_000) -> EmbeddingSpec:
     """Choose a tight direction frame passing the randomized injectivity test.
 
     Starts from the smallest frame (n = 1: the identity; n = 2: three
     equiangular directions; n >= 3: two stacked orthonormal bases) and grows
     it until no sampled pair of distinct tuples collides.
     """
-    cache_key = (dims.n, dims.q, seed, certificate_pairs)
+    cache_key = (n, q, seed, certificate_pairs)
     if cache_key in _EMBED_CACHE:
         return _EMBED_CACHE[cache_key]
-    if dims.n == 1:
+    if n == 1:
         h_list = [1]
-    elif dims.n == 2:
+    elif n == 2:
         h_list = [3, 4, 5, 6, 8]
     else:
-        h_list = [2 * dims.n, 3 * dims.n, 4 * dims.n]
+        h_list = [2 * n, 3 * n, 4 * n]
     last = None
     for h in h_list:
-        directions = _frame(dims.n, h, seed)
-        scale = float(np.sqrt(dims.n / h))
-        d2 = Dimensions(dims.m, dims.n, dims.q, h)
-        cert = _certificate(d2, directions, scale, seed, certificate_pairs)
-        last = EmbeddingSpec(dims=d2, directions=directions, scale=scale, certificate=cert)
+        dims = Dimensions(n, q, h)  # rejects n, q < 1
+        directions = _frame(n, h, seed)
+        scale = float(np.sqrt(n / h))
+        cert = _certificate(dims, directions, scale, seed, certificate_pairs)
+        last = EmbeddingSpec(dims=dims, directions=directions, scale=scale, certificate=cert)
         if cert.passed:
             _EMBED_CACHE[cache_key] = last
             return last

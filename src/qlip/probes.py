@@ -105,28 +105,15 @@ def _edge_tables(f: qf.QGridFunction, weights: np.ndarray):
     m, res, h = f.m, f.res, f.spacing
     flat_ids = np.arange(res ** m).reshape((res,) * m)
     out = []
-    for ax in range(m):
-        lo = [slice(None)] * m
-        hi = [slice(None)] * m
-        lo[ax] = slice(0, res - 1)
-        hi[ax] = slice(1, res)
-        wedge = 0.5 * (weights[tuple(lo)] + weights[tuple(hi)])
+    for ax, lo, hi in qf._axis_edges(m, res):
+        wedge = 0.5 * (weights[lo] + weights[hi])
         wedge = wedge * qf._trapezoid_weights(res, m, ax) * h ** (m - 2)
-        a = flat_ids[tuple(lo)].ravel()
-        b = flat_ids[tuple(hi)].ravel()
+        a = flat_ids[lo].ravel()
+        b = flat_ids[hi].ravel()
         w = wedge.ravel()
         keep = w > 0
         out.append((a[keep], b[keep], w[keep]))
     return out
-
-
-def _rematch_edges(vals, a, b, perms):
-    """Optimal permutation index per edge for the current values."""
-    va = vals[a]
-    vb = vals[b]
-    costs = np.stack([np.sum((va - vb[:, p, :]) ** 2, axis=(1, 2))
-                      for p in perms])
-    return np.argmin(costs, axis=0)
 
 
 def _solve_given_matchings(vals, pinned_flat, edges, eperm, perms, q, n):
@@ -186,6 +173,8 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
     `half` overrides the grid half-width when the caller needs node alignment
     with another grid.
     """
+    if res < 2:
+        raise ValueError("a grid needs res >= 2 nodes per axis")
     if half is None:
         half = radius + 3.0 * 2.0 * radius / (res - 1)
     dom = qf.square(half)
@@ -213,7 +202,8 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
         for sweep in range(max_sweeps):
             vals = _solve_given_matchings(vals, pinned_flat, edges, eperm,
                                           perms, q, n)
-            eperm = [_rematch_edges(vals, a, b, perms)
+            # optimal permutation index per edge for the new values
+            eperm = [np.argmin(qf._perm_costs(vals[a], vals[b]), axis=0)
                      for a, b, _ in edges]
             g = f.copy()
             g.values = vals.reshape(f.values.shape)

@@ -11,6 +11,7 @@ coordinates and retract stray values with the almost-projection machinery.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,10 +64,14 @@ class QGridFunction:
                  mask: np.ndarray = None):
         self.domain = domain
         self.res = int(res)
+        if self.res < 2:
+            raise ValueError("a grid needs res >= 2 nodes per axis")
         values = np.asarray(values, dtype=float)
         m = domain.m
         if values.shape[:m] != (res,) * m or values.ndim != m + 2:
             raise ValueError("values must have shape grid^m x q x n")
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
         self.values = values
         if mask is None:
             if domain.kind == "ball":
@@ -148,22 +153,46 @@ def constant_field(domain: GridDomain, res: int, t: QPoint) -> QGridFunction:
 # energy
 
 
-def _perm_bank(q: int):
-    return np.array(list(itertools.permutations(range(q))))
+@functools.lru_cache(maxsize=None)
+def _perm_bank(q: int) -> np.ndarray:
+    """All permutations of range(q), one per row (read-only, shared)."""
+    bank = np.array(list(itertools.permutations(range(q))))
+    bank.flags.writeable = False
+    return bank
+
+
+def _perm_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairing cost of every permutation in the bank: entry k of the
+    (q!, ...) stack is |a - b[..., bank[k], :]|^2 for tuples (..., q, n)."""
+    return np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1))
+                     for p in _perm_bank(a.shape[-2])])
+
+
+def _align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b with each tuple reordered into its cheapest pairing with a."""
+    best = _perm_bank(a.shape[-2])[np.argmin(_perm_costs(a, b), axis=0)]
+    return np.take_along_axis(b, best[..., None], axis=-2)
 
 
 def matched_diff_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared matching metric between aligned arrays of tuples (..., q, n)."""
-    q = a.shape[-2]
-    if q <= 6:
-        perms = _perm_bank(q)
-        costs = np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1)) for p in perms])
-        return costs.min(axis=0)
+    if a.shape[-2] <= 6:
+        return _perm_costs(a, b).min(axis=0)
     flat_a = a.reshape(-1, *a.shape[-2:])
     flat_b = b.reshape(-1, *b.shape[-2:])
     out = np.array([metric_g(QPoint(x), QPoint(y)) ** 2
                     for x, y in zip(flat_a, flat_b)])
     return out.reshape(a.shape[:-2])
+
+
+def _axis_edges(m: int, res: int):
+    """(axis, low ends, high ends) of the grid edges along each axis."""
+    for ax in range(m):
+        lo = [slice(None)] * m
+        hi = [slice(None)] * m
+        lo[ax] = slice(0, res - 1)
+        hi[ax] = slice(1, res)
+        yield ax, tuple(lo), tuple(hi)
 
 
 def _trapezoid_weights(res: int, m: int, axis: int) -> np.ndarray:
@@ -184,54 +213,44 @@ def _trapezoid_weights(res: int, m: int, axis: int) -> np.ndarray:
     return factors[tuple(sl)]
 
 
+def _region_weights(mask: np.ndarray, weights) -> np.ndarray:
+    if weights is None:
+        return mask.astype(float)
+    return np.asarray(weights, dtype=float) * mask
+
+
+def _edge_energy(values, mask, weights, h: float, edge_cost) -> float:
+    """Trapezoid quadrature of edge_cost(low, high) / h^2 over the edges
+    with both ends in the mask, each weighted by its mean node weight."""
+    m, res = mask.ndim, mask.shape[0]
+    total = 0.0
+    for ax, lo, hi in _axis_edges(m, res):
+        cost = edge_cost(values[lo], values[hi]) / h ** 2
+        wedge = 0.5 * (weights[lo] + weights[hi])
+        both = mask[lo] & mask[hi]
+        total += float(np.sum(cost * wedge * both * _trapezoid_weights(res, m, ax)))
+    return total * h ** m
+
+
 def dirichlet_energy(f: QGridFunction, weights: np.ndarray = None) -> float:
     """Sum over edges of matched difference quotients squared, times cell
     measure; `weights` are per-node region fractions (default: the mask)."""
-    if weights is None:
-        weights = f.mask.astype(float)
-    else:
-        weights = np.asarray(weights, dtype=float) * f.mask
+    weights = _region_weights(f.mask, weights)
     if weights.sum() == 0:
         raise ValueError("empty region")
-    h = f.spacing
-    m = f.m
-    total = 0.0
-    for ax in range(m):
-        lo = [slice(None)] * m
-        hi = [slice(None)] * m
-        lo[ax] = slice(0, f.res - 1)
-        hi[ax] = slice(1, f.res)
-        a = f.values[tuple(lo)]
-        b = f.values[tuple(hi)]
-        cost = matched_diff_sq(a, b) / h ** 2
-        wedge = 0.5 * (weights[tuple(lo)] + weights[tuple(hi)])
-        both = f.mask[tuple(lo)] & f.mask[tuple(hi)]
-        total += float(np.sum(cost * wedge * both * _trapezoid_weights(f.res, m, ax)))
-    return total * h ** m
+    return _edge_energy(f.values, f.mask, weights, f.spacing, matched_diff_sq)
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum((a - b) ** 2, axis=-1)
 
 
 def dirichlet_energy_embedded(emb: np.ndarray, h: float, mask: np.ndarray = None,
                               weights: np.ndarray = None) -> float:
     """Same quadrature for a single-valued embedded field (..., D)."""
-    m = emb.ndim - 1
-    res = emb.shape[0]
     if mask is None:
         mask = np.ones(emb.shape[:-1], dtype=bool)
-    if weights is None:
-        weights = mask.astype(float)
-    else:
-        weights = np.asarray(weights, dtype=float) * mask
-    total = 0.0
-    for ax in range(m):
-        lo = [slice(None)] * m
-        hi = [slice(None)] * m
-        lo[ax] = slice(0, res - 1)
-        hi[ax] = slice(1, res)
-        cost = np.sum((emb[tuple(lo)] - emb[tuple(hi)]) ** 2, axis=-1) / h ** 2
-        wedge = 0.5 * (weights[tuple(lo)] + weights[tuple(hi)])
-        both = mask[tuple(lo)] & mask[tuple(hi)]
-        total += float(np.sum(cost * wedge * both * _trapezoid_weights(res, m, ax)))
-    return total * h ** m
+    return _edge_energy(emb, mask, _region_weights(mask, weights), h, _sq_dist)
 
 
 def energy_density(f: QGridFunction) -> np.ndarray:
@@ -239,17 +258,13 @@ def energy_density(f: QGridFunction) -> np.ndarray:
     h = f.spacing
     out = np.zeros(f.values.shape[: f.m])
     count = np.zeros_like(out)
-    for ax in range(f.m):
-        lo = [slice(None)] * f.m
-        hi = [slice(None)] * f.m
-        lo[ax] = slice(0, f.res - 1)
-        hi[ax] = slice(1, f.res)
-        cost = matched_diff_sq(f.values[tuple(lo)], f.values[tuple(hi)]) / h ** 2
-        both = f.mask[tuple(lo)] & f.mask[tuple(hi)]
-        out[tuple(lo)] += cost * both
-        out[tuple(hi)] += cost * both
-        count[tuple(lo)] += both
-        count[tuple(hi)] += both
+    for _, lo, hi in _axis_edges(f.m, f.res):
+        cost = matched_diff_sq(f.values[lo], f.values[hi]) / h ** 2
+        both = f.mask[lo] & f.mask[hi]
+        out[lo] += cost * both
+        out[hi] += cost * both
+        count[lo] += both
+        count[hi] += both
     with np.errstate(invalid="ignore"):
         dens = np.where(count > 0, out * (f.m / np.maximum(count, 1)), 0.0)
     return dens
@@ -326,7 +341,7 @@ def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float,
         raise ValueError("empty anchor set")
     if machinery is None:
         from .roproj import default_machinery
-        machinery = default_machinery(f.n, f.q, m=f.m)
+        machinery = default_machinery(f.n, f.q)
     spec, lat = machinery.spec, machinery.lattice
     emb = xi_batch(spec, f.values)
     pts = f.nodes()
@@ -369,7 +384,7 @@ def mollify_embedded(f: QGridFunction, eps: float, machinery=None):
     """
     if machinery is None:
         from .roproj import default_machinery
-        machinery = default_machinery(f.n, f.q, m=f.m)
+        machinery = default_machinery(f.n, f.q)
     emb = xi_batch(machinery.spec, f.values)
     kern = _bump_kernel(f.m, f.spacing, eps)
     w = fftconvolve(f.mask.astype(float), kern, mode="same")
@@ -400,18 +415,6 @@ def retract_embedded(emb: np.ndarray, machinery, select: np.ndarray = None) -> n
     return out.reshape(emb.shape)
 
 
-def embedded_to_field(emb: np.ndarray, template: QGridFunction, machinery,
-                      tol: float = 1e-5) -> QGridFunction:
-    """Decode an on-cone embedded array back into tuple values."""
-    out = template.copy()
-    flat = emb.reshape(-1, emb.shape[-1])
-    mask = template.mask.reshape(-1)
-    vals = out.values.reshape(-1, template.q, template.n)
-    for i in np.flatnonzero(mask):
-        vals[i] = xi_inverse(machinery.spec, flat[i], tol=tol).points
-    return out
-
-
 def annulus_interpolate(f: QGridFunction, g: QGridFunction, r: float,
                         rbar: float, machinery=None) -> QGridFunction:
     """Radial embedded blend: g inside B_rbar, f outside B_r, linear in the
@@ -423,7 +426,7 @@ def annulus_interpolate(f: QGridFunction, g: QGridFunction, r: float,
         raise ValueError("fields must share the grid")
     if machinery is None:
         from .roproj import default_machinery
-        machinery = default_machinery(f.n, f.q, m=f.m)
+        machinery = default_machinery(f.n, f.q)
     spec = machinery.spec
     rho = np.linalg.norm(f.nodes() - np.asarray(f.domain.center), axis=-1)
     t = np.clip((rho - rbar) / (r - rbar), 0.0, 1.0)

@@ -511,13 +511,11 @@ _MACHINERY_CACHE: dict = {}
 
 
 def default_machinery(n: int, q: int, c0: float = 0.1, delta: float = 0.1,
-                      seed: int = 0, m: int = 2):
+                      seed: int = 0):
     """Embedding + lattice + explicit ladder + projection machine, cached."""
-    key = (n, q, c0, delta, seed, m)
+    key = (n, q, c0, delta, seed)
     if key not in _MACHINERY_CACHE:
-        from .embed import Dimensions
-        spec = build_embedding(Dimensions(m, n, q, 1 if n == 1 else 3), seed=seed,
-                               certificate_pairs=2000)
+        spec = build_embedding(n, q, seed=seed, certificate_pairs=2000)
         lattice = face_lattice(spec)
         ladder = ConstantLadder.explicit(lattice.max_dim, c0=c0, delta=delta)
         _MACHINERY_CACHE[key] = AlmostProjection(spec, lattice, ladder)

@@ -189,6 +189,14 @@ def test_probe_bad_exponent_exit_3(tmp_path):
                      "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("argv", [["dirmin", "--res", "1"],
+                                  ["gen-current", "w32", "--res", "1"],
+                                  ["probe", "energy-split", "--res", "1"]])
+def test_single_node_grid_exit_3(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 3
+    assert "res >= 2" in capsys.readouterr().err
+
+
 def test_rerun_hash_identical(tmp_path):
     hashes = []
     for name in ("a", "b"):
@@ -240,6 +248,53 @@ def test_report_empty_and_corrupt(tmp_path):
                      "--out", str(rep)]) == 3
     (empty / "junk.json").write_text("{broken")
     assert cli.main(["report", "--dir", str(empty), "--out", str(rep)]) == 3
+
+
+_CURRENT_DEFAULTS = {"res": None, "radius4": None, "q": None, "n": None,
+                     "heights": None, "input": None,
+                     "spike_center": (0.3, 0.2), "spike_radius": 0.05,
+                     "spike_excess": 0.008}
+_COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["gen-current", "w32"],
+     dict(_CURRENT_DEFAULTS, current="w32", scale=1.0, profile_points=25)),
+    (["approx"],
+     dict(_CURRENT_DEFAULTS, current="flat", scale=1.0, delta11=None,
+          beta=0.1, strict=None)),
+    (["rho-star-eval"],
+     {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1, "samples": 200}),
+    (["dirmin"],
+     {"boundary": "sqrt-branch", "res": 33, "starts": 4, "radius": 1.0}),
+    (["probe", "excess"],
+     dict(_CURRENT_DEFAULTS, probe="excess", current=None, scale=None,
+          scales=None, s_list=None, p1=None, p11=None,
+          boundary="sqrt-branch", starts=None)),
+    (["report"], {"dir": None}),
+])
+def test_merged_config_keys_and_defaults(argv, want):
+    cfg, inputs = cli._merge_config(cli.build_parser().parse_args(argv))
+    assert cfg == dict(want, **_COMMON_DEFAULTS)
+    assert inputs == {}
+
+
+@pytest.mark.parametrize("head", [["gen-current", "spike"],
+                                  ["approx", "--current", "spike"],
+                                  ["probe", "excess", "--current", "spike"]])
+def test_shared_current_flags(head):
+    argv = head + ["--scale", "0.5", "--res", "17", "--radius4", "2.0",
+                   "--q", "3", "--n", "2", "--spike-center", "0.1", "-0.2",
+                   "--spike-radius", "0.03", "--spike-excess", "0.002",
+                   "--input", "cur.json"]
+    want = {"current": "spike", "scale": 0.5, "res": 17, "radius4": 2.0,
+            "q": 3, "n": 2, "spike_center": (0.1, -0.2),
+            "spike_radius": 0.03, "spike_excess": 0.002, "input": "cur.json"}
+    if head[0] != "probe":  # probe takes heights from a config file only
+        argv += ["--heights", "[[0, 1], [2, 3]]"]
+        want["heights"] = [[0, 1], [2, 3]]
+    cfg, _ = cli._merge_config(cli.build_parser().parse_args(argv))
+    assert {k: cfg[k] for k in want} == want
 
 
 def test_entry_point_smoke():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qlip.embed import (Dimensions, FaceSignature, NotOnImageError,
+from qlip.embed import (FaceSignature, NotOnImageError,
                         build_embedding, face_lattice, face_of_point,
                         face_signature, pattern_of_points,
                         project_face_closure_line, xi, xi_batch, xi_inverse)
@@ -13,15 +13,15 @@ from qlip.qspace import QPoint, metric_g, random_qpoint
 
 
 def spec12():
-    return build_embedding(Dimensions(2, 1, 2, 1), certificate_pairs=400)
+    return build_embedding(1, 2, certificate_pairs=400)
 
 
 def spec13():
-    return build_embedding(Dimensions(2, 1, 3, 1), certificate_pairs=400)
+    return build_embedding(1, 3, certificate_pairs=400)
 
 
 def spec22():
-    return build_embedding(Dimensions(2, 2, 2, 3), certificate_pairs=2000)
+    return build_embedding(2, 2, certificate_pairs=2000)
 
 
 def test_line_embedding_is_isometry():
@@ -67,12 +67,11 @@ def test_gradient_identity():
     # for tuple-valued affine maps the embedded Jacobian has the same
     # Frobenius norm as the raw one; this pins the sqrt(n/h) normalization
     rng = np.random.default_rng(8)
-    for dims in (Dimensions(2, 1, 2, 1), Dimensions(2, 2, 2, 3), Dimensions(3, 3, 2, 6)):
-        spec = build_embedding(dims, certificate_pairs=200)
-        m = dims.m
+    for m, n, q in ((2, 1, 2), (2, 2, 2), (3, 3, 2)):
+        spec = build_embedding(n, q, certificate_pairs=200)
         for _ in range(10):
-            a = rng.normal(size=(dims.q, dims.n, m))
-            b = rng.normal(size=(dims.q, dims.n))
+            a = rng.normal(size=(q, n, m))
+            b = rng.normal(size=(q, n))
             x0 = rng.normal(size=m)
             step = 1e-6
             cols = []

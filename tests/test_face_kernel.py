@@ -6,19 +6,19 @@ from hypothesis import strategies as st
 
 from qlip import embed
 from qlip.coneproj import project_polyhedral_cone
-from qlip.embed import Dimensions, build_embedding, face_lattice, xi_batch
+from qlip.embed import build_embedding, face_lattice, xi_batch
 
 LATTICES = {
-    "12": (Dimensions(2, 1, 2, 1), 400),
-    "13": (Dimensions(2, 1, 3, 1), 400),
-    "22": (Dimensions(2, 2, 2, 3), 2000),
+    "12": ((1, 2), 400),
+    "13": ((1, 3), 400),
+    "22": ((2, 2), 2000),
 }
 KINDS = ("random", "image", "boundary", "scaled")
 
 
 def lattice(key):
-    dims, pairs = LATTICES[key]
-    return face_lattice(build_embedding(dims, certificate_pairs=pairs))
+    (n, q), pairs = LATTICES[key]
+    return face_lattice(build_embedding(n, q, certificate_pairs=pairs))
 
 
 def oracle_distance(face, v):

@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlip.qspace import QPoint
+from qlip.qspace import QPoint, metric_g
 from qlip.embed import xi_batch
 from qlip.roproj import default_machinery
 from qlip import qfield as qf
@@ -249,3 +251,51 @@ def test_grid_accessors():
     t = f.node((0, 0))
     assert isinstance(t, QPoint)
     assert f.mask[0, 0] == (np.linalg.norm(f.nodes()[0, 0]) <= 1.0 + 1e-12)
+
+
+def test_grid_rejects_bad_res_and_non_finite_values():
+    for res in (0, 1):
+        with pytest.raises(ValueError, match="res >= 2"):
+            qf.QGridFunction(qf.square(1.0), res, np.zeros((res, res, 2, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros((5, 5, 2, 1))
+        vals[2, 3, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            qf.QGridFunction(qf.square(1.0), 5, vals)
+
+
+def _tuple_pairs(seed, count, q, n, tie):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, q, n))
+    b = rng.normal(size=(count, q, n))
+    if tie and q > 1:  # coincident sheets: several optimal pairings
+        b[:, -1] = b[:, 0]
+        a[:, 1] = a[:, 0]
+    return a, b
+
+
+@settings(max_examples=60)
+@given(q=st.integers(1, 6), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), tie=st.booleans())
+def test_perm_bank_matching_is_metric_g(q, n, seed, tie):
+    a, b = _tuple_pairs(seed, 4, q, n, tie)
+    costs = qf._perm_costs(a, b)
+    assert costs.shape == (math.factorial(q), 4)
+    best = costs.min(axis=0)
+    want = np.array([metric_g(QPoint(s), QPoint(t)) ** 2
+                     for s, t in zip(a, b)])
+    assert np.all(np.abs(best - want) <= 1e-12 * (1.0 + want))
+    assert np.array_equal(qf.matched_diff_sq(a, b), best)
+    aligned = qf._align(a, b)
+    assert np.array_equal(np.sum((a - aligned) ** 2, axis=(-2, -1)), best)
+    assert np.array_equal(np.sort(aligned, axis=-2), np.sort(b, axis=-2))
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2 ** 32 - 1), tie=st.booleans())
+def test_large_q_fallback_matches_brute_force(seed, tie):
+    a, b = _tuple_pairs(seed, 2, 7, 1, tie)
+    got = qf.matched_diff_sq(a, b)
+    want = np.array([metric_g(QPoint(s), QPoint(t), method="brute") ** 2
+                     for s, t in zip(a, b)])
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
