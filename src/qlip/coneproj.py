@@ -3,7 +3,9 @@
 Three problem classes, all low dimensional:
 
 * isotonic projection with equality groups and an exactly pinned zero level
-  (the n = 1 face closures are order cones, so PAV applies);
+  (the n = 1 face closures are order cones, so PAV applies; no production
+  path calls it: every face closure, n = 1 included, goes through the
+  face-closure kernel `embed._face_distance`);
 * Euclidean projection onto a polyhedral cone {z : G z >= 0}, solved through
   the Moreau decomposition with a nonnegative least squares dual.  This is
   the test oracle: the face closures of the embedded cone are projected
@@ -28,7 +30,7 @@ def pava_pinned(means, weights, pinned=None) -> np.ndarray:
     """Nondecreasing fit minimizing sum w_i (t_i - m_i)^2; pinned pools sit at 0.
 
     A pool that absorbs a pinned element has value exactly 0 regardless of its
-    data (infinite-weight limit).  Used for face closures on the real line,
+    data (infinite-weight limit).  It fits face closures on the real line,
     where the virtual zero level is a hard constraint, not a data point.
     """
     m = np.asarray(means, dtype=float)

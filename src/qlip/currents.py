@@ -201,16 +201,6 @@ def _cell_jacobians(f: qf.QGridFunction):
     return np.stack(cols, axis=-1), _cell_valid(f.mask)
 
 
-def _cells_to_nodes(cell: np.ndarray, m: int) -> np.ndarray:
-    """Average the 2^m cells adjacent to each node (edge-padded)."""
-    g = np.pad(cell, [(1, 1)] * m, mode="edge")
-    out = np.zeros(tuple(s + 1 for s in cell.shape[:m]))
-    for off in itertools.product((0, 1), repeat=m):
-        sl = tuple(slice(o, o + cell.shape[ax] + 1) for ax, o in enumerate(off))
-        out += g[sl]
-    return out / 2 ** m
-
-
 def _disk_overlap(d: float, r1: float, r2: float) -> float:
     """Area of the intersection of two disks at center distance d."""
     if d >= r1 + r2:
@@ -265,7 +255,8 @@ class ExcessField:
         else:
             J, ok = _cell_jacobians(f)
             cell = np.where(ok, _sqrt_det(J).sum(axis=-1) - T.q, 0.0)
-            dens = _cells_to_nodes(cell, f.m)
+            # each node averages its 2^m adjacent cells (edge-padded)
+            dens = _cell_average(np.pad(cell, 1, mode="edge"))
         self.graph_density = np.where(f.mask, dens, 0.0)
         spike = np.zeros_like(self.graph_density)
         for sp in T.spikes:

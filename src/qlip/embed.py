@@ -15,14 +15,12 @@ the 0-skeleton is exactly {0}, and distances to skeletons scale linearly.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .coneproj import pava_pinned
 from .qspace import QPoint, metric_g, random_qpoint
 
 _FEAS_TOL = 1e-7
@@ -133,22 +131,26 @@ def xi(spec: EmbeddingSpec, t: QPoint) -> np.ndarray:
     """Embed one tuple: blockwise sorted frame projections times sqrt(n/h)."""
     if (t.q, t.n) != (spec.dims.q, spec.dims.n):
         raise ValueError("tuple dimensions do not match the embedding")
-    proj = t.points @ spec.directions.T  # (q, h)
-    return spec.scale * np.sort(proj, axis=0).T.reshape(-1)
+    return xi_batch(spec, t.points)
 
 
 def xi_batch(spec: EmbeddingSpec, pts: np.ndarray) -> np.ndarray:
     """Embed an array of tuples given as (..., q, n) raw point arrays."""
-    proj = pts @ spec.directions.T  # (..., q, h)
+    return _sorted_projections(pts, spec.directions, spec.scale)
+
+
+def _sorted_projections(pts, directions, scale) -> np.ndarray:
+    """The map behind xi_batch, for a frame that has no spec yet."""
+    proj = pts @ directions.T  # (..., q, h)
     srt = np.sort(proj, axis=-2)  # sort within each block
-    return spec.scale * np.swapaxes(srt, -1, -2).reshape(pts.shape[:-2] + (spec.dims.big_n,))
+    big_n = directions.shape[0] * pts.shape[-2]
+    return scale * np.swapaxes(srt, -1, -2).reshape(pts.shape[:-2] + (big_n,))
 
 
 def _certificate(dims: Dimensions, directions, scale, seed, pairs) -> InjectivityCertificate:
     rng = np.random.default_rng(seed)
     hard = pairs // 2
     min_ratio = np.inf
-    spec_like = lambda p: scale * np.sort(p @ directions.T, axis=0).T.reshape(-1)
     for i in range(pairs):
         if i < hard and dims.n > 1:
             # adversarial pairs: identical per-axis multisets, distinct tuples
@@ -166,7 +168,8 @@ def _certificate(dims: Dimensions, directions, scale, seed, pairs) -> Injectivit
         g = metric_g(QPoint(a), QPoint(b))
         if g == 0.0:
             continue
-        gap = np.linalg.norm(spec_like(a) - spec_like(b))
+        gap = np.linalg.norm(_sorted_projections(a, directions, scale)
+                             - _sorted_projections(b, directions, scale))
         min_ratio = min(min_ratio, gap / g)
     return InjectivityCertificate(pairs=pairs, hard_pairs=hard,
                                   min_gap_ratio=float(min_ratio), seed=seed)
@@ -399,41 +402,13 @@ def _canonical_pattern(full_pattern, q):
     return min(_permute_pattern(full_pattern, p) for p in itertools.permutations(range(q)))
 
 
-def _sorted_signature(full_pattern):
-    sig = []
-    for levels, zlevel, nlevels in full_pattern:
-        counts = [0] * nlevels
-        for lvl in levels:
-            counts[lvl] += 1
-        sig.append(tuple((counts[l], l == zlevel) for l in range(nlevels)))
-    return tuple(sig)
-
-
-@dataclass(frozen=True)
-class FaceSignature:
-    """Per-block weak order of the sorted entries and the virtual zero.
-
-    Each block is a tuple of (multiplicity, holds_zero) pairs in increasing
-    value order; a (0, True) entry is a zero level strictly between groups.
-    """
-
-    blocks: tuple
-
-    def to_json(self):
-        return [[[c, bool(z)] for c, z in blk] for blk in self.blocks]
-
-    @staticmethod
-    def from_json(obj):
-        return FaceSignature(tuple(tuple((int(c), bool(z)) for c, z in blk) for blk in obj))
-
-
 class FaceRecord:
     """One face: canonical labeled pattern plus its span and closure inequalities."""
 
     __slots__ = ("index", "pattern", "dim", "basis", "cons", "projectors",
-                 "signature", "closure_of")
+                 "closure_of")
 
-    def __init__(self, index, pattern, dim, basis, cons, projectors, signature):
+    def __init__(self, index, pattern, dim, basis, cons, projectors):
         self.index = index
         self.pattern = pattern
         self.dim = dim
@@ -442,7 +417,6 @@ class FaceRecord:
         # (K, dim, dim): orthogonal projectors onto null(cons[S]), one per
         # nonempty linearly independent row set S with |S| <= dim
         self.projectors = projectors
-        self.signature = signature
         self.closure_of = frozenset()
 
     def __repr__(self):
@@ -578,7 +552,6 @@ class FaceLattice:
                  pair_separation: dict):
         self.spec = spec
         self.faces = faces
-        self.by_pattern = {f.pattern: f for f in faces}
         self.tilde_c = tilde_c
         self.pair_separation = pair_separation
         self.max_dim = max(f.dim for f in faces)
@@ -668,8 +641,7 @@ class FaceLattice:
         for i, fo in enumerate(obj["faces"]):
             pattern = tuple((tuple(b[0]), int(b[1]), int(b[2])) for b in fo["pattern"])
             basis, cons, projectors = _face_geometry(spec, pattern)
-            rec = FaceRecord(i, pattern, int(fo["dim"]), basis, cons, projectors,
-                             FaceSignature(_sorted_signature(pattern)))
+            rec = FaceRecord(i, pattern, int(fo["dim"]), basis, cons, projectors)
             rec.closure_of = frozenset(fo["closure_of"])
             faces.append(rec)
         return FaceLattice(spec, faces,
@@ -712,8 +684,7 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     faces = []
     for i, pattern in enumerate(sorted(found)):
         basis, cons, projectors = _face_geometry(spec, pattern)
-        sig = FaceSignature(_sorted_signature(pattern))
-        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons, projectors, sig))
+        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons, projectors))
 
     # closure relation through pattern weakening up to a common relabeling
     perms = list(itertools.permutations(range(dims.q)))
@@ -793,12 +764,10 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
     of non-nested faces of equal dimension stay disjoint."""
     spec = lattice.spec
     rng = np.random.default_rng(2029)
-    pts = []
-    for _ in range(samples):
-        t = random_qpoint(rng, spec.dims.q, spec.dims.n,
-                          cluster=float(rng.choice([0.0, 0.02, 0.3])))
-        pts.append(xi(spec, t))
-    pts = np.asarray(pts)
+    pts = xi_batch(spec, np.asarray([
+        random_qpoint(rng, spec.dims.q, spec.dims.n,
+                      cluster=float(rng.choice([0.0, 0.02, 0.3]))).points
+        for _ in range(samples)]))
 
     # per face: the distance |z| of each point to the face's span, whether its
     # span point is off the face itself and inside the closure, and (for
@@ -841,99 +810,20 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
 
 
 # ---------------------------------------------------------------------------
-# signatures and coordinates
+# face lookup
 
 
-def face_signature(spec: EmbeddingSpec, v: np.ndarray, tol: float = 1e-9) -> FaceSignature:
-    """Zero-augmented sorted pattern of a vector with blockwise sorted entries."""
-    v = np.asarray(v, dtype=float)
-    eps = tol * (1.0 + float(np.linalg.norm(v)))
-    blocks = v.reshape(spec.dims.h, spec.dims.q)
-    sig = []
-    for blk in blocks:
-        if np.any(np.diff(blk) < -eps):
-            raise NotOnImageError("block entries are not sorted")
-        groups = []
-        for val in blk:
-            if groups and val - groups[-1][-1] <= eps:
-                groups[-1].append(val)
-            else:
-                groups.append([val])
-        entries = []
-        z_placed = False
-        for g in groups:
-            mean = float(np.mean(g))
-            if abs(mean) <= eps:
-                entries.append((len(g), True))
-                z_placed = True
-            else:
-                if mean > eps and not z_placed:
-                    entries.append((0, True))
-                    z_placed = True
-                entries.append((len(g), False))
-        if not z_placed:
-            entries.append((0, True))
-        sig.append(tuple(entries))
-    return FaceSignature(tuple(sig))
-
-
-def pattern_of_points(spec: EmbeddingSpec, t: QPoint, tol: float = 1e-9):
-    """Labeled zero-augmented pattern of a tuple (labels = canonical order)."""
-    proj = t.points @ spec.directions.T  # (q, h)
-    scale_eps = tol * (1.0 + float(np.abs(proj).max(initial=0.0)))
-    pattern = []
-    for k in range(spec.dims.h):
-        vals = list(proj[:, k]) + [0.0]
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        levels_of = {}
-        lvl = -1
-        prev = None
-        for idx in order:
-            if prev is None or vals[idx] - prev > scale_eps:
-                lvl += 1
-            levels_of[idx] = lvl
-            prev = vals[idx] if prev is None or vals[idx] > prev else prev
-        levels = tuple(levels_of[j] for j in range(spec.dims.q))
-        zlevel = levels_of[spec.dims.q]
-        pattern.append((levels, zlevel, lvl + 1))
-    return tuple(pattern)
-
-
-def face_of_point(spec: EmbeddingSpec, lattice: FaceLattice, v: np.ndarray,
-                  tol: float = 1e-7) -> FaceRecord:
-    """The face containing a vector of the embedded cone."""
-    t = xi_inverse(spec, v, tol=tol)
-    pattern = _canonical_pattern(pattern_of_points(spec, t), spec.dims.q)
-    rec = lattice.by_pattern.get(pattern)
-    if rec is None:
-        raise NotOnImageError("pattern not present in the lattice")
-    return rec
-
-
-def project_face_closure_line(face: FaceRecord, v: np.ndarray) -> np.ndarray:
-    """n = 1 projection onto a face closure by pinned isotonic regression."""
-    levels, zlevel, nlevels = face.pattern[0]
-    q = len(levels)
-    # placement groups positions by level in order
-    order = sorted(range(q), key=lambda j: (levels[j], j))
-    pos_level = [levels[j] for j in order]
-    means, weights, pinned, members = [], [], [], []
-    i = 0
-    for lvl in range(nlevels):
-        pos = [p for p, pl in enumerate(pos_level) if pl == lvl]
-        if pos:
-            means.append(float(np.mean(v[pos])))
-            weights.append(float(len(pos)))
-            pinned.append(lvl == zlevel)
-            members.append(pos)
-        else:
-            means.append(0.0)
-            weights.append(1.0)
-            pinned.append(True)  # zero-only level
-            members.append([])
-    fit = pava_pinned(means, weights, pinned)
-    out = np.empty_like(v)
-    for val, pos in zip(fit, members):
-        for p in pos:
-            out[p] = val
-    return out
+def face_of_point(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> FaceRecord:
+    """The lowest-dimensional face whose closure lies within tol * (1 + |v|)
+    of v; for a point of the cone, the face containing it.  Raises
+    NotOnImageError when even the top faces are farther than that."""
+    v = np.asarray(v, dtype=float)[None]
+    tol_abs = tol * (1.0 + float(np.linalg.norm(v)))
+    for k in range(lattice.max_dim + 1):
+        faces = lattice.faces_of_dim(k)
+        _, d, which = lattice.nearest_on_faces(v, faces)
+        if d[0] <= tol_abs:
+            return faces[which[0]]
+    raise NotOnImageError(
+        f"vector is not on the embedded cone (residual {d[0]:.3e}, "
+        f"tolerance {tol_abs:.3e})", residual=float(d[0]))

@@ -14,7 +14,7 @@ configured slack factors only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,10 +32,8 @@ class ProbeConfig:
     p1: float = 1.25
     p11: float = 1.5
     beta: float = 0.1
-    beta1: float = 0.1
     scales: tuple = (2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
     seed: int = 0
-    res: int = 65
     ratio_factor: float = 3.0
     weak_slack: float = 0.2
     area_fraction: float = 0.01
@@ -52,8 +50,6 @@ class ProbeConfig:
             raise ValueError("p11 out of range")
         if not 0.0 < self.beta < 1.0 / (2 * m):
             raise ValueError("beta out of range")
-        if not 0.0 < self.beta1 < 1.0 / (2 * m):
-            raise ValueError("beta1 out of range")
         if len(self.scales) < 4:
             raise ValueError("need at least 4 sweep scales")
 
@@ -540,8 +536,7 @@ def energy_split_probe(machinery, fields, config: ProbeConfig = None
         _, dist = machinery.lattice.nearest_point_batch(flat)
         near = (dist.reshape(emb.shape[:-1]) <= thresh)
         lhs = qf.dirichlet_energy_embedded(ret, h, mask)
-        e_near = (qf.dirichlet_energy_embedded(emb, h, mask & near)
-                  if (mask & near).any() else 0.0)
+        e_near = qf.dirichlet_energy_embedded(emb, h, mask & near)
         e_tot = qf.dirichlet_energy_embedded(emb, h, mask)
         e_far = max(e_tot - e_near, 0.0)
         bound = (1.0 + near_slack) * e_near + config.split_slack * e_far

@@ -234,11 +234,10 @@ def _edge_energy(values, mask, weights, h: float, edge_cost) -> float:
 
 def dirichlet_energy(f: QGridFunction, weights: np.ndarray = None) -> float:
     """Sum over edges of matched difference quotients squared, times cell
-    measure; `weights` are per-node region fractions (default: the mask)."""
-    weights = _region_weights(f.mask, weights)
-    if weights.sum() == 0:
-        raise ValueError("empty region")
-    return _edge_energy(f.values, f.mask, weights, f.spacing, matched_diff_sq)
+    measure; `weights` are per-node region fractions (default: the mask).
+    An empty or zero-weight region has energy 0."""
+    return _edge_energy(f.values, f.mask, _region_weights(f.mask, weights),
+                        f.spacing, matched_diff_sq)
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:

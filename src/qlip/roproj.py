@@ -29,8 +29,7 @@ import numpy as np
 
 from .coneproj import kirszbraun_value
 from .embed import (EmbeddingSpec, FaceLattice, NotOnImageError,
-                    build_embedding, face_lattice,
-                    project_face_closure_line, rowdot, xi_batch,
+                    build_embedding, face_lattice, rowdot, xi_batch,
                     xi_inverse)
 
 _LOG8 = math.log(8.0)
@@ -191,17 +190,6 @@ class ConstantLadder:
 
 # ---------------------------------------------------------------------------
 # the machine
-
-
-def project_face_closure(lattice: FaceLattice, face, x: np.ndarray) -> np.ndarray:
-    """Nearest point of the closed face cone to x, or to each row of a 2-D x;
-    exact isotonic fit when n = 1."""
-    x = np.asarray(x, dtype=float)
-    if lattice.spec.dims.n == 1 and lattice.spec.dims.h == 1:
-        if x.ndim == 2:
-            return np.stack([project_face_closure_line(face, row) for row in x])
-        return project_face_closure_line(face, x)
-    return lattice.closure_distance_batch(np.atleast_2d(x), face)[1].reshape(x.shape)
 
 
 class AlmostProjection:
@@ -432,7 +420,7 @@ class AlmostProjection:
         out = np.empty_like(x)
         for fi in np.unique(face):
             rows = np.flatnonzero(face == fi)
-            out[rows] = project_face_closure(lat, lat.faces[fi], ybest[rows])
+            out[rows] = lat.closure_distance_batch(ybest[rows], lat.faces[fi])[1]
         q_pt, resid = lat.nearest_point_batch(out)
         off = resid > self.on_image_tol * (1.0 + np.linalg.norm(out, axis=1))
         if np.any(off):

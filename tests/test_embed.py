@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from qlip.embed import (FaceSignature, NotOnImageError,
-                        build_embedding, face_lattice, face_of_point,
-                        face_signature, pattern_of_points,
-                        project_face_closure_line, xi, xi_batch, xi_inverse)
+from qlip.embed import (NotOnImageError, build_embedding, face_lattice,
+                        face_of_point, xi, xi_batch, xi_inverse)
 from qlip.qspace import QPoint, metric_g, random_qpoint
 
 
@@ -178,28 +179,57 @@ def test_face_of_point_dimensions():
     # generic tuples land on top-dimensional faces
     for _ in range(10):
         t = random_qpoint(rng, 2, 2)
-        f = face_of_point(spec, lat, xi(spec, t))
+        f = face_of_point(lat, xi(spec, t))
         assert f.dim == spec.dims.nq
     # a doubled point away from zero lands on the diagonal face (dim = n)
     t = QPoint([[0.7, -0.4], [0.7, -0.4]])
-    f = face_of_point(spec, lat, xi(spec, t))
+    f = face_of_point(lat, xi(spec, t))
     assert f.dim == spec.dims.n
     # the zero tuple is the vertex
-    f = face_of_point(spec, lat, np.zeros(spec.dims.big_n))
+    f = face_of_point(lat, np.zeros(spec.dims.big_n))
     assert f.dim == 0
 
 
-def test_signature_consistency():
-    spec = spec22()
+def relative_interior_point(face, rng):
+    """A point of the open face: the deepest point of its closure in the unit
+    box (one LP), moved half its depth in a random direction."""
+    m = len(face.cons)
+    y0, depth = np.zeros(face.dim), 1.0
+    if m:
+        c = np.zeros(face.dim + 1)
+        c[-1] = -1.0
+        res = linprog(c, A_ub=np.concatenate([-face.cons, np.ones((m, 1))], axis=1),
+                      b_ub=np.zeros(m), bounds=[(-1, 1)] * face.dim + [(0, 1)],
+                      method="highs")
+        y0, depth = res.x[:-1], res.x[-1]
+    u = rng.normal(size=face.dim)
+    return face.basis @ (y0 + 0.5 * depth * u / np.linalg.norm(u))
+
+
+@pytest.mark.parametrize("key", ["12", "13", "22"])
+@settings(max_examples=2)
+@given(seed=st.integers(0, 2 ** 32 - 1), shift=st.integers(0, 2))
+def test_face_of_point_recovers_every_face(key, seed, shift):
+    # every face comes back from a point of its relative interior at one of
+    # the scales 1e-3, 1, 1e3 (cycled over the faces); the whole cone is
+    # searched, not only the faces of the expected dimension
+    spec = {"12": spec12, "13": spec13, "22": spec22}[key]()
     lat = face_lattice(spec)
-    rng = np.random.default_rng(20)
-    for _ in range(20):
-        t = random_qpoint(rng, 2, 2, cluster=float(rng.choice([0.0, 0.02])))
-        v = xi(spec, t)
-        f = face_of_point(spec, lat, v)
-        assert face_signature(spec, v) == f.signature
-    sig = face_signature(spec, xi(spec, random_qpoint(rng, 2, 2)))
-    assert FaceSignature.from_json(sig.to_json()) == sig
+    rng = np.random.default_rng(seed)
+    top = None
+    for f in lat.faces:
+        if f.dim == 0:
+            assert face_of_point(lat, np.zeros(spec.dims.big_n)) is f
+            continue
+        v = relative_interior_point(f, rng)
+        assert face_of_point(lat, 10.0 ** (3 * ((f.index + shift) % 3 - 1)) * v) is f
+        if f.dim == lat.max_dim:
+            top = v
+    # reversing every sorted block of a top-face point leaves the cone
+    off = top.reshape(spec.dims.h, spec.dims.q)[:, ::-1].reshape(-1)
+    with pytest.raises(NotOnImageError) as err:
+        face_of_point(lat, off)
+    assert err.value.residual > 1e-3 * np.linalg.norm(off)
 
 
 def test_homogeneity_of_skeleton_distance():
@@ -254,54 +284,20 @@ def test_nearest_point_batch_matches_loop():
 
 
 def test_line_face_projection_example():
-    spec = spec12()
-    lat = face_lattice(spec)
-    # the chamber 0 < x1 < x2 has closure {0 <= x1 <= x2}; fitting (1.0, 0.5)
-    # pools the inversion to 0.75 and keeps the zero constraint slack
-    target = None
-    for f in lat.faces_of_dim(2):
-        if f.signature.blocks == (((0, True), (1, False), (1, False)),):
-            target = f
-    assert target is not None
-    out = project_face_closure_line(target, np.array([1.0, 0.5]))
-    assert np.allclose(out, [0.75, 0.75])
-
-
-def test_line_face_projection_matches_cone():
-    spec = spec13()
-    lat = face_lattice(spec)
-    rng = np.random.default_rng(28)
-    for f in lat.faces:
-        if f.dim == 0:
-            continue
-        for _ in range(10):
-            v = rng.normal(size=3) * 2
-            out = project_face_closure_line(f, v)
-            d_pava = np.linalg.norm(out - v)
-            d_cone = lat.closure_distance(v, f)
-            assert d_pava == pytest.approx(d_cone, abs=1e-8)
-
-
-def test_pattern_of_points_roundtrip():
-    spec = spec22()
-    lat = face_lattice(spec)
-    rng = np.random.default_rng(30)
-    for f in lat.faces:
-        if f.dim == 0:
-            continue
-        # sample a relative interior point and confirm it reproduces the pattern
-        y = None
-        for trial in range(50):
-            cand = rng.normal(size=f.dim)
-            if f.cons.size == 0 or (f.cons @ cand).min() > 1e-6:
-                y = cand
-                break
-        if y is None:
-            continue
-        v = f.basis @ y
-        t = xi_inverse(spec, v, tol=1e-6)
-        from qlip.embed import _canonical_pattern
-        assert _canonical_pattern(pattern_of_points(spec, t), 2) == f.pattern
+    lat = face_lattice(spec12())
+    chamber = next(f for f in lat.faces if f.pattern == (((1, 2), 0, 3),))
+    ray = next(f for f in lat.faces if f.pattern == (((1, 1), 0, 2),))
+    # the chamber 0 < x1 < x2 has closure {0 <= x1 <= x2}; projecting
+    # (1.0, 0.5) pools the inversion to 0.75 and keeps the zero constraint slack
+    _, p = lat.closure_distance(np.array([1.0, 0.5]), chamber, with_point=True)
+    assert np.allclose(p, [0.75, 0.75])
+    # the ray 0 < x1 = x2 sends (-1, -1) to the origin
+    _, p = lat.closure_distance(np.array([-1.0, -1.0]), ray, with_point=True)
+    assert np.allclose(p, [0.0, 0.0], atol=1e-12)
+    inside = np.array([0.2, 0.7])
+    d, p = lat.closure_distance(inside, chamber, with_point=True)
+    assert d == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(p, inside)
 
 
 def test_lattice_json_roundtrip():

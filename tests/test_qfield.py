@@ -11,6 +11,8 @@ Hand oracles used below:
     magnitude 2, energy 4 * (pi - pi/4) = 3*pi.
 """
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,31 @@ def test_embedded_energy_matches_tuple_energy():
     emb = xi_batch(mach.spec, f.values)
     via = qf.dirichlet_energy_embedded(emb, f.spacing, mask=f.mask)
     assert abs(direct - via) <= 1e-10 * direct
+
+
+def test_empty_region_has_zero_energy():
+    mach = default_machinery(1, 2)
+    f = qf.from_callable(qf.square(1.0), 9, lambda p: np.array([[p[0]], [2.0 * p[1]]]),
+                         q=2, n=1)
+    emb = xi_batch(mach.spec, f.values)
+    empty = np.zeros(f.mask.shape, dtype=bool)
+    zero = np.zeros(f.mask.shape)
+    g = qf.QGridFunction(f.domain, f.res, f.values, empty)
+    assert qf.dirichlet_energy(g) == 0.0
+    assert qf.dirichlet_energy(f, weights=zero) == 0.0
+    assert qf.dirichlet_energy_embedded(emb, f.spacing, mask=empty) == 0.0
+    assert qf.dirichlet_energy_embedded(emb, f.spacing, mask=f.mask,
+                                        weights=zero) == 0.0
+
+
+def test_readme_example():
+    # the README's Python example runs as written and prints its numbers
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(code, scope)
+    assert round(scope["e_matched"], 3) == 6.218
+    assert round(scope["e_embedded"], 3) == 6.155
 
 
 def test_grid_json_roundtrip():

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlip import cli
-from qlip.embed import NotOnImageError, face_lattice, xi, xi_batch, xi_inverse
+from qlip.embed import NotOnImageError, xi, xi_batch
 from qlip.qspace import QPoint, random_qpoint
 from qlip.roproj import (AlmostProjection, ConstantLadder, LadderError,
-                         OutsideNeighborhoodError, default_machinery, phi_tau,
-                         project_face_closure)
+                         OutsideNeighborhoodError, default_machinery, phi_tau)
 
 
 def test_phi_tau_hand_values():
@@ -248,24 +247,6 @@ def test_rho_star_identities():
     disp = np.linalg.norm(out - pts, axis=1)
     assert disp.max() <= 10.0 * mach.ladder.ck(0)
     assert mach.residual_on_image(out).max() < 1e-6
-
-
-def test_project_face_closure_examples():
-    mach = default_machinery(1, 2)
-    lat = mach.lattice
-    top = None
-    ray = None
-    for f in lat.faces:
-        if f.signature.blocks == (((0, True), (1, False), (1, False)),):
-            top = f
-        if f.signature.blocks == (((0, True), (2, False)),):
-            ray = f
-    out = project_face_closure(lat, top, np.array([1.0, 0.5]))
-    assert np.allclose(out, [0.75, 0.75])
-    out = project_face_closure(lat, ray, np.array([-1.0, -1.0]))
-    assert np.allclose(out, [0.0, 0.0], atol=1e-12)
-    inside = np.array([0.2, 0.7])
-    assert np.allclose(project_face_closure(lat, top, inside), inside)
 
 
 # -- batched rho_star ----------------------------------------------------------
