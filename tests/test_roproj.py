@@ -249,6 +249,21 @@ def test_rho_star_identities():
     assert mach.residual_on_image(out).max() < 1e-6
 
 
+
+def test_project_face_closure_examples():
+    # the face closures rho_star projects onto, on the (1, 2) machinery
+    lat = default_machinery(1, 2).lattice
+    top = next(f for f in lat.faces if f.pattern == (((1, 2), 0, 3),))
+    ray = next(f for f in lat.faces if f.pattern == (((1, 1), 0, 2),))
+    _, p = lat.closure_distance(np.array([1.0, 0.5]), top, with_point=True)
+    assert np.allclose(p, [0.75, 0.75])
+    _, p = lat.closure_distance(np.array([-1.0, -1.0]), ray, with_point=True)
+    assert np.allclose(p, [0.0, 0.0], atol=1e-12)
+    inside = np.array([0.2, 0.7])
+    d, p = lat.closure_distance(inside, top, with_point=True)
+    assert d == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(p, inside)
+
 # -- batched rho_star ----------------------------------------------------------
 
 
