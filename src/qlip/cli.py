@@ -573,10 +573,9 @@ _HANDLERS = {
 # argument parsing
 
 
-def _add_current_options(parser, skip=()) -> None:
+def _add_current_options(parser) -> None:
     for flag, kw, _ in _CURRENT_OPTIONS:
-        if flag not in skip:
-            parser.add_argument(flag, **kw)
+        parser.add_argument(flag, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one empirical estimate")
     p.add_argument("probe", choices=_PROBE_NAMES)
     p.add_argument("--current", choices=_CURRENT_KINDS)
-    _add_current_options(p, skip=("--heights",))
+    _add_current_options(p)
     p.add_argument("--scales", nargs="+", type=float)
     p.add_argument("--s-list", nargs="+", type=float)
     p.add_argument("--p1", type=float)

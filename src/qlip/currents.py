@@ -674,10 +674,7 @@ def build_competitor(T: GraphCurrent, beta1: float, ladder=None,
         gprime[ann2] = qf.retract_embedded((1 - t) * lo + t * emb[ann2],
                                            machinery)
     gvals = u.values.copy()
-    flat_idx = np.argwhere(inside)
-    for idx in flat_idx:
-        gvals[tuple(idx)] = xi_inverse(spec, sqrtE * gprime[tuple(idx)],
-                                       tol=1e-4).points
+    gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside], tol=1e-4)
     g = qf.QGridFunction(f.domain, f.res, gvals, u.mask)
 
     chart = T.chart

@@ -216,87 +216,6 @@ def build_embedding(n: int, q: int, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# inverse by consistent labeling
-
-
-def xi_inverse(spec: EmbeddingSpec, v: np.ndarray, tol: float = 1e-7,
-               max_leaves: int = 200_000) -> QPoint:
-    """Recover the tuple whose embedding is v, by branch and bound over the
-    per-block assignment of labels to sorted positions.
-
-    Supported regime: q <= 4 and h <= 6 (the search is exponential in h and q!).
-    Raises NotOnImageError when no labeling reproduces v within
-    tol * (1 + |v|).  Ambiguities at equal residual resolve to the
-    lexicographically least tuple.
-    """
-    dims = spec.dims
-    if dims.q > 4 or dims.h > 6:
-        raise ValueError("inverse supported for q <= 4 and h <= 6")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dims.big_n,):
-        raise ValueError("vector length must be h*q")
-    w = v.reshape(dims.h, dims.q) / spec.scale
-    tol_abs = tol * (1.0 + float(np.linalg.norm(v)))
-    prune = max(2.0 * tol_abs, 1e-6 * (1.0 + float(np.linalg.norm(v)))) ** 2 * 4.0
-
-    q, h, n = dims.q, dims.h, dims.n
-    dirs = spec.directions
-    perms = list(itertools.permutations(range(q)))
-    state = {"best": None, "best_res": np.inf, "leaves": 0}
-
-    def leaf(pos_maps):
-        state["leaves"] += 1
-        if state["leaves"] > max_leaves:
-            raise RuntimeError("labeling search exceeded the leaf budget")
-        # per label j: solve the h x n least squares  dirs @ P_j = b_j
-        b = np.empty((q, h))
-        for k in range(h):
-            b[:, k] = w[k, list(pos_maps[k])]
-        sol, *_ = np.linalg.lstsq(dirs, b.T, rcond=None)
-        t = QPoint(sol.T)
-        res = float(np.linalg.norm(xi(spec, t) - v))
-        if res < state["best_res"] - 1e-15:
-            state["best"], state["best_res"] = t, res
-        elif state["best"] is not None and abs(res - state["best_res"]) <= 1e-15:
-            if t.points.tobytes() < state["best"].points.tobytes():
-                state["best"] = t
-
-    def descend(k, pos_maps, gram, rhs):
-        # gram/rhs accumulate per-label normal equations over chosen blocks
-        if k == h:
-            leaf(pos_maps)
-            return
-        for perm in perms if k > 0 else [tuple(range(q))]:
-            g2 = gram + np.outer(dirs[k], dirs[k])
-            ok = True
-            rhs2 = np.empty_like(rhs)
-            partial = 0.0
-            for j in range(q):
-                rhs2[j] = rhs[j] + dirs[k] * w[k, perm[j]]
-                if k >= n:
-                    sol = np.linalg.lstsq(g2, rhs2[j], rcond=None)[0]
-                    # residual of the projected system over blocks 0..k
-                    vals = np.array([dirs[kk] @ sol for kk in range(k + 1)])
-                    tgt = np.array([w[kk, pos_maps[kk][j] if kk < k else perm[j]]
-                                    for kk in range(k + 1)])
-                    partial += float(np.sum((vals - tgt) ** 2))
-                    if partial > prune:
-                        ok = False
-                        break
-            if ok:
-                descend(k + 1, pos_maps + [perm], g2, rhs2)
-
-    descend(0, [], np.zeros((n, n)), np.zeros((q, n)))
-    if state["best"] is None or state["best_res"] > tol_abs:
-        raise NotOnImageError(
-            f"vector is not on the embedded cone (residual {state['best_res']:.3e}, "
-            f"tolerance {tol_abs:.3e})",
-            residual=state["best_res"],
-        )
-    return state["best"]
-
-
-# ---------------------------------------------------------------------------
 # face patterns
 
 # A labeled block pattern assigns each of the q labels and the virtual zero to
@@ -402,15 +321,23 @@ def _canonical_pattern(full_pattern, q):
     return min(_permute_pattern(full_pattern, p) for p in itertools.permutations(range(q)))
 
 
+def _label_slots(pattern) -> np.ndarray:
+    """(q, h) array: the sorted position of label j in block k of a labeled
+    pattern.  Labels sort by (level, label); tied labels share a value."""
+    return np.array([np.argsort(np.argsort(levels, kind="stable"))
+                     for levels, _z, _nl in pattern]).T
+
+
 class FaceRecord:
     """One face: canonical labeled pattern plus its span and closure inequalities."""
 
-    __slots__ = ("index", "pattern", "dim", "basis", "cons", "projectors",
-                 "closure_of")
+    __slots__ = ("index", "pattern", "slots", "dim", "basis", "cons",
+                 "projectors", "closure_of")
 
     def __init__(self, index, pattern, dim, basis, cons, projectors):
         self.index = index
         self.pattern = pattern
+        self.slots = _label_slots(pattern)
         self.dim = dim
         self.basis = basis  # (N, dim) orthonormal
         self.cons = cons  # (n_strict, dim): closure = {basis @ y : cons @ y >= 0}
@@ -501,12 +428,10 @@ def _face_geometry(spec, pattern):
         b = np.eye(nq)
     dim = b.shape[1]
 
-    # placement: within block k sort labels by (level, label); ties share a value
+    # placement: label j's value in block k sits at its slot there
     lmat = np.zeros((big_n, nq))
-    for k, (levels, _z, _nl) in enumerate(pattern):
-        order = sorted(range(dims.q), key=lambda j: (levels[j], j))
-        for pos, j in enumerate(order):
-            lmat[k * dims.q + pos] = spec.scale * _row(spec, k, j, nq)
+    for (j, k), pos in np.ndenumerate(_label_slots(pattern)):
+        lmat[k * dims.q + pos] = spec.scale * _row(spec, k, j, nq)
 
     if dim == 0:
         return np.zeros((big_n, 0)), np.zeros((0, 0)), np.zeros((0, 0, 0))
@@ -810,7 +735,7 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
 
 
 # ---------------------------------------------------------------------------
-# face lookup
+# face lookup and inverse
 
 
 def face_of_point(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> FaceRecord:
@@ -827,3 +752,44 @@ def face_of_point(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> Fac
     raise NotOnImageError(
         f"vector is not on the embedded cone (residual {d[0]:.3e}, "
         f"tolerance {tol_abs:.3e})", residual=float(d[0]))
+
+
+def xi_inverse(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """The tuples embedded at the rows of v (..., N), as (..., q, n) arrays in
+    QPoint's lexicographic row order.
+
+    A point of the cone lies in the closure of its nearest top face, and that
+    face's pattern fixes which sorted entry of each block belongs to which
+    label; one least-squares solve over every (row, label) then recovers the
+    points.  Raises NotOnImageError when a row is farther than
+    tol * (1 + |v|) from the cone.
+    """
+    spec = lattice.spec
+    q, n, h, big_n = spec.dims.q, spec.dims.n, spec.dims.h, spec.dims.big_n
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (big_n,):
+        raise ValueError("vector length must be h*q")
+    rows = v.reshape(-1, big_n)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{int(bad.sum())} row(s) are not finite")
+    top = lattice.top_faces
+    _, dist, which = lattice.nearest_on_faces(rows, top)
+    off = dist > tol * (1.0 + np.linalg.norm(rows, axis=1))
+    if off.any():
+        worst = float(dist[off].max())
+        raise NotOnImageError(
+            f"{int(off.sum())} of {len(rows)} row(s) are not on the embedded "
+            f"cone (worst residual {worst:.3e}, tolerance {tol:.1e} * (1 + |v|))",
+            residual=worst)
+    w = rows.reshape(-1, h, q) / spec.scale
+    out = np.empty((len(rows), q, n))
+    for j in np.unique(which):
+        sel = np.flatnonzero(which == j)
+        # b[r, label, k]: the entry of block k at the label's slot
+        b = w[sel][:, np.arange(h), top[j].slots]
+        sol = np.linalg.lstsq(spec.directions, b.reshape(-1, h).T, rcond=None)[0]
+        out[sel] = sol.T.reshape(len(sel), q, n)
+    order = np.lexsort(np.moveaxis(out, -1, 0)[::-1], axis=-1)
+    out = np.take_along_axis(out, order[..., None], axis=1)
+    return out.reshape(v.shape[:-1] + (q, n))

@@ -357,8 +357,7 @@ def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float,
     off = resid > machinery.on_image_tol * (1 + np.linalg.norm(ext, axis=1))
     if np.any(off):
         vals[off] = machinery.rho_star_batch(ext[off])
-    for row, idx in enumerate(todo):
-        out.values[tuple(idx)] = xi_inverse(spec, vals[row], tol=1e-5).points
+    out.values[tuple(todo.T)] = xi_inverse(lat, vals, tol=1e-5)
     return out
 
 
@@ -438,9 +437,8 @@ def annulus_interpolate(f: QGridFunction, g: QGridFunction, r: float,
     out.values[outer] = f.values[outer]
     mid = ~inner & ~outer & f.mask
     if np.any(mid):
-        fixed = retract_embedded(emb[mid], machinery)
-        for row, idx in enumerate(np.argwhere(mid)):
-            out.values[tuple(idx)] = xi_inverse(spec, fixed[row], tol=1e-5).points
+        out.values[mid] = xi_inverse(machinery.lattice,
+                                     retract_embedded(emb[mid], machinery), tol=1e-5)
     return out
 
 

@@ -372,26 +372,20 @@ class AlmostProjection:
         lat, lad, spec = self.lattice, self.ladder, self.spec
         nq, q, n = lad.nq, spec.dims.q, spec.dims.n
         lip = 1.0 + 4.0 * lad.ck(-1)
-        anchors = [[p] for p in near]
-        # Gaussian jitters of the decoded nearest point, seeded by the row's
-        # bytes so a row's anchors do not depend on its batch
-        jitters, owner = [], []
+        # 24 Gaussian jitters of each decoded nearest point, seeded by the
+        # row's bytes so a row's anchors do not depend on its batch
+        t0 = xi_inverse(lat, near, tol=1e-5)
+        jitters = []
         for i in range(len(x)):
             lvl = int(level[i])
             rng = np.random.default_rng(np.frombuffer(
                 x[i].tobytes(), dtype=np.uint64) % (2 ** 31))
             eps_anchor = max(lad.ck(min(lvl, nq - 1)) / 16.0, 1e-9)
             base_s = max(2.0 * dq[i], lad.delta ** (lvl + 1), eps_anchor)
-            try:
-                t0 = xi_inverse(spec, near[i], tol=1e-5)
-            except (NotOnImageError, RuntimeError):
-                continue
             for s in (1.0, 2.0, 4.0, 8.0):
-                jitters.append(t0.points[None] + rng.normal(size=(6, q, n)) * s * base_s)
-            owner += [i] * 24
-        if jitters:
-            for i, a in zip(owner, xi_batch(spec, np.concatenate(jitters))):
-                anchors[i].append(a)
+                jitters.append(t0[i] + rng.normal(size=(6, q, n)) * s * base_s)
+        jitters = xi_batch(spec, np.concatenate(jitters))
+        anchors = [[p, *jitters[24 * i:24 * i + 24]] for i, p in enumerate(near)]
         # anchors on the nearby lower skeleton keep the gap consistent with
         # the values already prescribed there
         reach = np.array([4.0 * lad.delta ** lvl for lvl in range(nq + 1)])[level]

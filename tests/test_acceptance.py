@@ -116,14 +116,15 @@ def test_criterion_02_embedding_suite():
                 worst_ratio = max(worst_ratio, enorm[i] / g)
     assert worst_ratio <= 1.0 + 1e-12
 
-    # branch-and-bound inverse round trip
+    # face-pattern inverse round trip
     worst_rt = 0.0
     for n, q in ((1, 2), (1, 3), (2, 2)):
         mach = roproj.default_machinery(n, q)
-        for _ in range(100):
-            s = qspace.random_qpoint(rng, q, n)
-            r = embed.xi_inverse(mach.spec, embed.xi(mach.spec, s))
-            worst_rt = max(worst_rt, qspace.metric_g(r, s))
+        ss = [qspace.random_qpoint(rng, q, n) for _ in range(100)]
+        rr = embed.xi_inverse(mach.lattice, embed.xi_batch(
+            mach.spec, np.array([s.points for s in ss])))
+        for r, s in zip(rr, ss):
+            worst_rt = max(worst_rt, qspace.metric_g(qspace.QPoint(r), s))
     assert worst_rt <= 1e-9
 
     # discrete energy identity on 20 random Lipschitz fields at 128^2

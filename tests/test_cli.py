@@ -286,13 +286,11 @@ def test_shared_current_flags(head):
     argv = head + ["--scale", "0.5", "--res", "17", "--radius4", "2.0",
                    "--q", "3", "--n", "2", "--spike-center", "0.1", "-0.2",
                    "--spike-radius", "0.03", "--spike-excess", "0.002",
-                   "--input", "cur.json"]
+                   "--input", "cur.json", "--heights", "[[0, 1], [2, 3]]"]
     want = {"current": "spike", "scale": 0.5, "res": 17, "radius4": 2.0,
             "q": 3, "n": 2, "spike_center": (0.1, -0.2),
-            "spike_radius": 0.03, "spike_excess": 0.002, "input": "cur.json"}
-    if head[0] != "probe":  # probe takes heights from a config file only
-        argv += ["--heights", "[[0, 1], [2, 3]]"]
-        want["heights"] = [[0, 1], [2, 3]]
+            "spike_radius": 0.03, "spike_excess": 0.002, "input": "cur.json",
+            "heights": [[0, 1], [2, 3]]}
     cfg, _ = cli._merge_config(cli.build_parser().parse_args(argv))
     assert {k: cfg[k] for k in want} == want
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from qlip.embed import (NotOnImageError, build_embedding, face_lattice,
-                        face_of_point, xi, xi_batch, xi_inverse)
+from qlip.embed import (NotOnImageError, _label_slots, build_embedding,
+                        face_lattice, face_of_point, xi, xi_batch, xi_inverse)
 from qlip.qspace import QPoint, metric_g, random_qpoint
 
 
@@ -95,32 +95,92 @@ def test_xi_batch_agrees():
         assert np.allclose(batch[i], xi(spec, QPoint(pts[i])))
 
 
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(12)
-    for spec in (spec12(), spec13(), spec22()):
-        for _ in range(25):
-            t = random_qpoint(rng, spec.dims.q, spec.dims.n,
-                              cluster=float(rng.choice([0.0, 0.01])))
-            v = xi(spec, t)
-            s = xi_inverse(spec, v)
-            assert metric_g(s, t) < 1e-8 * (1 + np.linalg.norm(v))
+def spec14():
+    return build_embedding(1, 4, certificate_pairs=400)
+
+
+def spec15():
+    return build_embedding(1, 5, certificate_pairs=400)
+
+
+def tuples(rng, spec, count, exponent, repeat, zero):
+    """`count` tuples at scale 10**exponent.  `repeat` doubles the first point
+    in even rows; `zero` zeroes the first coordinate of the first and last
+    points in odd rows, a tie that the first block cannot order."""
+    t = rng.normal(size=(count, spec.dims.q, spec.dims.n)) * 10.0 ** exponent
+    if repeat:
+        t[::2, 1] = t[::2, 0]
+    if zero:
+        t[1::2, [0, -1], 0] = 0.0
+    return t
+
+
+def test_label_slots_hand_value():
+    # block 0: labels at levels (2, 0, 1) sort as 1, 2, 0; block 1 ties
+    # labels 0 and 1, which keep label order
+    slots = _label_slots((((2, 0, 1), 3, 4), ((0, 0, 1), 2, 3)))
+    assert slots.tolist() == [[2, 0], [0, 1], [1, 2]]
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-3, 3),
+       repeat=st.booleans(), zero=st.booleans())
+def test_inverse_roundtrip(seed, exponent, repeat, zero):
+    rng = np.random.default_rng(seed)
+    for spec in (spec12(), spec13(), spec14(), spec15(), spec22()):
+        t = tuples(rng, spec, 24, exponent, repeat, zero)
+        v = xi_batch(spec, t)
+        r = xi_inverse(face_lattice(spec), v)
+        assert r.shape == t.shape
+        for a, b, w in zip(r, t, v):
+            assert np.array_equal(QPoint(a).points, a)
+            assert metric_g(QPoint(a), QPoint(b)) <= 1e-13 * (1 + np.linalg.norm(w))
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-3, 3))
+def test_inverse_batch_matches_rows(seed, exponent):
+    # embedded tuples with ties, and nearest cone points of random vectors
+    # (mostly on lower faces); a row's tuple does not depend on its batch
+    spec = spec22()
+    lat = face_lattice(spec)
+    rng = np.random.default_rng(seed)
+    v = np.concatenate([
+        xi_batch(spec, tuples(rng, spec, 12, exponent, True, True)),
+        lat.nearest_point_batch(rng.normal(size=(12, spec.dims.big_n))
+                                * 10.0 ** exponent)[0]])
+    r = xi_inverse(lat, v, tol=1e-5)
+    assert np.array_equal(r, np.array([xi_inverse(lat, w, tol=1e-5) for w in v]))
+    perm = rng.permutation(len(v))
+    assert np.array_equal(xi_inverse(lat, v[perm], tol=1e-5), r[perm])
 
 
 def test_inverse_rejects_off_image():
-    spec = spec12()
     with pytest.raises(NotOnImageError):
-        xi_inverse(spec, np.array([1.0, 0.0]))  # unsorted block
+        xi_inverse(face_lattice(spec12()), np.array([1.0, 0.0]))  # unsorted block
     spec2 = spec22()
     rng = np.random.default_rng(14)
     t = random_qpoint(rng, 2, 2)
     v = xi(spec2, t)
     # a generic normal perturbation leaves the 4-dimensional image inside R^6
     w = v + 0.3 * rng.normal(size=6)
-    try:
-        s = xi_inverse(spec2, w)
-        assert np.linalg.norm(xi(spec2, s) - w) < 1e-6  # lucky landing only
-    except NotOnImageError as err:
-        assert err.residual > 1e-6
+    with pytest.raises(NotOnImageError) as err:
+        xi_inverse(face_lattice(spec2), np.stack([v, w]))
+    assert "1 of 2 row(s)" in str(err.value)
+    assert err.value.residual > 0.1
+
+
+def test_inverse_rejects_nonfinite_rows():
+    lat = face_lattice(spec22())
+    v = np.zeros((4, 6))
+    v[1, 2] = np.nan
+    v[3, 0] = np.inf
+    with pytest.raises(ValueError, match="2 row"):
+        xi_inverse(lat, v)
+
+
+def test_inverse_of_empty_batch():
+    assert xi_inverse(face_lattice(spec22()), np.zeros((0, 6))).shape == (0, 2, 2)
 
 
 def test_face_count_line_two():
@@ -278,9 +338,8 @@ def test_nearest_point_batch_matches_loop():
         assert bd[i] == pytest.approx(d, abs=1e-10)
         assert np.linalg.norm(bp[i] - pts[i]) == pytest.approx(d, abs=1e-9)
     # projections land on the image
-    for i in range(12):
-        t = xi_inverse(spec, bp[i], tol=1e-5)
-        assert np.linalg.norm(xi(spec, t) - bp[i]) < 1e-5 * (1 + bd[i])
+    t = xi_inverse(lat, bp, tol=1e-5)
+    assert np.all(np.linalg.norm(xi_batch(spec, t) - bp, axis=1) < 1e-5 * (1 + bd))
 
 
 def test_line_face_projection_example():

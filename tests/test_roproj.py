@@ -318,8 +318,8 @@ RHO_STAR_EVAL_22 = [
      3.46475476778195e-16),
     (5.000000000000001e-06, 4.676331995115975e-06, 8.31817995412987e-16,
      2.1865178646857363e-05, 1.790590320762593e-05),
-    (0.05, 0.04318008765692402, 5.110343437176303e-16, 0.0431801895315259,
-     0.030294764371840154),
+    (0.05, 0.04318008765692402, 5.110343437176303e-16, 0.04318019013061768,
+     0.030294764431749333),
     (0.2, 0.17936616272229455, 6.379632791138003e-16, 0.17936616453169257,
      0.10937130179871335),
 ]
