@@ -287,7 +287,7 @@ def _cmd_approx(cfg: dict, sink: _Sink) -> int:
         delta11 = max(max(E, 0.0) ** (2 * beta), 1.25 * 16 ** T.m * E, 1e-4)
     try:
         u, K, rep = cu.lipschitz_approximation(T, float(delta11),
-                                               strict=bool(cfg.get("strict")))
+                                               strict=bool(cfg.get("strict")), ex=ex)
     except ValueError as exc:
         raise ConfigError(str(exc))
     dist = np.linalg.norm(T.base.nodes() - T.center, axis=-1)

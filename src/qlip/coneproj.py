@@ -5,12 +5,13 @@ Three problem classes, all low dimensional:
 * isotonic projection with equality groups and an exactly pinned zero level
   (the n = 1 face closures are order cones, so PAV applies; no production
   path calls it: every face closure, n = 1 included, goes through the
-  face-closure kernel `embed._face_distance`);
+  stacked face kernel `embed.FaceStack`);
 * Euclidean projection onto a polyhedral cone {z : G z >= 0}, solved through
   the Moreau decomposition with a nonnegative least squares dual.  This is
   the test oracle: the face closures of the embedded cone are projected
-  exactly by active-set enumeration over precomputed projectors
-  (`embed._project_cone_rows`), which the tests compare against it;
+  exactly by active-set enumeration over precomputed projectors, for every
+  (row, face) pair of a face list at once (`embed.FaceStack.nearest`), which
+  the tests compare against it;
 * Chebyshev-type extension values min_y max_i (|y - v_i| - r_i), solved by
   bisection over the level t with a ball-intersection feasibility test, which
   itself is a concave maximization over the simplex (all balls share the

@@ -382,15 +382,16 @@ def _disk_kernel(h: float, s: float, sub: int = 4) -> np.ndarray:
     return kern
 
 
-def maximal_excess(T: GraphCurrent, radii=None):
+def maximal_excess(T: GraphCurrent, radii=None, ex=None):
     """Non-centered maximal function of the excess over a finite family of
     balls: grid-node centers, unit-step radii h..8h plus dyadic radii up to
-    the cylinder, all constrained inside B_{4r}(x).
+    the cylinder, all constrained inside B_{4r}(x) (`ex`: T's ExcessField,
+    if already built).
 
     Returns (M, info) with the finest-scale density field in info."""
     if T.m != 2:
         raise ValueError("maximal function implemented for planar bases")
-    ex = ExcessField(T)
+    ex = ExcessField(T) if ex is None else ex
     f = T.base
     h = f.spacing
     if radii is None:
@@ -487,20 +488,21 @@ def bv_functional(T: GraphCurrent, psi, regions=None):
 # Lipschitz approximation
 
 
-def lipschitz_approximation(T: GraphCurrent, delta11: float, strict: bool = False):
+def lipschitz_approximation(T: GraphCurrent, delta11: float, strict: bool = False, ex=None):
     """Threshold the maximal excess at delta11, keep the graph there, extend
-    across the bad set; returns (u on B_{3r}, K mask, report).
+    across the bad set (`ex`: T's ExcessField, if already built); returns
+    (u on B_{3r}, K mask, report).
 
     The smallness hypothesis 16^m E < delta11 is reported; strict=True makes
     a violation fatal."""
     f = T.base
-    ex = ExcessField(T)
+    ex = ExcessField(T) if ex is None else ex
     E = ex.excess_ratio(T.radius4)
     hyp_ok = bool((16 ** T.m) * E < delta11)
     if strict and not hyp_ok:
         raise ValueError("excess too large for the threshold: 16^m E = %.3g"
                          % ((16 ** T.m) * E))
-    M, info = maximal_excess(T)
+    M, info = maximal_excess(T, ex=ex)
     dist = np.linalg.norm(f.nodes() - T.center, axis=-1)
     ball3 = (dist <= 3 * T.r + 1e-12) & f.mask
     K = (M < delta11) & ball3
@@ -628,7 +630,7 @@ def build_competitor(T: GraphCurrent, beta1: float, ladder=None,
     E = max(ex.excess_ratio(T.radius4), 1e-12)
     a = (1.0 - 2.0 * beta1) / (2.0 * T.m)
     delta11 = max(E ** (2 * beta1), (16 ** T.m) * E * 1.25)
-    u, K, rep = lipschitz_approximation(T, delta11)
+    u, K, rep = lipschitz_approximation(T, delta11, ex=ex)
     f = T.base
     h = f.spacing
     if machinery is None:

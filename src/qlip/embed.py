@@ -25,9 +25,10 @@ from .qspace import QPoint, metric_g, random_qpoint
 
 _FEAS_TOL = 1e-7
 _SPAN_TOL = 1e-9
-# rows per active-set enumeration; bounds the (rows, candidates, constraints)
-# temporaries of the face kernel
-_PROJECT_CHUNK = 1024
+# pairs per chunk of the face kernel's span pass (and of the pair-separation
+# pass) and of its active-set enumeration: they bound the kernel temporaries
+_SPAN_PAIRS = 1 << 14
+_PROJECT_CHUNK = 256
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,8 +159,6 @@ def _certificate(dims: Dimensions, directions, scale, seed, pairs) -> Injectivit
             b = a.copy()
             for c in range(dims.n):
                 b[:, c] = rng.permutation(b[:, c])
-            if np.array_equal(np.sort(a, axis=0), np.sort(b, axis=0)) and _same_multiset(a, b):
-                continue
         else:
             a = rng.normal(size=(dims.q, dims.n))
             b = rng.normal(size=(dims.q, dims.n)) * rng.choice([0.1, 1.0, 10.0])
@@ -370,46 +369,107 @@ def _active_set_projectors(cons: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float).reshape(-1, dim, dim)
 
 
-def _project_cone_rows(face: FaceRecord, y: np.ndarray):
-    """Exact projection of the rows of y onto {y : face.cons @ y >= 0}.
+class FaceStack(list):
+    """A list of faces with their geometry zero-padded into arrays: bases
+    (F, N, D), unit constraint rows (F, M, D) and active-set projectors
+    (F, K, D, D), `real` marking the real projectors.  The face kernel treats
+    every (row, face) pair of the list in a few array passes; padded entries
+    contribute exact zeros."""
 
-    Returns (rows, ystar): the indices of the rows outside the cone and their
-    projections; every other row is its own projection.  An outside row's
-    projection is its nearest candidate y @ P_S (see `_active_set_projectors`)
-    satisfying the constraints to _SPAN_TOL * (1 + |y|).
-    """
-    cons = face.cons
-    tol = _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=1))
-    rows = np.flatnonzero(rowdot(y, cons.T).min(axis=1, initial=np.inf) < -tol)
-    k, dim = len(face.projectors), face.dim
-    stacked = face.projectors.transpose(1, 0, 2).reshape(dim, k * dim)
-    ystar = np.empty((len(rows), dim))
-    for lo in range(0, len(rows), _PROJECT_CHUNK):
-        sel = rows[lo:lo + _PROJECT_CHUNK]
-        yb = y[sel]
-        cand = rowdot(yb, stacked).reshape(len(sel), k, dim)
-        feasible = rowdot(cand, cons.T).min(axis=2) >= -tol[sel, None]
-        gap = np.einsum("pkd,pkd->pk", cand - yb[:, None], cand - yb[:, None])
-        gap[~feasible] = np.inf
-        ystar[lo:lo + len(sel)] = cand[np.arange(len(sel)), gap.argmin(axis=1)]
-    return rows, ystar
+    def __init__(self, faces, big_n: int):
+        super().__init__(faces)
+        dim = max([f.dim for f in faces], default=0)
+        m = max([len(f.cons) for f in faces], default=0)
+        k = max([len(f.projectors) for f in faces], default=0)
+        self.dims = np.array([f.dim for f in faces], dtype=int)
+        self.basis = np.zeros((len(faces), big_n, dim))
+        self.cons = np.zeros((len(faces), m, dim))
+        self.projectors = np.zeros((len(faces), k, dim, dim))
+        self.real = np.arange(k) < np.array([len(f.projectors) for f in faces], dtype=int)[:, None]
+        for i, f in enumerate(faces):
+            self.basis[i, :, :f.dim] = f.basis
+            self.cons[i, :len(f.cons), :f.dim] = f.cons
+            self.projectors[i, :len(f.projectors), :f.dim, :f.dim] = f.projectors
 
+    def span(self, pts: np.ndarray):
+        """Per (row, face): the span coordinates y, the span point, its
+        distance and the smallest constraint margin min(0, cons @ y)."""
+        y = np.einsum("ri,fid->rfd", pts, self.basis)
+        near = np.einsum("rfd,fid->rfi", y, self.basis)
+        dist = np.linalg.norm(pts[:, None] - near, axis=2)
+        margin = np.einsum("rfd,fmd->rfm", y, self.cons).min(axis=2, initial=0.0)
+        return y, near, dist, margin
 
-def _face_distance(face: FaceRecord, pts: np.ndarray, bound):
-    """Distance from each row of pts to the closure of face, and the nearest
-    point there.  Rows whose distance to the face's span already reaches
-    `bound` are not projected: they keep that lower bound and their point on
-    the span."""
-    y = rowdot(pts, face.basis)
-    near = rowdot(y, face.basis.T)
-    d = np.linalg.norm(pts - near, axis=1)
-    todo = np.flatnonzero(d < bound)
-    rows, ystar = _project_cone_rows(face, y[todo])
-    if len(rows):
-        rows = todo[rows]
-        d[rows] = np.sqrt(d[rows] ** 2 + np.sum((y[rows] - ystar) ** 2, axis=1))
-        near[rows] = rowdot(ystar, face.basis.T)
-    return d, near
+    def _project(self, y, span_d, tol, dist, near, r, f):
+        """Project the pairs (r, f) exactly onto their closures, into dist and
+        near: the nearest candidate y @ P_S meeting the constraints to tol."""
+        for lo in range(0, len(r), _PROJECT_CHUNK):
+            pr, pf = r[lo:lo + _PROJECT_CHUNK], f[lo:lo + _PROJECT_CHUNK]
+            yp = y[pr, pf]
+            cand = np.einsum("pd,pkde->pke", yp, self.projectors[pf])
+            ok = np.einsum("pke,pme->pkm", cand, self.cons[pf]).min(
+                axis=2, initial=0.0) >= -tol[pr, pf, None]
+            gap = np.einsum("pkd,pkd->pk", cand - yp[:, None], cand - yp[:, None])
+            gap[~(ok & self.real[pf])] = np.inf
+            ystar = cand[np.arange(len(pr)), gap.argmin(axis=1)]
+            dist[pr, pf] = np.sqrt(span_d[pr, pf] ** 2 + np.sum((yp - ystar) ** 2, axis=1))
+            near[pr, pf] = np.einsum("pd,pid->pi", ystar, self.basis[pf])
+
+    def _chunks(self, pts, offset, bound=None):
+        """Yields (rows, dist (R, F), near (R, F, N)) per chunk of rows.
+
+        A pair inside the closure (margin >= -tol) is its span projection.  An
+        outside pair is at least hypot(span distance, -margin - tol) away (the
+        constraint rows are unit vectors).  It is projected if that bound is
+        at most bound[row, face] or, without a bound, if the bound minus
+        offset[face] can reach the row's least distance minus offset (over
+        its inside pairs, then its most promising outside pair); otherwise it
+        keeps the lower bound.
+        """
+        step = max(1, _SPAN_PAIRS // max(len(self), 1))
+        for lo in range(0, len(pts), step):
+            rows = slice(lo, lo + step)
+            y, near, span_d, margin = self.span(pts[rows])
+            tol = _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=2))
+            inside = margin >= -tol
+            dist = np.where(inside, span_d, np.hypot(span_d, np.minimum(margin + tol, 0.0)))
+            args = (y, span_d, tol, dist, near)
+            if bound is not None:
+                self._project(*args, *np.nonzero(~inside & (dist <= bound[rows])))
+            else:
+                best = np.where(inside, dist - offset, np.inf).min(axis=1)
+                todo = ~inside & (dist - offset <= best[:, None])
+                first = np.where(todo, dist - offset, np.inf).argmin(axis=1)
+                r = np.flatnonzero(todo[np.arange(len(first)), first])
+                self._project(*args, r, first[r])
+                todo[r, first[r]] = False
+                best[r] = np.minimum(best[r], dist[r, first[r]] - offset[first[r]])
+                self._project(*args, *np.nonzero(todo & (dist - offset <= best[:, None])))
+            yield rows, dist, near
+
+    def nearest(self, pts: np.ndarray, offset=0.0):
+        """Per row of pts: the point of the union of the closures minimizing
+        distance - offset[face], its distance, and the position of the first
+        face realizing the minimum (-1 when the list is empty)."""
+        pts = np.asarray(pts, dtype=float)
+        out, dist, which = np.empty_like(pts), np.full(len(pts), np.inf), np.full(len(pts), -1)
+        offset = np.broadcast_to(np.asarray(offset, dtype=float), (len(self),))
+        for rows, d, near in self._chunks(pts, offset) if len(self) else ():
+            j = (d - offset).argmin(axis=1)
+            pick = np.arange(len(j))
+            which[rows], dist[rows], out[rows] = j, d[pick, j], near[pick, j]
+        return out, dist, which
+
+    def within(self, pts: np.ndarray, bound: np.ndarray):
+        """The (row, face) pairs whose closure distance is at most
+        bound[row, face], in row-major order: their rows and nearest points."""
+        pts = np.asarray(pts, dtype=float)
+        rows, near_pts = [np.zeros(0, dtype=int)], [np.zeros((0, pts.shape[1]))]
+        for sl, d, near in self._chunks(pts, 0.0, bound):
+            r, f = np.nonzero(d <= bound[sl])
+            rows.append(r + sl.start)
+            near_pts.append(near[r, f])
+        return np.concatenate(rows), np.concatenate(near_pts)
 
 
 def _face_geometry(spec, pattern):
@@ -480,21 +540,20 @@ class FaceLattice:
         self.tilde_c = tilde_c
         self.pair_separation = pair_separation
         self.max_dim = max(f.dim for f in faces)
-        self._by_dim = {}
-        for f in faces:
-            self._by_dim.setdefault(f.dim, []).append(f)
-        # ascending dimension: cheap low faces seed the running minimum early
-        self._up_to = [[f for j in range(k + 1) for f in self.faces_of_dim(j)]
-                       for k in range(self.max_dim + 1)]
+        grades, big_n = range(-1, self.max_dim + 1), spec.dims.big_n  # -1: no face
+        self._by_dim = {k: FaceStack([f for f in faces if f.dim == k], big_n) for k in grades}
+        # the up-to lists run in ascending dimension (rho_star's anchor order)
+        ascending = sorted(faces, key=lambda f: f.dim)
+        self._up_to = {k: FaceStack([f for f in ascending if f.dim <= k], big_n) for k in grades}
 
-    def faces_of_dim(self, k: int) -> list:
-        return self._by_dim.get(k, [])
+    def faces_of_dim(self, k: int) -> FaceStack:
+        return self._by_dim.get(k, self._by_dim[-1])
 
-    def faces_up_to(self, k: int) -> list:
-        return self._up_to[min(k, self.max_dim)] if k >= 0 else []
+    def faces_up_to(self, k: int) -> FaceStack:
+        return self._up_to[min(max(k, -1), self.max_dim)]
 
     @property
-    def top_faces(self) -> list:
+    def top_faces(self) -> FaceStack:
         return self._by_dim[self.max_dim]
 
     # -- distances ---------------------------------------------------------
@@ -503,18 +562,17 @@ class FaceLattice:
         d, p = self.closure_distance_batch(np.asarray(v, dtype=float)[None], face)
         return (float(d[0]), p[0]) if with_point else float(d[0])
 
-    def closure_distance_batch(self, pts: np.ndarray, face, bound=np.inf):
-        """Distance from each row of pts to the closure of face and the
-        nearest point there; rows at span distance >= `bound` keep that lower
-        bound and their point on the span."""
-        return _face_distance(face, np.asarray(pts, dtype=float), bound)
+    def closure_distance_batch(self, pts: np.ndarray, face):
+        """Distance from each row of pts to the closure of face; nearest points."""
+        near, dist, _ = FaceStack([face], self.spec.dims.big_n).nearest(pts)
+        return dist, near
 
     def skeleton_distance(self, v, k: int) -> float:
         return float(self.skeleton_distance_batch(np.asarray(v, dtype=float)[None], k)[0])
 
     def skeleton_distance_batch(self, pts: np.ndarray, k: int) -> np.ndarray:
         """Distance from each row of pts to the union of faces of dim <= k."""
-        return self.nearest_on_faces(pts, self.faces_up_to(k))[1]
+        return self.faces_up_to(k).nearest(pts)[1]
 
     def nearest_point(self, v):
         """Nearest point of the embedded cone and its distance."""
@@ -522,23 +580,7 @@ class FaceLattice:
         return p[0], float(d[0])
 
     def nearest_point_batch(self, pts: np.ndarray):
-        return self.nearest_on_faces(pts, self.top_faces)[:2]
-
-    def nearest_on_faces(self, pts: np.ndarray, faces: list):
-        """Nearest point of the union of the closures of `faces` to each row
-        of pts, its distance, and the position in `faces` of the first face
-        realizing it (-1 when `faces` is empty)."""
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty_like(pts)
-        dist = np.full(pts.shape[0], np.inf)
-        which = np.full(pts.shape[0], -1)
-        for j, f in enumerate(faces):
-            d, cand = _face_distance(f, pts, dist)
-            better = d < dist
-            dist[better] = d[better]
-            out[better] = cand[better]
-            which[better] = j
-        return out, dist, which
+        return self.top_faces.nearest(pts)[:2]
 
     # -- serialization -----------------------------------------------------
 
@@ -590,13 +632,11 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     # block 0 needs one representative per relabeling orbit
     block0 = [pi for pi, p in enumerate(patterns)
               if _canonical_pattern((p,), dims.q) == (p,)]
-    found = {}
+    found = set()
 
     def dfs(k, chosen, eq_rows, strict_rows):
         if k == dims.h:
-            canon = _canonical_pattern(tuple(chosen), dims.q)
-            if canon not in found:
-                found[canon] = True
+            found.add(_canonical_pattern(tuple(chosen), dims.q))
             return
         for pi in block0 if k == 0 else range(len(patterns)):
             pat = patterns[pi]
@@ -614,15 +654,9 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     # closure relation through pattern weakening up to a common relabeling
     perms = list(itertools.permutations(range(dims.q)))
     for lo in faces:
-        rel = set()
-        for hi in faces:
-            if hi.dim <= lo.dim and hi is not lo:
-                continue
-            if hi is lo:
-                continue
-            if any(_closure_leq(_permute_pattern(lo.pattern, p), hi.pattern) for p in perms):
-                rel.add(hi.index)
-        lo.closure_of = frozenset(rel)
+        lo.closure_of = frozenset(
+            hi.index for hi in faces if hi.dim > lo.dim
+            and any(_closure_leq(_permute_pattern(lo.pattern, p), hi.pattern) for p in perms))
 
     lattice = FaceLattice(spec, faces, tilde_c=0.5, pair_separation={})
     lattice.pair_separation = _measure_pair_separation(lattice)
@@ -645,9 +679,8 @@ def _face_samples(lattice, faces, count, seed):
     draws = []
     for f in faces:
         y = np.random.default_rng(seed + f.index).normal(size=(40 * count, f.dim))
-        if f.cons.size:
-            margin = (y @ f.cons.T).min(axis=1)
-            y = y[margin >= 1e-9 * (1.0 + np.linalg.norm(y, axis=1))]
+        y = y[(y @ f.cons.T).min(axis=1, initial=np.inf)
+              >= 1e-9 * (1.0 + np.linalg.norm(y, axis=1))]
         draws.append(y)
     out = [[] for _ in faces]
     for lo in range(0, 40 * count, count):
@@ -661,7 +694,7 @@ def _face_samples(lattice, faces, count, seed):
         for i, p, d in zip(short, pts, dist):
             ok = np.isfinite(d) & (d >= 1e-12)
             out[i].extend(p[ok] / d[ok, None])
-    return [np.asarray(o[:count]) for o in out]
+    return [np.asarray(o[:count]).reshape(-1, faces[0].basis.shape[0]) for o in out]
 
 
 def _measure_pair_separation(lattice) -> dict:
@@ -673,12 +706,14 @@ def _measure_pair_separation(lattice) -> dict:
         if len(faces) < 2:
             continue
         samples = _face_samples(lattice, faces, 24, seed=101)
-        best = np.inf
-        for (ia, a), (ib, b) in itertools.combinations(enumerate(samples), 2):
-            if len(a) == 0 or len(b) == 0:
-                continue
-            d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1).min()
-            best = min(best, float(d))
+        owner = np.repeat(np.arange(len(faces)), [len(s) for s in samples])
+        pts, best = np.concatenate(samples), np.inf
+        # each sample against itself and every later one, in row chunks
+        step = max(1, _SPAN_PAIRS // max(len(pts), 1))
+        for lo in range(0, len(pts), step):
+            d = np.linalg.norm(pts[lo:lo + step, None, :] - pts[None, lo:, :], axis=-1)
+            d[owner[lo:lo + step, None] == owner[None, lo:]] = np.inf
+            best = min(best, float(d.min()))
         if np.isfinite(best):
             out[k] = best
     return out
@@ -694,41 +729,27 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
                       cluster=float(rng.choice([0.0, 0.02, 0.3]))).points
         for _ in range(samples)]))
 
-    # per face: the distance |z| of each point to the face's span, whether its
-    # span point is off the face itself and inside the closure, and (for
-    # those points) that span point's distance to the lower skeleton; none
-    # depends on the aperture
+    # per dimension and (point, face) pair: the distance |z| of the point to
+    # the face's span, whether its span point is off the face itself and
+    # inside the closure, and (for those pairs) that span point's distance to
+    # the lower skeleton; none depends on the aperture
     fibers = []
     for k in range(1, lattice.max_dim):
         faces = lattice.faces_of_dim(k)
         if len(faces) < 2:
             continue
-        fibers.append([])
-        for f in faces:
-            y = pts @ f.basis
-            base = y @ f.basis.T
-            absz = np.linalg.norm(pts - base, axis=1)
-            ok = absz > 1e-12  # points on the face itself are unambiguous
-            if f.cons.size:
-                ok &= (f.cons @ y.T).min(axis=0) >= -1e-10
-            dlow = np.zeros(len(pts))
-            dlow[ok] = lattice.skeleton_distance_batch(base[ok], k - 1)
-            fibers[-1].append((f, absz, ok, dlow))
+        _, base, absz, margin = faces.span(pts)
+        ok = (absz > 1e-12) & (margin >= -1e-10)  # points on a face are unambiguous
+        dlow = np.zeros(absz.shape)
+        dlow[ok] = lattice.skeleton_distance_batch(base[ok], k - 1)
+        fibers.append((absz, ok, dlow))
 
-    def claims(c_tilde):
-        for dim_fibers in fibers:
-            owner = np.full(len(pts), -1)
-            for f, absz, ok, dlow in dim_fibers:
-                for i in np.flatnonzero(ok & (absz <= c_tilde * dlow)):
-                    if owner[i] >= 0 and f.index not in lattice.faces[owner[i]].closure_of \
-                            and owner[i] not in f.closure_of:
-                        return False
-                    owner[i] = f.index
-        return True
-
+    # faces of equal dimension are never nested (closure_of holds only faces
+    # of higher dimension), so a point may lie in one fiber per dimension
     c = start
     for _ in range(8):
-        if claims(c):
+        if all(((ok & (absz <= c * dlow)).sum(axis=1) <= 1).all()
+               for absz, ok, dlow in fibers):
             return c
         c *= 0.5
     return c
@@ -746,7 +767,7 @@ def face_of_point(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> Fac
     tol_abs = tol * (1.0 + float(np.linalg.norm(v)))
     for k in range(lattice.max_dim + 1):
         faces = lattice.faces_of_dim(k)
-        _, d, which = lattice.nearest_on_faces(v, faces)
+        _, d, which = faces.nearest(v)
         if d[0] <= tol_abs:
             return faces[which[0]]
     raise NotOnImageError(
@@ -774,7 +795,7 @@ def xi_inverse(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> np.nda
     if bad.any():
         raise ValueError(f"{int(bad.sum())} row(s) are not finite")
     top = lattice.top_faces
-    _, dist, which = lattice.nearest_on_faces(rows, top)
+    _, dist, which = top.nearest(rows)
     off = dist > tol * (1.0 + np.linalg.norm(rows, axis=1))
     if off.any():
         worst = float(dist[off].max())

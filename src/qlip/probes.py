@@ -441,7 +441,7 @@ def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
         ex = cu.ExcessField(T)
         E = max(ex.excess_ratio(T.radius4), 1e-12)
         delta11 = max(E ** (2 * config.beta), 1.25 * 16 ** T.m * E)
-        u, K, rep = cu.lipschitz_approximation(T, delta11)
+        u, K, rep = cu.lipschitz_approximation(T, delta11, ex=ex)
         r = T.r
         # align the solver lattice with u's nodes so sampled gradients are
         # free of resampling staircase noise
@@ -496,7 +496,7 @@ def persistence_probe(point=(0.0, 0.0), s_list=(0.05, 0.1, 0.2),
         ex = cu.ExcessField(T)
         E = max(ex.excess_ratio(T.radius4), 1e-12)
         delta11 = max(E ** (2 * config.beta), 4.0 * 16 ** T.m * E)
-        u, K, rep = cu.lipschitz_approximation(T, delta11)
+        u, K, rep = cu.lipschitz_approximation(T, delta11, ex=ex)
         h = u.spacing
         mean = u.values.mean(axis=-2, keepdims=True)
         sep2 = np.sum((u.values - mean) ** 2, axis=(-2, -1))

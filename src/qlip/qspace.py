@@ -168,10 +168,6 @@ class BlockDecomposition:
             if d.min() <= self.threshold:
                 raise ValueError("blocks are not separated beyond the threshold")
 
-    @property
-    def total_q(self) -> int:
-        return sum(m for m, _ in self.blocks)
-
 
 def separate_blocks(t: QPoint, threshold: float) -> BlockDecomposition:
     """Single-linkage split: points chain-connected at gaps <= threshold share a block."""

@@ -233,27 +233,19 @@ class AlmostProjection:
             best_face = np.full(len(pts), -1)
             best_base = np.zeros_like(pts)
             for f in lat.faces_of_dim(k):
-                if f.dim == 0:
-                    znorm = np.linalg.norm(pts, axis=1)
-                    cand = znorm <= wide
-                    if not np.any(cand):
-                        continue
-                    base = np.zeros_like(pts[cand])
-                    ok = np.ones(int(cand.sum()), dtype=bool)
-                else:
-                    y = rowdot(pts, f.basis)
-                    base_all = rowdot(y, f.basis.T)
-                    znorm = np.linalg.norm(pts - base_all, axis=1)
-                    cand = znorm <= wide
-                    if f.cons.size:
-                        cand &= rowdot(y, f.cons.T).min(axis=1) >= -1e-10 * (1 + znorm)
-                    if not np.any(cand):
-                        continue
-                    base = base_all[cand]
-                    # membership needs the base away from the lower skeleton
-                    dlow = lat.skeleton_distance_batch(base, k - 1)
-                    ok = dlow >= c_km1 ** 2
-                    ok &= znorm[cand] <= lat.tilde_c * dlow
+                y = rowdot(pts, f.basis)
+                base_all = rowdot(y, f.basis.T)
+                znorm = np.linalg.norm(pts - base_all, axis=1)
+                cand = (znorm <= wide) & (rowdot(y, f.cons.T).min(
+                    axis=1, initial=np.inf) >= -1e-10 * (1 + znorm))
+                if not np.any(cand):
+                    continue
+                base = base_all[cand]
+                # membership needs the base away from the lower skeleton (at
+                # infinite distance for the origin, which has none)
+                dlow = lat.skeleton_distance_batch(base, k - 1)
+                ok = dlow >= c_km1 ** 2
+                ok &= znorm[cand] <= lat.tilde_c * dlow
                 idx = np.flatnonzero(cand)[ok]
                 better = znorm[idx] < best_z[idx]
                 idx = idx[better]
@@ -342,10 +334,9 @@ class AlmostProjection:
         p0 = np.empty_like(x)
         for lvl in range(1, nq + 1):
             rows = np.flatnonzero(~flat & (level == lvl))
-            if len(rows):
-                faces = lat.faces_of_dim(lvl)
-                p0[rows], _, which = lat.nearest_on_faces(x[rows], faces)
-                face[rows] = [faces[j].index for j in which]
+            faces = lat.faces_of_dim(lvl)
+            p0[rows], _, which = faces.nearest(x[rows])
+            face[rows] = [faces[j].index for j in which]
         scale = 1.0 + np.linalg.norm(x, axis=1)
         gap = []
         for fi in np.unique(face[face >= 0]):
@@ -353,9 +344,7 @@ class AlmostProjection:
             rows = np.flatnonzero(face == fi)
             y = rowdot(x[rows], f.basis)
             plane = rowdot(y, f.basis.T)
-            region = np.ones(len(rows), dtype=bool)
-            if f.cons.size:
-                region = rowdot(y, f.cons.T).min(axis=1) > 1e-9 * scale[rows]
+            region = rowdot(y, f.cons.T).min(axis=1, initial=np.inf) > 1e-9 * scale[rows]
             region[region] = lat.skeleton_distance_batch(
                 plane[region], f.dim - 1) >= self.far_scale
             out[rows[region]] = plane[region]  # orthogonal-projection region
@@ -387,16 +376,13 @@ class AlmostProjection:
         jitters = xi_batch(spec, np.concatenate(jitters))
         anchors = [[p, *jitters[24 * i:24 * i + 24]] for i, p in enumerate(near)]
         # anchors on the nearby lower skeleton keep the gap consistent with
-        # the values already prescribed there
+        # the values already prescribed there (a row's in ascending face
+        # dimension, the order of faces_up_to)
         reach = np.array([4.0 * lad.delta ** lvl for lvl in range(nq + 1)])[level]
-        for f in lat.faces_up_to(int(level.max()) - 1):
-            rows = np.flatnonzero(level > f.dim)
-            # the bound just above reach projects rows at span distance reach
-            d, p = lat.closure_distance_batch(x[rows], f,
-                                              np.nextafter(reach[rows], np.inf))
-            near_face = d <= reach[rows]
-            for i, pt in zip(rows[near_face], p[near_face]):
-                anchors[i].append(pt)
+        lower = lat.faces_up_to(int(level.max()) - 1)
+        bound = np.where(level[:, None] > lower.dims, reach[:, None], -np.inf)
+        for i, pt in zip(*lower.within(x, bound)):
+            anchors[i].append(pt)
         # one far anchor in the projection region of the face
         dim = np.array([lat.faces[fi].dim for fi in face])
         for k in np.unique(dim[dim > 0]):
@@ -437,19 +423,13 @@ class AlmostProjection:
         """
         single = np.asarray(x).ndim == 1
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        radius = [self.ladder.delta ** (k + 1) for k in range(self.ladder.nq + 1)]
-        best = np.full(len(pts), np.inf)
-        dist = np.zeros(len(pts))
-        point = np.empty_like(pts)
-        rad = np.zeros(len(pts))
-        for f in self.lattice.faces_up_to(self.ladder.nq):
-            r = radius[f.dim]
-            d, p = self.lattice.closure_distance_batch(pts, f, best + r)
-            better = d - r < best
-            best[better] = d[better] - r
-            dist[better], point[better], rad[better] = d[better], p[better], r
+        faces = self.lattice.faces_up_to(self.ladder.nq)
+        radius = np.array([self.ladder.delta ** (k + 1)
+                           for k in range(self.ladder.nq + 1)])[faces.dims]
+        point, dist, which = faces.nearest(pts, offset=radius)
+        rad = radius[which]
         out = pts.copy()
-        move = best > 0
+        move = dist - rad > 0
         out[move] = point[move] + (pts[move] - point[move]) * (
             rad[move] * (1.0 - margin) / dist[move])[:, None]
         return out[0] if single else out

@@ -295,6 +295,21 @@ def test_competitor_w32_runs_and_reports():
     assert rep["eps"] <= rep["s"] + 1e-15
 
 
+def test_excess_field_built_once(monkeypatch):
+    # the approximation and the competitor pass their excess field down to
+    # the maximal function instead of rebuilding it
+    built = []
+    init = cu.ExcessField.__init__
+    monkeypatch.setattr(cu.ExcessField, "__init__",
+                        lambda self, T: built.append(T) or init(self, T))
+    T = cu.flat_current(q=2, n=1, heights=[[0.35], [-0.35]], res=65,
+                        radius4=1.0)
+    cu.lipschitz_approximation(T, delta11=0.1)
+    assert len(built) == 1
+    cu.build_competitor(T, beta1=0.1)
+    assert len(built) == 2
+
+
 def test_current_json_smoke():
     sp = cu.Spike((0.1, 0.0), 0.05, 0.002)
     T = cu.flat_current(q=2, n=1, res=17, spikes=(sp,))

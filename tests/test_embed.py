@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from qlip.embed import (NotOnImageError, _label_slots, build_embedding,
@@ -62,6 +63,30 @@ def test_embedding_is_short_and_injective():
         if g > 1e-12:
             worst = min(worst, gap / g)
     assert worst > 1e-6
+
+
+SPECS = {"12": spec12, "13": spec13, "22": spec22}
+
+
+def qtuples(spec):
+    """Tuples of the spec's shape; small integers and exact zeros make
+    coincident points and points on the lower faces common."""
+    coords = st.one_of(st.integers(-2, 2).map(float),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    return hnp.arrays(np.float64, (spec.dims.q, spec.dims.n), elements=coords)
+
+
+@pytest.mark.parametrize("key", sorted(SPECS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_xi_is_short_and_exactly_invertible(key, data):
+    spec = SPECS[key]()
+    s, t = data.draw(qtuples(spec)), data.draw(qtuples(spec))
+    vs, vt = xi_batch(spec, s), xi_batch(spec, t)
+    g = metric_g(QPoint(s), QPoint(t))
+    assert np.linalg.norm(vs - vt) <= g * (1 + 1e-10) + 1e-12
+    back = xi_inverse(face_lattice(spec), vt)
+    assert metric_g(QPoint(back), QPoint(t)) <= 1e-12 * (1 + np.linalg.norm(vt))
 
 
 def test_gradient_identity():

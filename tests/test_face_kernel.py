@@ -122,3 +122,48 @@ def test_chunked_enumeration_matches_one_row(monkeypatch):
     _, dist = lat.nearest_point_batch(pts)
     for v, d in zip(pts, dist):
         assert abs(d - lat.nearest_point(v)[1]) <= 1e-14 * (1.0 + np.linalg.norm(v))
+
+
+def just_outside(lat, rng, count):
+    """Points near a face span, just outside one closure constraint: the
+    lower bound hypot(span distance, violation) prunes close to them.  (The
+    offsets stay above 1e-6: the kernel counts violations below 1e-9 as
+    inside, and the oracle's own error reaches 1e-8 when two constraints
+    are that close to active.)"""
+    faces = [f for f in lat.faces if f.cons.size]
+    out = []
+    for f in rng.choice(len(faces), size=count):
+        face = faces[f]
+        c = face.cons[rng.integers(len(face.cons))]
+        y = rng.normal(size=face.dim)
+        y -= (c @ y + 10.0 ** rng.uniform(-6, -2)) * c
+        lift = rng.normal(size=lat.spec.dims.big_n) * 10.0 ** rng.uniform(-6, -2)
+        out.append(face.basis @ y + lift)
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("key", sorted(LATTICES))
+@settings(max_examples=2)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_face_lists_match_oracle(key, seed):
+    # every face list the code reduces over: the distance is the least
+    # oracle distance, the point lies at it, and `which` is the first face
+    # realizing it
+    lat = lattice(key)
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([points(lat, kind, rng, 2) for kind in KINDS]
+                         + [just_outside(lat, rng, 4)])
+    oracle = np.array([[oracle_distance(f, v) for f in lat.faces] for v in pts])
+    tol = 1e-12 * (1.0 + np.linalg.norm(pts, axis=1))
+    lists = [lat.top_faces] + [get(k) for get in (lat.faces_of_dim, lat.faces_up_to)
+                               for k in range(lat.max_dim + 1)]
+    for faces in lists:
+        near, dist, which = faces.nearest(pts)
+        ref = oracle[:, [f.index for f in faces]]
+        assert np.all(np.abs(dist - ref.min(axis=1)) <= tol)
+        assert np.all(np.abs(np.linalg.norm(pts - near, axis=1) - dist) <= tol)
+        for i, j in enumerate(which):
+            assert abs(ref[i, j] - dist[i]) <= tol[i]
+            assert np.all(ref[i, :j] >= dist[i] - tol[i])
+    _, dist, which = lat.faces_up_to(-1).nearest(pts)
+    assert np.all(np.isinf(dist)) and np.all(which == -1)
