@@ -13,11 +13,13 @@ Three problem classes, all low dimensional:
   (row, face) pair of a face list at once (`embed.FaceStack.nearest`), which
   the tests compare against it;
 * Chebyshev-type extension values min_y max_i (|y - v_i| - r_i), solved by
-  bisection over the level t with a ball-intersection feasibility test, which
-  itself is a concave maximization over the simplex (all balls share the
-  identity Hessian, so the inner minimum is closed form).
+  bisection over the level t with a ball-intersection feasibility test.  The
+  test, min_y max_i (|y - v_i|^2 + s_i), also the oscillation's offset center,
+  is LP-type: an exact active-set solve finds its support of <= d + 1 points.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -95,84 +97,59 @@ def project_polyhedral_cone(point, G, tol: float = 1e-11):
 
 
 # ---------------------------------------------------------------------------
-# ball intersection through the simplex dual
+# ball intersection by an exact active-set solve
+
+_MAX_STEPS = 500
 
 
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    v = v - v.max()  # invariant shift; keeps the cumsum test well conditioned
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def ball_intersection_point(centers, sq_radii, iters: int = 2000, tol: float = 1e-13):
+def ball_intersection_point(centers, sq_radii, tol: float = 1e-13):
     """Feasibility of the intersection of balls |y - v_i|^2 <= rho2_i.
 
-    Returns (y, gap) with gap = min_y max_i (|y - v_i|^2 - rho2_i); the
-    intersection is nonempty iff gap <= 0.  Computed by maximizing the
-    concave dual phi(lam) = sum lam_i(|v_i|^2 - rho2_i) - |sum lam_i v_i|^2
-    over the simplex with accelerated projected gradient plus an exact polish
-    on the identified support.
+    Returns (y, gap) with gap = max_i F_i(y), F_i(y) = |y - v_i|^2 - rho2_i, at
+    the minimizer y of max_i F_i; the intersection is nonempty iff gap <= 0.
+    The problem is LP-type (Welzl 1991; Gaertner 1999) and is solved by an
+    active set: from the center v_0 of the least ball, add the worst point v_w
+    and solve exactly over the supports B (<= d + 1 points) of the working set
+    that contain it.  On B, y = sum lam_j v_j with sum lam = 1 and F equal on
+    B (the KKT system of the simplex dual, in differences u = v - v_w); B is
+    accepted when lam >= 0 and no working-set point lies above the dual value
+    sum lam_j F_j(y), a lower bound.  The solve stops when no point exceeds
+    that bound by more than tol * scale, scale = 1 + max_i (|v_i - v_0|^2 +
+    |rho2_i|); it raises RuntimeError when no support is accepted or after
+    _MAX_STEPS steps.
     """
     V = np.asarray(centers, dtype=float)
     rho2 = np.asarray(sq_radii, dtype=float)
-    k = V.shape[0]
-    if k == 1:
-        return V[0].copy(), float(-rho2[0])
-    c = np.einsum("ij,ij->i", V, V) - rho2
-
-    def grad(lam):
-        return c - 2.0 * (V @ (V.T @ lam))
-
-    def phi(lam):
-        y = V.T @ lam
-        return float(lam @ c - y @ y)
-
-    lip = 2.0 * np.linalg.norm(V, 2) ** 2 + 1e-30
-    lam = np.full(k, 1.0 / k)
-    vlam = lam.copy()
-    theta = 1.0
-    best = lam
-    best_val = phi(lam)
-    for _ in range(iters):
-        lam_new = _simplex_project(vlam + grad(vlam) / lip)
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        vlam = lam_new + (theta - 1.0) / theta_new * (lam_new - lam)
-        theta = theta_new
-        lam = lam_new
-        val = phi(lam)
-        if val > best_val:
-            if val - best_val < tol * (1.0 + abs(best_val)):
-                best, best_val = lam, val
+    i0 = int(np.argmin(rho2))
+    y, value, supp = V[i0].copy(), float(-rho2[i0]), [i0]
+    sq = np.einsum("ij,ij->i", V - y, V - y)
+    F, scale = sq - rho2, 1.0 + float(np.max(sq + np.abs(rho2)))
+    for _ in range(_MAX_STEPS):
+        worst = int(np.argmax(F))
+        if F[worst] <= value + tol * scale:
+            return y, float(F[worst])
+        work = np.array([*supp, worst])
+        U = V[work] - V[worst]
+        half = 0.5 * (np.einsum("ij,ij->i", U, U) - rho2[work] + rho2[worst])
+        # candidate supports: v_w plus up to d other points, largest first
+        for s in (list(c) for size in range(min(len(supp), V.shape[1]), -1, -1)
+                  for c in itertools.combinations(range(len(supp)), size)):
+            try:  # weights of the other points; v_w takes the rest
+                lam = np.linalg.solve(U[s] @ U[s].T, half[s])
+            except np.linalg.LinAlgError:
+                continue
+            z = lam @ U[s]
+            s, lam = s + [len(supp)], np.append(lam, 1.0 - lam.sum())
+            Fw = np.einsum("ij,ij->i", U - z, U - z) - rho2[work]
+            if lam.min() >= 0.0 and Fw.max() <= lam @ Fw[s] + tol * scale:
                 break
-            best, best_val = lam, val
-    lam = best
-    # exact polish on the support: solve the KKT system of the reduced problem
-    supp = np.flatnonzero(lam > 1e-10)
-    if 1 < supp.size <= V.shape[1] + 2:
-        Vs = V[supp]
-        A = np.zeros((supp.size + 1, supp.size + 1))
-        A[:-1, :-1] = 2.0 * (Vs @ Vs.T)
-        A[:-1, -1] = 1.0
-        A[-1, :-1] = 1.0
-        b = np.concatenate([c[supp], [1.0]])
-        try:
-            sol = np.linalg.solve(A, b)
-            cand = np.zeros(k)
-            cand[supp] = sol[:-1]
-            if np.all(cand >= -1e-12):
-                cand = _simplex_project(cand)
-                if phi(cand) >= best_val:
-                    lam = cand
-        except np.linalg.LinAlgError:
-            pass
-    y = V.T @ lam
-    gap = float(np.max(np.einsum("ij,ij->i", V - y, V - y) - rho2))
-    return y, gap
+        else:
+            break
+        y, value = V[worst] + z, float(lam @ Fw[s])
+        supp = [int(work[j]) for j, l in zip(s, lam) if l > 0.0]
+        F = np.einsum("ij,ij->i", V - y, V - y) - rho2
+    raise RuntimeError("ball_intersection_point: no certified point for "
+                       "k=%d centers in d=%d" % V.shape)
 
 
 def kirszbraun_value(x, anchors, values, lip: float, tol: float = 1e-9):
@@ -217,11 +194,10 @@ def kirszbraun_value(x, anchors, values, lip: float, tol: float = 1e-9):
 def offset_enclosing_center(centers, offsets, weight: float = 1.0):
     """min_p max_i (weight |p - c_i|^2 + s_i): returns (p, value).
 
-    Same simplex dual as the ball test, with the offsets entering linearly.
+    The ball test's solve, with the offsets as negative squared radii.
     """
     C = np.asarray(centers, dtype=float)
     s = np.asarray(offsets, dtype=float)
-    # max over simplex of  w sum lam|c|^2 - w |sum lam c|^2 + sum lam s
     y, gap = ball_intersection_point(C, -s / weight)
     # gap = min_p max_i (|p - c_i|^2 + s_i / w); rescale back
     value = weight * gap

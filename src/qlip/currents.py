@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.ndimage import maximum_filter
+from scipy.ndimage import maximum_filter1d
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
@@ -382,6 +382,25 @@ def _disk_kernel(h: float, s: float, sub: int = 4) -> np.ndarray:
     return kern
 
 
+def _footprint_max(a: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """maximum_filter(a, footprint=fp, mode="constant", cval=-inf), exactly, by
+    one 1-D running maximum per row width of fp over an -inf padded array.
+    fp must be symmetric with each row one interval on the middle column,
+    as the disk footprints are."""
+    k = len(fp) // 2
+    width = fp.sum(axis=1)
+    if not (np.array_equal(fp, fp[::-1]) and np.array_equal(
+            fp, 2 * np.abs(np.arange(-k, k + 1)) < width[:, None])):
+        raise ValueError("footprint rows are not centered intervals")
+    pad = np.pad(a, ((k, k), (0, 0)), constant_values=-np.inf)
+    out = np.full(a.shape, -np.inf)
+    for w in np.unique(width[width > 0]):
+        run = maximum_filter1d(pad, int(w), axis=1, mode="constant", cval=-np.inf)
+        for row in np.flatnonzero(width == w):
+            np.maximum(out, run[row:row + len(a)], out=out)
+    return out
+
+
 def maximal_excess(T: GraphCurrent, radii=None, ex=None):
     """Non-centered maximal function of the excess over a finite family of
     balls: grid-node centers, unit-step radii h..8h plus dyadic radii up to
@@ -414,9 +433,7 @@ def maximal_excess(T: GraphCurrent, radii=None, ex=None):
         if finest is None:
             finest = np.where(valid, quot, 0.0)
         quot = np.where(valid, quot, -np.inf)
-        fp = kern > 1e-9
-        M = np.maximum(M, maximum_filter(quot, footprint=fp,
-                                         mode="constant", cval=-np.inf))
+        M = np.maximum(M, _footprint_max(quot, kern > 1e-9))
     M = np.where(np.isfinite(M), M, 0.0)
     return M, {"radii": list(radii), "finest": finest}
 

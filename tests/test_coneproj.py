@@ -1,7 +1,11 @@
 """Convex solvers: pinned isotonic regression, cone projection, min-max centers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from qlip import cli, coneproj, roproj
 from qlip.coneproj import (ball_intersection_point, kirszbraun_value,
                            offset_enclosing_center, pava_pinned,
                            project_polyhedral_cone)
@@ -173,3 +177,103 @@ def test_offset_enclosing_center_is_minimum():
         for _ in range(100):
             z = p + rng.normal(size=d) * rng.choice([1e-3, 0.1, 1.0])
             assert obj(z) >= val - 1e-6
+
+
+def _centers(kind, k, d, rng):
+    """k centers in R^d: generic, duplicated, collinear or on a sphere."""
+    if kind == "collinear":
+        return rng.normal(size=(1, d)) + rng.normal(size=(k, 1)) * rng.normal(size=(1, d))
+    if kind == "ties":  # +-e_j with equal offsets, all active at the origin
+        return np.concatenate([np.eye(d), -np.eye(d), 0.5 * rng.uniform(-1, 1, size=(k, d)) / d])
+    C = rng.normal(size=(k, d))
+    return C[rng.integers(0, max(1, k // 3), size=k)] if kind == "dup" else C
+
+
+def _epigraph_value(C, rho2):
+    """max_i F_i at the point an independent SLSQP epigraph solve returns."""
+    F = lambda y: np.sum((C - y) ** 2, axis=1) - rho2
+    y0 = C.mean(axis=0)
+    res = minimize(lambda z: z[-1], np.append(y0, F(y0).max()), method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda z: z[-1] - F(z[:-1]),
+                                 "jac": lambda z: np.hstack([2.0 * (z[:-1] - C),
+                                                             np.ones((len(C), 1))])}],
+                   options={"maxiter": 500, "ftol": 1e-15})
+    return F(res.x[:-1]).max()
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["generic", "k1", "dup", "collinear", "ties"]),
+       d=st.integers(1, 6), big=st.booleans(), log_scale=st.floats(-3, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ball_solver_certificate(kind, d, big, log_scale, seed):
+    """The returned value is max_i F_i(y), and no worse than an independent
+    epigraph solve; offset_enclosing_center is the same solve reweighted."""
+    rng = np.random.default_rng(seed)
+    d = 2 if kind == "collinear" else d
+    k = 1 if kind == "k1" else int(rng.integers(2000, 5001) if big else rng.integers(2, 40))
+    scale = 10.0 ** log_scale
+    C = _centers(kind, k, d, rng) * scale
+    rho2 = rng.uniform(-1.0, 1.0, size=len(C)) * scale ** 2
+    if kind == "ties":
+        rho2[:] = scale ** 2
+    elif kind == "dup":
+        _, first = np.unique(C, axis=0, return_inverse=True)
+        rho2 = rho2[first.ravel()]
+    y, gap = ball_intersection_point(C, rho2)
+    F = np.sum((C - y) ** 2, axis=1) - rho2
+    unit = 1.0 + np.max(np.abs(np.sum((C - C[np.argmin(rho2)]) ** 2, axis=1) - rho2))
+    assert gap == pytest.approx(F.max(), rel=0, abs=1e-13 * unit)
+    assert gap <= _epigraph_value(C, rho2) + 1e-9 * unit
+    if kind == "ties":
+        assert np.abs(y).max() <= 1e-9 * scale
+    w = float(rng.uniform(0.5, 3.0))
+    p, val = offset_enclosing_center(C, -w * rho2, weight=w)
+    yw, gapw = ball_intersection_point(C, w * rho2 / w)
+    assert np.array_equal(p, yw) and val == w * gapw
+
+
+def test_ball_solver_raises_when_uncertified(monkeypatch):
+    monkeypatch.setattr(coneproj, "_MAX_STEPS", 1)
+    C = np.random.default_rng(3).normal(size=(50, 3))
+    with pytest.raises(RuntimeError, match="k=50 centers in d=3"):
+        ball_intersection_point(C, np.zeros(50))
+
+
+def _ball_projection_data(rng, m, k):
+    """Anchors in R^m and values Q P_B(a) + b: a 1-Lipschitz map."""
+    center, radius = rng.normal(size=m), rng.uniform(0.2, 2.0)
+    A = rng.normal(size=(k, m)) * rng.uniform(0.5, 3.0)
+    off = A - center
+    norm = np.linalg.norm(off, axis=1, keepdims=True)
+    proj = center + off * np.minimum(1.0, radius / norm)
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    return A, proj @ Q.T + rng.normal(size=m)
+
+
+@settings(max_examples=200)
+@given(m=st.integers(2, 6), k=st.integers(8, 30), log_eps=st.floats(-8, 0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kirszbraun_level_nonpositive_on_lipschitz_data(m, k, log_eps, seed):
+    """Kirszbraun: 1-Lipschitz data extends to any x without a positive level,
+    x at distance about 10^log_eps from an anchor, as rho_star's points are."""
+    rng = np.random.default_rng(seed)
+    A, V = _ball_projection_data(rng, m, k)
+    x = A[0] + rng.normal(size=m) * 10.0 ** log_eps
+    _, level = kirszbraun_value(x, A, V, lip=1.0)
+    r = np.linalg.norm(A - x, axis=1)
+    assert level <= 2 * 1e-9 * (1.0 + r.max() + np.abs(V).max())
+
+
+def test_rho_star_kirszbraun_levels_nonpositive(tmp_path, monkeypatch):
+    """Every Kirszbraun level of the (2,2) rho-star-eval population is <= 0."""
+    levels = []
+
+    def record(*args):
+        y, level = kirszbraun_value(*args)
+        levels.append(level)
+        return y, level
+
+    monkeypatch.setattr(roproj, "kirszbraun_value", record)
+    assert cli.main(["rho-star-eval", "--n", "2", "--q", "2", "--seed", "1",
+                     "--samples", "10", "--out", str(tmp_path)]) == 0
+    assert len(levels) > 0 and max(levels) <= 0.0

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 from scipy.optimize import brentq
 
 from qlip import currents as cu
@@ -98,6 +99,29 @@ def test_maximal_uniform_density():
     assert rel.max() <= 0.03
     # the maximal field dominates the finest-scale density
     assert np.all(M + 1e-12 >= info["finest"] - 1e-12)
+
+
+@pytest.mark.parametrize("res", [33, 65, 129])
+def test_footprint_max_matches_maximum_filter(res, monkeypatch):
+    """The row-wise running maximum is bitwise maximum_filter on every disk
+    footprint maximal_excess builds, on its quotients and on random data with
+    -inf entries; a footprint with a split row is refused."""
+    seen = []
+    real = cu._footprint_max
+    monkeypatch.setattr(cu, "_footprint_max",
+                        lambda a, fp: seen.append((a, fp)) or real(a, fp))
+    cu.maximal_excess(cu.w32_current(0.125, res=res))
+    assert len(seen) >= 4 and all(np.isinf(a).any() for a, _ in seen)
+    rng = np.random.default_rng(res)
+    for a, fp in seen:
+        b = np.where(rng.random(a.shape) < 0.3, -np.inf, rng.normal(size=a.shape))
+        for arr in (a, b):
+            want = maximum_filter(arr, footprint=fp, mode="constant", cval=-np.inf)
+            assert np.array_equal(real(arr, fp), want)
+    ring = fp.copy()
+    ring[len(fp) // 2, len(fp) // 2] = False
+    with pytest.raises(ValueError, match="centered intervals"):
+        real(a, ring)
 
 
 def test_maximal_spike_decay():

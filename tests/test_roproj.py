@@ -316,17 +316,17 @@ def test_rho_star_batch_rejects_non_finite_rows():
 RHO_STAR_EVAL_22 = [
     (0.0, 6.532886618304434e-16, 4.981836190663649e-16, 6.532886618304434e-16,
      3.46475476778195e-16),
-    (5.000000000000001e-06, 4.676331995115975e-06, 8.31817995412987e-16,
-     2.1865178646857363e-05, 1.790590320762593e-05),
-    (0.05, 0.04318008765692402, 5.110343437176303e-16, 0.04318019013061768,
-     0.030294764431749333),
-    (0.2, 0.17936616272229455, 6.379632791138003e-16, 0.17936616453169257,
-     0.10937130179871335),
+    (5.000000000000001e-06, 4.676331995115975e-06, 6.294154347968077e-16,
+     4.676331995128318e-06, 2.8287298691693155e-06),
+    (0.05, 0.04318008765692402, 5.566117825975771e-16, 0.04318008765692406,
+     0.0302947235423414),
+    (0.2, 0.17936616272229455, 8.331297329690976e-16, 0.17936616272229458,
+     0.10937129266616415),
 ]
 # lhs, near, far, C_far
 ENERGY_SPLIT_22 = [
     (1.375327112943233, 1.3753271129432332, 0.0, 0.0),
-    (1.37532955275958, 0.00709426235347565, 1.3682859174380586, 0.9219496019471825),
+    (1.3753791617762967, 0.00709426235347565, 1.3682859174380586, 0.9219858582705756),
 ]
 
 
