@@ -31,14 +31,6 @@ _SPAN_PAIRS = 1 << 14
 _PROJECT_CHUNK = 256
 
 
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last axis of a, rounded the same way for a row whatever
-    batch it comes in.  A BLAS product of one row can round differently from
-    the same row inside a larger product, and rho_star's Kirszbraun step turns
-    such last-bit differences into visible ones."""
-    return np.einsum("...i,ij->...j", a, b)
-
-
 class NotOnImageError(ValueError):
     """Raised when a vector is not within tolerance of the embedded cone."""
 
@@ -372,9 +364,9 @@ def _active_set_projectors(cons: np.ndarray) -> np.ndarray:
 class FaceStack(list):
     """A list of faces with their geometry zero-padded into arrays: bases
     (F, N, D), unit constraint rows (F, M, D) and active-set projectors
-    (F, K, D, D), `real` marking the real projectors.  The face kernel treats
-    every (row, face) pair of the list in a few array passes; padded entries
-    contribute exact zeros."""
+    (F, K, D, D), `real` and `real_cons` marking the real projectors and
+    constraint rows.  The face kernel treats every (row, face) pair of the
+    list in a few array passes; padded entries contribute exact zeros."""
 
     def __init__(self, faces, big_n: int):
         super().__init__(faces)
@@ -386,19 +378,45 @@ class FaceStack(list):
         self.cons = np.zeros((len(faces), m, dim))
         self.projectors = np.zeros((len(faces), k, dim, dim))
         self.real = np.arange(k) < np.array([len(f.projectors) for f in faces], dtype=int)[:, None]
+        self.real_cons = np.arange(m) < np.array([len(f.cons) for f in faces], dtype=int)[:, None]
         for i, f in enumerate(faces):
             self.basis[i, :, :f.dim] = f.basis
             self.cons[i, :len(f.cons), :f.dim] = f.cons
             self.projectors[i, :len(f.projectors), :f.dim, :f.dim] = f.projectors
+        # the bases side by side, (N, F * D): a view of `basis` where numpy
+        # can give one, so it sums in the same order as the (F, N, D) array
+        self._flat_basis = self.basis.transpose(1, 0, 2).reshape(big_n, -1)
 
     def span(self, pts: np.ndarray):
         """Per (row, face): the span coordinates y, the span point, its
-        distance and the smallest constraint margin min(0, cons @ y)."""
-        y = np.einsum("ri,fid->rfd", pts, self.basis)
+        distance and the smallest constraint margin min(0, cons @ y).
+
+        Every product is an einsum, which rounds a row the same way whatever
+        batch it comes in.  A BLAS product of one row can round differently
+        from the same row inside a larger product, and rho_star's Kirszbraun
+        step turns such last-bit differences into visible ones."""
+        y = np.einsum("ri,ij->rj", pts, self._flat_basis).reshape(
+            len(pts), len(self), self.basis.shape[2])
         near = np.einsum("rfd,fid->rfi", y, self.basis)
         dist = np.linalg.norm(pts[:, None] - near, axis=2)
         margin = np.einsum("rfd,fmd->rfm", y, self.cons).min(axis=2, initial=0.0)
         return y, near, dist, margin
+
+    def spans(self, pts: np.ndarray):
+        """Yields (rows, span(pts[rows])) per chunk of _SPAN_PAIRS pairs."""
+        step = max(1, _SPAN_PAIRS // max(len(self), 1))
+        for lo in range(0, len(pts), step):
+            rows = slice(lo, lo + step)
+            yield rows, self.span(pts[rows])
+
+    def own_span(self, pts: np.ndarray, which: np.ndarray):
+        """Per row, on its own face which[row]: the span point and the least
+        margin cons @ y over the face's real constraint rows (inf for none;
+        a padded row reads 0, so it is left out)."""
+        basis, cons = self.basis[which], self.cons[which]
+        y = np.einsum("ri,rid->rd", pts, basis)
+        margin = np.where(self.real_cons[which], np.einsum("rd,rmd->rm", y, cons), np.inf)
+        return np.einsum("rd,rid->ri", y, basis), margin.min(axis=1, initial=np.inf)
 
     def _project(self, y, span_d, tol, dist, near, r, f):
         """Project the pairs (r, f) exactly onto their closures, into dist and
@@ -426,10 +444,7 @@ class FaceStack(list):
         its inside pairs, then its most promising outside pair); otherwise it
         keeps the lower bound.
         """
-        step = max(1, _SPAN_PAIRS // max(len(self), 1))
-        for lo in range(0, len(pts), step):
-            rows = slice(lo, lo + step)
-            y, near, span_d, margin = self.span(pts[rows])
+        for rows, (y, near, span_d, margin) in self.spans(pts):
             tol = _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=2))
             inside = margin >= -tol
             dist = np.where(inside, span_d, np.hypot(span_d, np.minimum(margin + tol, 0.0)))
@@ -459,6 +474,11 @@ class FaceStack(list):
             pick = np.arange(len(j))
             which[rows], dist[rows], out[rows] = j, d[pick, j], near[pick, j]
         return out, dist, which
+
+    def project(self, pts: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Per row: the nearest point of the closure of face which[row]."""
+        bound = np.where(np.arange(len(self)) == which[:, None], np.inf, -np.inf)
+        return self.within(pts, bound)[1]
 
     def within(self, pts: np.ndarray, bound: np.ndarray):
         """The (row, face) pairs whose closure distance is at most
@@ -559,13 +579,11 @@ class FaceLattice:
     # -- distances ---------------------------------------------------------
 
     def closure_distance(self, v, face, with_point=False):
-        d, p = self.closure_distance_batch(np.asarray(v, dtype=float)[None], face)
-        return (float(d[0]), p[0]) if with_point else float(d[0])
-
-    def closure_distance_batch(self, pts: np.ndarray, face):
-        """Distance from each row of pts to the closure of face; nearest points."""
-        near, dist, _ = FaceStack([face], self.spec.dims.big_n).nearest(pts)
-        return dist, near
+        """Distance from v to the closure of face (and the nearest point)."""
+        v, faces = np.asarray(v, dtype=float), self.faces_of_dim(face.dim)
+        p = faces.project(v[None], np.array([faces.index(face)]))[0]
+        d = float(np.linalg.norm(v - p))
+        return (d, p) if with_point else d
 
     def skeleton_distance(self, v, k: int) -> float:
         return float(self.skeleton_distance_batch(np.asarray(v, dtype=float)[None], k)[0])

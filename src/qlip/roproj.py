@@ -29,8 +29,7 @@ import numpy as np
 
 from .coneproj import kirszbraun_value
 from .embed import (EmbeddingSpec, FaceLattice, NotOnImageError,
-                    build_embedding, face_lattice, rowdot, xi_batch,
-                    xi_inverse)
+                    build_embedding, face_lattice, xi_batch, xi_inverse)
 
 _LOG8 = math.log(8.0)
 
@@ -229,42 +228,28 @@ class AlmostProjection:
                 continue  # degenerate tube: this level acts nowhere
             c_km1 = lad.ck(k - 1)
             wide = 2.0 * math.sqrt(c_k)
-            best_z = np.full(len(pts), np.inf)
-            best_face = np.full(len(pts), -1)
-            best_base = np.zeros_like(pts)
-            for f in lat.faces_of_dim(k):
-                y = rowdot(pts, f.basis)
-                base_all = rowdot(y, f.basis.T)
-                znorm = np.linalg.norm(pts - base_all, axis=1)
-                cand = (znorm <= wide) & (rowdot(y, f.cons.T).min(
-                    axis=1, initial=np.inf) >= -1e-10 * (1 + znorm))
-                if not np.any(cand):
-                    continue
-                base = base_all[cand]
-                # membership needs the base away from the lower skeleton (at
-                # infinite distance for the origin, which has none)
-                dlow = lat.skeleton_distance_batch(base, k - 1)
-                ok = dlow >= c_km1 ** 2
-                ok &= znorm[cand] <= lat.tilde_c * dlow
-                idx = np.flatnonzero(cand)[ok]
-                better = znorm[idx] < best_z[idx]
-                idx = idx[better]
-                best_z[idx] = znorm[idx]
-                best_face[idx] = f.index
-                best_base[idx] = base[ok][better]
-            for fi in np.unique(best_face[best_face >= 0]):
-                f = lat.faces[fi]
-                sel = np.flatnonzero(best_face == fi)
-                snap = best_z[sel] <= c_k
-                out = np.empty((len(sel), pts.shape[1]))
-                out[snap] = best_base[sel[snap]]
-                move = ~snap
-                if np.any(move):
-                    rows = sel[move]
-                    zc = cur[rows] - rowdot(rowdot(cur[rows], f.basis), f.basis.T)
-                    fac = _phi_factor(np.linalg.norm(zc, axis=1), 2.0 * c_k)
-                    out[move] = best_base[rows] + fac[:, None] * zc
-                cur[sel] = out
+            faces = lat.faces_of_dim(k)
+            # candidate (row, face) pairs: the row's span point lies in the
+            # face closure, within the wide tube
+            found = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0), np.zeros((0, pts.shape[1])))]
+            for rows, (_, near, znorm, margin) in faces.spans(pts):
+                cr, cj = np.nonzero((znorm <= wide) & (margin >= -1e-10 * (1 + znorm)))
+                found.append((cr + rows.start, cj, znorm[cr, cj], near[cr, cj]))
+            r, j, z, base = map(np.concatenate, zip(*found))
+            # membership needs the base away from the lower skeleton (at
+            # infinite distance for the origin, which has none)
+            dlow = lat.skeleton_distance_batch(base, k - 1)
+            ok = (dlow >= c_km1 ** 2) & (z <= lat.tilde_c * dlow)
+            r, j, z, base = r[ok], j[ok], z[ok], base[ok]
+            # each row's face: its first nearest candidate in face order
+            order = np.lexsort((z, r))
+            pick = order[np.unique(r[order], return_index=True)[1]]
+            r, j, z, base = r[pick], j[pick], z[pick], base[pick]
+            move = z > c_k  # the rest snap onto their base
+            zc = cur[r[move]] - faces.own_span(cur[r[move]], j[move])[0]
+            fac = _phi_factor(np.linalg.norm(zc, axis=1), 2.0 * c_k)
+            base[move] += fac[:, None] * zc
+            cur[r] = base
         return cur[0] if single else cur
 
     # -- rho_sharp -----------------------------------------------------------
@@ -328,36 +313,31 @@ class AlmostProjection:
         out = np.zeros_like(x)  # level-0 rows: the delta-ball goes to 0
         if np.any(flat):
             out[flat] = self.rho_flat(near[flat], assume_on_image=True)
-        # the row's face: the nearest face of the level's dimension (the top
-        # faces on the cone's own tube); p0 is x's point there
-        face = np.full(len(x), -1)
+        # the row's face: the nearest of its level's dimension (the top faces
+        # on the cone's own tube), which[row] there; p0 is x's point there
+        which = np.full(len(x), -1)
         p0 = np.empty_like(x)
+        gap = np.zeros(len(x), dtype=bool)
+        scale = 1.0 + np.linalg.norm(x, axis=1)
         for lvl in range(1, nq + 1):
             rows = np.flatnonzero(~flat & (level == lvl))
             faces = lat.faces_of_dim(lvl)
-            p0[rows], _, which = faces.nearest(x[rows])
-            face[rows] = [faces[j].index for j in which]
-        scale = 1.0 + np.linalg.norm(x, axis=1)
-        gap = []
-        for fi in np.unique(face[face >= 0]):
-            f = lat.faces[fi]
-            rows = np.flatnonzero(face == fi)
-            y = rowdot(x[rows], f.basis)
-            plane = rowdot(y, f.basis.T)
-            region = rowdot(y, f.cons.T).min(axis=1, initial=np.inf) > 1e-9 * scale[rows]
+            p0[rows], _, which[rows] = faces.nearest(x[rows])
+            plane, margin = faces.own_span(x[rows], which[rows])
+            region = margin > 1e-9 * scale[rows]
             region[region] = lat.skeleton_distance_batch(
-                plane[region], f.dim - 1) >= self.far_scale
+                plane[region], lvl - 1) >= self.far_scale
             out[rows[region]] = plane[region]  # orthogonal-projection region
-            gap.append(rows[~region])
-        gap = np.concatenate(gap or [np.zeros(0, dtype=int)])
+            gap[rows[~region]] = True
+        gap = np.flatnonzero(gap)
         if len(gap):
             out[gap] = self._kirszbraun_gap(x[gap], near[gap], dq[gap],
-                                            level[gap], face[gap], p0[gap])
+                                            level[gap], which[gap], p0[gap])
         return out
 
-    def _kirszbraun_gap(self, x, near, dq, level, face, p0):
+    def _kirszbraun_gap(self, x, near, dq, level, which, p0):
         """Lipschitz min-max interpolation of rho_flat at anchor points on the
-        cone, projected into the closure of each row's face."""
+        cone, projected into the closure of face which[row] of dim level[row]."""
         lat, lad, spec = self.lattice, self.ladder, self.spec
         nq, q, n = lad.nq, spec.dims.q, spec.dims.n
         lip = 1.0 + 4.0 * lad.ck(-1)
@@ -384,9 +364,8 @@ class AlmostProjection:
         for i, pt in zip(*lower.within(x, bound)):
             anchors[i].append(pt)
         # one far anchor in the projection region of the face
-        dim = np.array([lat.faces[fi].dim for fi in face])
-        for k in np.unique(dim[dim > 0]):
-            rows = np.flatnonzero(dim == k)
+        for k in np.unique(level):
+            rows = np.flatnonzero(level == k)
             dlow = lat.skeleton_distance_batch(p0[rows], k - 1)
             for i, dl in zip(rows, dlow):
                 if dl > 1e-9:
@@ -398,9 +377,9 @@ class AlmostProjection:
         ybest = np.array([kirszbraun_value(row, a, v, lip)[0] for row, a, v
                           in zip(x, np.split(pts, counts), vals)])
         out = np.empty_like(x)
-        for fi in np.unique(face):
-            rows = np.flatnonzero(face == fi)
-            out[rows] = lat.closure_distance_batch(ybest[rows], lat.faces[fi])[1]
+        for k in np.unique(level):
+            rows = np.flatnonzero(level == k)
+            out[rows] = lat.faces_of_dim(k).project(ybest[rows], which[rows])
         q_pt, resid = lat.nearest_point_batch(out)
         off = resid > self.on_image_tol * (1.0 + np.linalg.norm(out, axis=1))
         if np.any(off):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlip import cli
+from qlip import currents as cu
 from qlip.embed import NotOnImageError, xi, xi_batch
 from qlip.qspace import QPoint, random_qpoint
 from qlip.roproj import (AlmostProjection, ConstantLadder, LadderError,
@@ -264,6 +265,65 @@ def test_project_face_closure_examples():
     assert d == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(p, inside)
 
+# -- batched rho_flat ----------------------------------------------------------
+
+
+def rho_flat_inputs(mach, rng, count):
+    """xi images of tuples near every skeleton: each tuple is pulled toward
+    its first point by a random factor per point and scaled by a random
+    factor, so the snap, radial and identity regimes of each level occur."""
+    n, q = mach.spec.dims.n, mach.spec.dims.q
+    t = rng.normal(size=(count, q, n))
+    t = t[:, :1] + 10.0 ** rng.uniform(-9.0, 0.0, size=(count, q, 1)) * (t - t[:, :1])
+    return xi_batch(mach.spec, t * 10.0 ** rng.uniform(-1.5, 0.5, size=(count, 1, 1)))
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_rho_flat_batch_matches_one_row_and_permutation(n, q, data):
+    mach = default_machinery(n, q)
+    x = rho_flat_inputs(mach, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), 16)
+    batch = mach.rho_flat(x)
+    assert np.array_equal(batch, np.stack([mach.rho_flat(v) for v in x]))
+    perm = np.array(data.draw(st.permutations(range(len(x)))))
+    assert np.array_equal(mach.rho_flat(x[perm]), batch[perm])
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rho_flat_lands_on_cone(n, q, seed):
+    mach = default_machinery(n, q)
+    x = rho_flat_inputs(mach, np.random.default_rng(seed), 16)
+    out = mach.rho_flat(x)
+    assert np.all(mach.residual_on_image(out) < 1e-7 * (1.0 + np.linalg.norm(x, axis=1)))
+    assert np.linalg.norm(out - x, axis=1).max() <= 4.0 * mach.ladder.ck(0)
+
+
+def test_rho_sharp_projection_region_of_a_padded_face(monkeypatch):
+    """A dim-3 face of (2,2) with 4 constraint rows sits in a stack padded to
+    5; the padded row must not count against the projection region, so the
+    point takes the projection branch, not the Kirszbraun gap."""
+    mach = default_machinery(2, 2)
+    faces = mach.lattice.faces_of_dim(3)
+    face = next(f for f in faces if len(f.cons) == 4)
+    assert faces.cons.shape[1] == 5
+    rng = np.random.default_rng(3)
+    y = max(rng.normal(size=(200, 3)), key=lambda y: (face.cons @ y).min() / np.linalg.norm(y))
+    assert (face.cons @ y).min() > 0.0
+    p = face.basis @ y
+    p *= 2.0 * mach.far_scale / mach.lattice.skeleton_distance(p, 2)
+    z = rng.normal(size=p.shape)
+    z -= face.basis @ (face.basis.T @ z)
+    x = p + 1e-5 * z / np.linalg.norm(z)
+    assert mach.tube_level(x) == 3
+    assert mach.residual_on_image(x)[0] > 1e-9
+    monkeypatch.setattr(mach, "_kirszbraun_gap", None)  # a gap row would fail
+    assert np.allclose(mach.rho_sharp(x), face.basis @ (face.basis.T @ x),
+                       rtol=0.0, atol=1e-14)
+
+
 # -- batched rho_star ----------------------------------------------------------
 
 
@@ -323,6 +383,15 @@ RHO_STAR_EVAL_22 = [
     (0.2, 0.17936616272229455, 8.331297329690976e-16, 0.17936616272229458,
      0.10937129266616415),
 ]
+# the same columns on (1,3), seed 1, 40 samples per population
+RHO_STAR_EVAL_13 = [
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (5.000000000000001e-05, 0.0, 0.0, 0.0, 0.0),
+    (0.05, 0.030323997187676904, 0.0, 0.030323997187676824, 0.0017140907135242815),
+    (0.2, 0.09588988717716619, 0.0, 0.09588988717716623, 0.004715659160279968),
+]
+# gap, E of build_competitor(w32_current(2 ** -3, res=65, radius4=1), beta1=0.1)
+COMPETITOR_K3 = (0.0, 0.3750000000000002)
 # lhs, near, far, C_far
 ENERGY_SPLIT_22 = [
     (1.375327112943233, 1.3753271129432332, 0.0, 0.0),
@@ -348,3 +417,24 @@ def test_rho_star_snapshot_plane_two(tmp_path):
                      "--seed", "1", "--out", str(tmp_path / "e")]) == 0
     blob = json.loads((tmp_path / "e" / "probe-energy-split.json").read_text())
     check(blob["report"]["rows"], ENERGY_SPLIT_22, ("lhs", "near", "far", "C_far"))
+
+
+def _check_rows(rows, want, keys):
+    assert len(rows) == len(want)
+    for row, ref in zip(rows, want):
+        for key, value in zip(keys, ref):
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-14)
+
+
+def test_rho_star_snapshot_line_three(tmp_path):
+    assert cli.main(["rho-star-eval", "--n", "1", "--q", "3", "--seed", "1",
+                     "--samples", "40", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "rho-star.json").read_text())["rows"]
+    _check_rows(rows, RHO_STAR_EVAL_13, ("sigma", "max_input_dist", "max_residual",
+                                         "max_displacement", "mean_displacement"))
+
+
+def test_competitor_snapshot_k3():
+    T = cu.w32_current(2.0 ** -3, res=65, radius4=1.0)
+    rep = cu.build_competitor(T, beta1=0.1)[1]
+    _check_rows([rep], [COMPETITOR_K3], ("gap", "E"))
