@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.ndimage import maximum_filter1d
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 from scipy.signal import fftconvolve
+from scipy.spatial import ConvexHull, QhullError
 
 from . import qfield as qf
 from .embed import xi_batch, xi_inverse
@@ -96,11 +97,7 @@ class GraphCurrent:
         pts = np.asarray(pts, dtype=float)
         if self.sheet_values is not None:
             return np.asarray(self.sheet_values(pts), dtype=float)
-        # nearest-node lookup
-        c = np.asarray(self.base.domain.center)
-        idx = np.rint((pts - c + self.base.domain.radius) / self.base.spacing)
-        idx = np.clip(idx, 0, self.base.res - 1).astype(int)
-        return self.base.values[tuple(np.moveaxis(idx, -1, 0))]
+        return self.base.nearest_values(pts)
 
     def sheet_area_density(self, pts: np.ndarray) -> np.ndarray:
         """Per-sheet area integrand sqrt(det(Id + J^T J)) at points."""
@@ -560,15 +557,26 @@ def height(T: GraphCurrent, radius: float = None) -> float:
     for sp in T.spikes:
         if sp.values is not None:
             cloud = np.vstack([cloud, np.asarray(sp.values, dtype=float)])
-    if len(cloud) == 0:
-        return 0.0
-    if T.n == 1:
+    return _diameter(cloud) if len(cloud) else 0.0
+
+
+def _diameter(cloud: np.ndarray) -> float:
+    """Largest distance between two points of a (k, n) cloud, taken over its
+    convex hull; a flat cloud is first written in coordinates of its affine
+    hull, where the hull is full-dimensional (or a segment)."""
+    if cloud.shape[1] == 1:
         return float(cloud.max() - cloud.min())
     try:
-        from scipy.spatial import ConvexHull
         hull = cloud[ConvexHull(cloud).vertices]
-    except Exception:  # degenerate cloud: fall back to a brute subsample
-        hull = cloud[:: max(1, len(cloud) // 2000)]
+    except QhullError:
+        centred = cloud - cloud.mean(axis=0)
+        _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+        rank = int(np.sum(sv > 1e-12 * sv[0]))
+        if rank == 0:
+            return 0.0
+        if rank == cloud.shape[1]:
+            raise
+        return _diameter(centred @ vt[:rank].T)
     d = np.linalg.norm(hull[:, None, :] - hull[None, :, :], axis=-1)
     return float(d.max())
 
@@ -578,48 +586,54 @@ def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
     """rho -> exp(cconst curvature^2 rho^2) rho^{-m} ||T||(B_rho(p)) on
     ambient balls around p = (center, z0); needs analytic sheets.
 
+    Each sheet is assumed to leave the ball at most once along each ray from
+    the center, as the radial quadrature of its mass assumes: the exit t* of
+    every (radius, direction, sheet) is one bracketed root on [0, tmax], all
+    of them found in one batched solve.  A sheet still inside at tmax counts
+    up to tmax; one outside at the center counts nothing.
+
     Returns (profile list of (rho, value), max downward violation)."""
     if T.sheet_jacobians is None or T.sheet_values is None:
         raise ValueError("profile needs analytic sheet callables")
-    radii = sorted(float(r) for r in radii)
+    radii = np.array(sorted(float(r) for r in radii))
     if radii[-1] > T.radius4:
         raise ValueError("radius exceeds the cylinder")
     if z0 is None:
         z0 = T.values_at(T.center[None])[0].mean(axis=0)
     z0 = np.asarray(z0, dtype=float)
-    gt, gw = leggauss(n_rad)
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    out = []
     tmax = T.radius4 * 0.999
 
-    def sheet_dist(t, u, j):
-        vert = T.values_at(T.center + t * u)[j] - z0
-        return math.hypot(t, float(np.linalg.norm(vert)))
+    def sheet_gap(t, rho, d, sheet):
+        """|point of the sheet over center + t u_d, minus p| - rho."""
+        pts = T.center + t[..., None] * dirs[d]
+        vert = np.take_along_axis(T.values_at(pts), sheet[..., None, None],
+                                  axis=-2)[..., 0, :] - z0
+        return np.hypot(t, np.linalg.norm(vert, axis=-1)) - rho
 
-    for rho in radii:
-        total = 0.0
-        for u in dirs:
-            for j in range(T.q):
-                if sheet_dist(tmax, u, j) <= rho:
-                    tstar = tmax
-                elif sheet_dist(0.0, u, j) >= rho:
-                    continue
-                else:
-                    tstar = brentq(lambda t: sheet_dist(t, u, j) - rho,
-                                   0.0, tmax, xtol=1e-13)
-                ts = 0.5 * tstar * (gt + 1.0)
-                ws = 0.5 * tstar * gw
-                pts = T.center + ts[:, None] * u
-                dens = T.sheet_area_density(pts)
-                total += float(np.sum(dens[:, j] * ts * ws))
-        mass = total * (2 * math.pi / n_theta)
-        val = math.exp(cconst * curvature ** 2 * rho ** 2) * mass / rho ** T.m
-        out.append((rho, val))
-    worst = 0.0
-    for (r1, v1), (r2, v2) in zip(out, out[1:]):
-        worst = max(worst, v1 - v2)
-    return out, worst
+    # one (radius, direction, sheet) triple per entry
+    args = np.meshgrid(radii, np.arange(n_theta), np.arange(T.q),
+                       indexing="ij")
+    inside = sheet_gap(np.full(args[0].shape, tmax), *args) <= 0.0
+    cross = ~inside & (sheet_gap(np.zeros(args[0].shape), *args) < 0.0)
+    tstar = np.where(inside, tmax, 0.0)
+    root = find_root(sheet_gap, (0.0, tmax),
+                     args=tuple(x[cross] for x in args),
+                     tolerances={"xatol": 1e-13, "xrtol": 0.0})
+    tstar[cross] = root.x
+
+    gt, gw = leggauss(n_rad)
+    mass = np.empty(len(radii))
+    for i, ti in enumerate(tstar):
+        ts = 0.5 * ti[:, None, :] * (gt[:, None] + 1.0)   # (dir, node, sheet)
+        ws = 0.5 * ti[:, None, :] * gw[:, None]
+        pts = T.center + ts[..., None] * dirs[:, None, None, :]
+        own = np.diagonal(T.sheet_area_density(pts), axis1=-2, axis2=-1)
+        mass[i] = np.sum(own * ts * ws) * (2 * math.pi / n_theta)
+    vals = np.exp(cconst * curvature ** 2 * radii ** 2) * mass / radii ** T.m
+    worst = float(np.max(vals[:-1] - vals[1:], initial=0.0))
+    return [(float(r), float(v)) for r, v in zip(radii, vals)], worst
 
 
 # ---------------------------------------------------------------------------

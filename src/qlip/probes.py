@@ -97,63 +97,46 @@ def _loglog_slope(x, y):
 
 
 def _edge_tables(f: qf.QGridFunction, weights: np.ndarray):
-    """Flat (a, b, w) arrays for every grid edge with positive weight."""
+    """Flat (a, b, w) arrays for every grid edge with positive weight, the
+    edges along axis 0 first."""
     m, res, h = f.m, f.res, f.spacing
     flat_ids = np.arange(res ** m).reshape((res,) * m)
-    out = []
+    tables = []
     for ax, lo, hi in qf._axis_edges(m, res):
         wedge = 0.5 * (weights[lo] + weights[hi])
         wedge = wedge * qf._trapezoid_weights(res, m, ax) * h ** (m - 2)
-        a = flat_ids[lo].ravel()
-        b = flat_ids[hi].ravel()
-        w = wedge.ravel()
-        keep = w > 0
-        out.append((a[keep], b[keep], w[keep]))
-    return out
+        tables.append((flat_ids[lo].ravel(), flat_ids[hi].ravel(),
+                       wedge.ravel()))
+    a, b, w = (np.concatenate(col) for col in zip(*tables))
+    keep = w > 0
+    return a[keep], b[keep], w[keep]
 
 
-def _solve_given_matchings(vals, pinned_flat, edges, eperm, perms, q, n):
-    """Minimize the frozen-matching quadratic form; one sparse solve."""
-    npts = vals.shape[0]
-    unknown = ~pinned_flat
-    nid = -np.ones(npts, dtype=np.int64)
-    nid[unknown] = np.arange(unknown.sum())
-    nu = int(unknown.sum()) * q
-    if nu == 0:
+def _solve_given_matchings(vals, pinned, a, b, w, pmat):
+    """Minimize the frozen-matching quadratic form; one sparse solve.
+
+    Row (e, j) of the signed incidence matrix B of the covering graph joins
+    sheet j at node a[e] (+1) to sheet pmat[e, j] at node b[e] (-1), so the
+    energy is |B x|^2 weighted by w and its Laplacian is L = B^T diag(w) B
+    over the (node, sheet) unknowns.  Split into free (f) and pinned (p)
+    columns, the free values solve L_ff x_f = -L_fp x_p."""
+    npts, q, n = vals.shape
+    free = np.repeat(~pinned, q)
+    if not free.any():
         return vals
-    rows, cols, data = [], [], []
-    rhs = np.zeros((nu, n))
-    diag = np.zeros(nu)
-    for (a, b, w), pid in zip(edges, eperm):
-        pmat = perms[pid]                       # (E, q): sheet j of a pairs b[pmat[:, j]]
-        for j in range(q):
-            ca = nid[a] * q + j
-            cb = nid[b] * q + pmat[:, j]
-            au = unknown[a]
-            bu = unknown[b]
-            both = au & bu
-            np.add.at(diag, ca[au], w[au])
-            np.add.at(diag, cb[bu], w[bu])
-            rows.append(ca[both])
-            cols.append(cb[both])
-            data.append(-w[both])
-            ap = au & ~bu                       # unknown head, pinned tail
-            np.add.at(rhs, ca[ap], w[ap, None] * vals[b[ap], pmat[ap, j], :])
-            bp = bu & ~au
-            np.add.at(rhs, cb[bp], w[bp, None] * vals[a[bp], j, :])
-    rows.append(np.arange(nu))
-    cols.append(np.arange(nu))
-    data.append(diag)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    off = sparse.coo_matrix((data, (rows, cols)), shape=(nu, nu)).tocsr()
-    lap = off + off.T - sparse.diags(off.diagonal())
-    sol = spsolve(lap.tocsc(), rhs)
-    sol = np.atleast_2d(sol).reshape(nu, n)
-    out = vals.copy()
-    out[unknown] = sol.reshape(-1, q, n)
-    return out
+    rows = np.arange(len(a) * q)
+    heads = (a[:, None] * q + np.arange(q)).ravel()
+    tails = (b[:, None] * q + pmat).ravel()
+    inc = sparse.csr_matrix(
+        (np.repeat([1.0, -1.0], len(rows)),
+         (np.tile(rows, 2), np.concatenate([heads, tails]))),
+        shape=(len(rows), npts * q))
+    lap = (inc.T @ sparse.diags(np.repeat(w, q)) @ inc).tocsr()[free]
+    flat = vals.reshape(-1, n)
+    sol = spsolve(lap[:, free].tocsc(), -(lap[:, ~free] @ flat[~free]))
+    out = flat.copy()
+    out[free] = np.reshape(sol, (-1, n))
+    return out.reshape(vals.shape)
 
 
 def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
@@ -179,7 +162,7 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
     nodes = f.nodes().reshape(-1, 2)
     pinned_flat = np.linalg.norm(nodes, axis=-1) >= radius
     weights = qf.disk_weights(f, (0.0, 0.0), radius)
-    edges = _edge_tables(f, weights)
+    a, b, w = _edge_tables(f, weights)
     perms = qf._perm_bank(q)
     rng = np.random.default_rng(seed)
 
@@ -187,23 +170,21 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
     start_energies = []
     for start in range(max(1, starts)):
         if start == 0:
-            eperm = [np.zeros(len(a), dtype=np.int64) for a, _, _ in edges]
+            eperm = np.zeros(len(a), dtype=np.int64)
         else:
-            eperm = [rng.integers(len(perms), size=len(a))
-                     for a, _, _ in edges]
+            eperm = rng.integers(len(perms), size=len(a))
         vals = f.values.reshape(-1, q, n).copy()
         history = []
         prev = math.inf
         converged = False
         for sweep in range(max_sweeps):
-            vals = _solve_given_matchings(vals, pinned_flat, edges, eperm,
-                                          perms, q, n)
-            # optimal permutation index per edge for the new values
-            eperm = [np.argmin(qf._perm_costs(vals[a], vals[b]), axis=0)
-                     for a, b, _ in edges]
-            g = f.copy()
-            g.values = vals.reshape(f.values.shape)
-            energy = qf.dirichlet_energy(g, weights)
+            vals = _solve_given_matchings(vals, pinned_flat, a, b, w,
+                                          perms[eperm])
+            # rematch each edge to its cheapest permutation; the matched
+            # cost of the new values is then the energy
+            cost = qf._perm_costs(vals[a], vals[b])
+            eperm = np.argmin(cost, axis=0)
+            energy = float(w @ cost.min(axis=0))
             history.append(energy)
             if prev - energy < tol:
                 converged = True
@@ -412,20 +393,6 @@ def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None,
                        passed=passed, notes=notes)
 
 
-def _nearest_node_trace(f: qf.QGridFunction):
-    axes = f.axes()
-    lo = np.array([ax[0] for ax in axes])
-    h = f.spacing
-    res = f.res
-
-    def trace(p):
-        idx = np.clip(np.rint((np.asarray(p) - lo) / h).astype(int),
-                      0, res - 1)
-        return f.values[tuple(idx)]
-
-    return trace
-
-
 def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
                           config: ProbeConfig = None) -> ProbeReport:
     """Distance from the approximation to its own Dirichlet minimizer,
@@ -448,10 +415,10 @@ def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
         hu = u.spacing
         half = (math.ceil(r / hu) + 2) * hu
         res_w = int(round(2 * half / hu)) + 1
-        w, wrep = solve_dir_minimizer(_nearest_node_trace(u), res=res_w,
+        w, wrep = solve_dir_minimizer(u.nearest_values, res=res_w,
                                       q=T.q, n=T.n, radius=r,
                                       starts=8, seed=config.seed, half=half)
-        usamp = qf.from_callable(w.domain, w.res, _nearest_node_trace(u),
+        usamp = qf.from_callable(w.domain, w.res, u.nearest_values,
                                  q=T.q, n=T.n)
         wd = wrep["weights"]
         h = w.spacing

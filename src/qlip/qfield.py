@@ -109,6 +109,15 @@ class QGridFunction:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(grids, axis=-1)
 
+    def nearest_values(self, pts) -> np.ndarray:
+        """Values at the node nearest each point of `pts` (..., m), with
+        points off the grid clipped to its edge."""
+        c = np.asarray(self.domain.center)
+        idx = np.rint((np.asarray(pts, dtype=float) - c + self.domain.radius)
+                      / self.spacing)
+        idx = np.clip(idx, 0, self.res - 1).astype(int)
+        return self.values[tuple(np.moveaxis(idx, -1, 0))]
+
     def node(self, idx) -> QPoint:
         return QPoint(self.values[idx])
 
@@ -302,6 +311,8 @@ def lipschitz_and_osc(f: QGridFunction, stencil: int = 2):
     h = f.spacing
     m = f.m
     lip_sq = 0.0
+    # its own stencil, not _axis_edges: the pairs include diagonal offsets
+    # up to `stencil` nodes away, which the axis edges do not
     for off in itertools.product(range(-stencil, stencil + 1), repeat=m):
         if all(o == 0 for o in off) or off < tuple(-o for o in off):
             continue  # skip null and mirror-duplicate offsets
@@ -353,11 +364,8 @@ def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float,
     qpts = pts[tuple(np.asarray(todo).T)]
     dists = np.linalg.norm(qpts[:, None, :] - anchors[None, :, :], axis=-1)
     ext = np.min(avals[None, :, :] + lip * dists[:, :, None], axis=1)
-    vals, resid = lat.nearest_point_batch(ext)
-    off = resid > machinery.on_image_tol * (1 + np.linalg.norm(ext, axis=1))
-    if np.any(off):
-        vals[off] = machinery.rho_star_batch(ext[off])
-    out.values[tuple(todo.T)] = xi_inverse(lat, vals, tol=1e-5)
+    out.values[tuple(todo.T)] = xi_inverse(
+        lat, retract_embedded(ext, machinery), tol=1e-5)
     return out
 
 

@@ -268,6 +268,67 @@ def test_height_values():
     assert abs(cu.height(flat) - 1.0) <= 1e-12
     T = cu.w32_current(1.0, res=65, radius4=1.0)
     assert abs(cu.height(T) - 2.0) <= 0.05 * 2.0
+    # flat clouds have no full-dimensional hull: their diameter is taken in
+    # their affine hull, over every point
+    two = cu.flat_current(q=2, n=2, heights=[[0, 0], [1, 0]], res=129)
+    assert cu.height(two) == pytest.approx(1.0, rel=1e-12)
+    three = cu.flat_current(q=3, n=2, heights=[[0, 0], [1, 1], [2, 2]],
+                            res=129)
+    assert cu.height(three) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    assert cu.height(cu.flat_current(q=2, n=2, res=129)) == 0.0
+
+
+def _mass_ratio_reference(T, radii, z0=None, n_theta=64, n_rad=24):
+    """The unbatched profile: one scalar brentq root and one quadrature
+    call per (radius, direction, sheet)."""
+    gt, gw = np.polynomial.legendre.leggauss(n_rad)
+    th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    if z0 is None:
+        z0 = T.values_at(T.center[None])[0].mean(axis=0)
+    tmax = T.radius4 * 0.999
+
+    def sheet_dist(t, u, j):
+        vert = T.values_at(T.center + t * u)[j] - z0
+        return math.hypot(t, float(np.linalg.norm(vert)))
+
+    out = []
+    for rho in sorted(radii):
+        total = 0.0
+        for u in dirs:
+            for j in range(T.q):
+                if sheet_dist(tmax, u, j) <= rho:
+                    tstar = tmax
+                elif sheet_dist(0.0, u, j) >= rho:
+                    continue
+                else:
+                    tstar = brentq(lambda t: sheet_dist(t, u, j) - rho,
+                                   0.0, tmax, xtol=1e-13)
+                ts = 0.5 * tstar * (gt + 1.0)
+                pts = T.center + ts[:, None] * u
+                dens = T.sheet_area_density(pts)
+                total += float(np.sum(dens[:, j] * ts * 0.5 * tstar * gw))
+        out.append(total * (2 * math.pi / n_theta) / rho ** T.m)
+    return out
+
+
+@pytest.mark.parametrize("T, radii, z0", [
+    (cu.w32_current(0.125, res=129), np.linspace(0.98 / 25, 0.98, 25), None),
+    # sheet 0 lies wholly inside the balls of radius >= tmax, sheet 1
+    # wholly outside those of radius < 0.5
+    (cu.flat_current(q=2, n=2, heights=[[0, 0], [0.3, 0.4]], res=33),
+     [0.1, 0.3, 0.6, 0.9, 0.9995, 1.0], (0.0, 0.0)),
+    (cu.flat_current(q=2, n=2, heights=[[0, 0], [0.3, 0.4]], res=33),
+     [0.1, 0.25, 0.3, 0.9], None),
+])
+def test_mass_ratio_profile_matches_scalar_roots(T, radii, z0):
+    prof, worst = cu.mass_ratio_profile(T, radii, z0=z0)
+    want = _mass_ratio_reference(T, radii, z0=z0)
+    assert [rho for rho, _ in prof] == sorted(float(r) for r in radii)
+    for (_, got), exp in zip(prof, want):
+        assert got == pytest.approx(exp, rel=1e-12, abs=0.0)
+    drop = max([0.0] + [a - b for a, b in zip(want, want[1:])])
+    assert worst == pytest.approx(drop, rel=0.0, abs=1e-10)
 
 
 def test_mass_ratio_profile_flat():

@@ -52,6 +52,22 @@ def test_dirmin_sqrt_branch():
     assert all(a - b >= -1e-12 for a, b in zip(hist, hist[1:]))
 
 
+def _cube_root_trace(p):
+    w = complex(p[0], p[1]) ** (1.0 / 3.0)
+    return np.array([[(w * np.exp(2j * np.pi * k / 3)).real] for k in range(3)])
+
+
+@pytest.mark.parametrize("trace, q, n", [(_sqrt_trace, 2, 2),
+                                         (_cube_root_trace, 3, 1)])
+def test_dirmin_energy_is_the_matched_energy(trace, q, n):
+    """The sweep scores each rematch by its edge costs; that score is the
+    matched Dirichlet energy of the returned field."""
+    f, rep = pb.solve_dir_minimizer(trace, res=33, q=q, n=n, starts=3)
+    want = qf.dirichlet_energy(f, rep["weights"])
+    assert rep["energy"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rep["history"][-1] == rep["energy"]
+
+
 def test_dirmin_relabeling_invariance():
     def swapped(p):
         return _sqrt_trace(p)[::-1]
