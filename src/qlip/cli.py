@@ -43,25 +43,15 @@ class ConfigError(ValueError):
 # serialization helpers
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+def _plain(obj):
+    """json.dumps fallback: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _dumps(obj) -> str:
-    return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _fmt(x) -> str:

@@ -589,8 +589,10 @@ def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
     Each sheet is assumed to leave the ball at most once along each ray from
     the center, as the radial quadrature of its mass assumes: the exit t* of
     every (radius, direction, sheet) is one bracketed root on [0, tmax], all
-    of them found in one batched solve.  A sheet still inside at tmax counts
-    up to tmax; one outside at the center counts nothing.
+    of them found in one batched solve to 1e-14 relative in t* (an absolute
+    stop lets the relative error grow like 1/rho at small radii).  A sheet
+    still inside at tmax counts up to tmax; one outside at the center counts
+    nothing.
 
     Returns (profile list of (rho, value), max downward violation)."""
     if T.sheet_jacobians is None or T.sheet_values is None:
@@ -620,7 +622,7 @@ def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
     tstar = np.where(inside, tmax, 0.0)
     root = find_root(sheet_gap, (0.0, tmax),
                      args=tuple(x[cross] for x in args),
-                     tolerances={"xatol": 1e-13, "xrtol": 0.0})
+                     tolerances={"xatol": 0.0, "xrtol": 1e-14})
     tstar[cross] = root.x
 
     gt, gw = leggauss(n_rad)

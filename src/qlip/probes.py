@@ -418,8 +418,7 @@ def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
         w, wrep = solve_dir_minimizer(u.nearest_values, res=res_w,
                                       q=T.q, n=T.n, radius=r,
                                       starts=8, seed=config.seed, half=half)
-        usamp = qf.from_callable(w.domain, w.res, u.nearest_values,
-                                 q=T.q, n=T.n)
+        usamp = qf.QGridFunction(w.domain, w.res, u.nearest_values(w.nodes()))
         wd = wrep["weights"]
         h = w.spacing
         g2 = float(np.sum(qf.matched_diff_sq(usamp.values, w.values) * wd)

@@ -337,45 +337,49 @@ class AlmostProjection:
 
     def _kirszbraun_gap(self, x, near, dq, level, which, p0):
         """Lipschitz min-max interpolation of rho_flat at anchor points on the
-        cone, projected into the closure of face which[row] of dim level[row]."""
+        cone, projected into the closure of face which[row] of dim level[row].
+        A row's anchors: its nearest cone point; a fixed stencil t0 +- s *
+        base_s along each coordinate of that point's tuple t0, s = 1, sqrt(8),
+        8, base_s = max(2 dq, delta^(level+1), c_min(level, nq-1) / 16, 1e-9);
+        a far anchor in the projection region of its face (else the nearest
+        point again); and the nearby lower-skeleton points."""
         lat, lad, spec = self.lattice, self.ladder, self.spec
         nq, q, n = lad.nq, spec.dims.q, spec.dims.n
         lip = 1.0 + 4.0 * lad.ck(-1)
-        # 24 Gaussian jitters of each decoded nearest point, seeded by the
-        # row's bytes so a row's anchors do not depend on its batch
-        t0 = xi_inverse(lat, near, tol=1e-5)
-        jitters = []
-        for i in range(len(x)):
-            lvl = int(level[i])
-            rng = np.random.default_rng(np.frombuffer(
-                x[i].tobytes(), dtype=np.uint64) % (2 ** 31))
-            eps_anchor = max(lad.ck(min(lvl, nq - 1)) / 16.0, 1e-9)
-            base_s = max(2.0 * dq[i], lad.delta ** (lvl + 1), eps_anchor)
-            for s in (1.0, 2.0, 4.0, 8.0):
-                jitters.append(t0[i] + rng.normal(size=(6, q, n)) * s * base_s)
-        jitters = xi_batch(spec, np.concatenate(jitters))
-        anchors = [[p, *jitters[24 * i:24 * i + 24]] for i, p in enumerate(near)]
-        # anchors on the nearby lower skeleton keep the gap consistent with
-        # the values already prescribed there (a row's in ascending face
-        # dimension, the order of faces_up_to)
-        reach = np.array([4.0 * lad.delta ** lvl for lvl in range(nq + 1)])[level]
-        lower = lat.faces_up_to(int(level.max()) - 1)
-        bound = np.where(level[:, None] > lower.dims, reach[:, None], -np.inf)
-        for i, pt in zip(*lower.within(x, bound)):
-            anchors[i].append(pt)
-        # one far anchor in the projection region of the face
+        base_s = np.max([2.0 * dq, lad.delta ** (level + 1),
+                         lad.c[np.minimum(level, nq - 1) + 1] / 16.0,
+                         np.full(len(x), 1e-9)], axis=0)
+        stencil = np.concatenate([s * np.eye(q * n) for s in (
+            1.0, -1.0, math.sqrt(8.0), -math.sqrt(8.0), 8.0, -8.0)])
+        t0 = xi_inverse(lat, near, tol=1e-5).reshape(len(x), 1, q * n)
+        around = xi_batch(spec, (t0 + base_s[:, None, None] * stencil)
+                          .reshape(len(x), -1, q, n))
+        far = near.copy()
         for k in np.unique(level):
             rows = np.flatnonzero(level == k)
             dlow = lat.skeleton_distance_batch(p0[rows], k - 1)
-            for i, dl in zip(rows, dlow):
-                if dl > 1e-9:
-                    anchors[i].append(p0[i] * max(1.0, 2.0 * self.far_scale / dl))
+            rows, dlow = rows[dlow > 1e-9], dlow[dlow > 1e-9]
+            far[rows] = p0[rows] * np.maximum(
+                1.0, 2.0 * self.far_scale / dlow)[:, None]
+        anchors = np.concatenate([near[:, None], around, far[:, None]], axis=1)
+        # anchors on the nearby lower skeleton keep the gap consistent with
+        # the values already prescribed there: (row, point) pairs in row order
+        reach = np.array([4.0 * lad.delta ** lvl for lvl in range(nq + 1)])[level]
+        lower = lat.faces_up_to(int(level.max()) - 1)
+        bound = np.where(level[:, None] > lower.dims, reach[:, None], -np.inf)
+        low_row, low_pts = lower.within(x, bound)
+        fixed = anchors.reshape(-1, x.shape[1])
         # snap numerical fuzz onto the cone so anchor/value pairs are consistent
-        counts = np.cumsum([len(a) for a in anchors])[:-1]
-        pts = lat.nearest_point_batch(np.concatenate(anchors))[0]
-        vals = np.split(self.rho_flat(pts, assume_on_image=True), counts)
-        ybest = np.array([kirszbraun_value(row, a, v, lip)[0] for row, a, v
-                          in zip(x, np.split(pts, counts), vals)])
+        pts = lat.nearest_point_batch(np.concatenate([fixed, low_pts]))[0]
+        vals = self.rho_flat(pts, assume_on_image=True)
+        m = len(fixed)
+        split = np.cumsum(np.bincount(low_row, minlength=len(x)))[:-1]
+        ybest = np.array([
+            kirszbraun_value(row, np.concatenate([a, la]), np.concatenate([v, lv]),
+                             lip)[0]
+            for row, a, v, la, lv in zip(
+                x, pts[:m].reshape(anchors.shape), vals[:m].reshape(anchors.shape),
+                np.split(pts[m:], split), np.split(vals[m:], split))])
         out = np.empty_like(x)
         for k in np.unique(level):
             rows = np.flatnonzero(level == k)

@@ -302,8 +302,11 @@ def _mass_ratio_reference(T, radii, z0=None, n_theta=64, n_rad=24):
                 elif sheet_dist(0.0, u, j) >= rho:
                     continue
                 else:
+                    # a relative stop, as in the batched solve (brentq
+                    # needs xtol > 0)
                     tstar = brentq(lambda t: sheet_dist(t, u, j) - rho,
-                                   0.0, tmax, xtol=1e-13)
+                                   0.0, tmax, xtol=np.finfo(float).tiny,
+                                   rtol=1e-14)
                 ts = 0.5 * tstar * (gt + 1.0)
                 pts = T.center + ts[:, None] * u
                 dens = T.sheet_area_density(pts)

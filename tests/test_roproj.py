@@ -363,6 +363,70 @@ def test_rho_star_batch_commutes_with_row_permutation(n, q, data):
     assert np.array_equal(mach.rho_star_batch(x[perm]), mach.rho_star_batch(x)[perm])
 
 
+def gap_inputs(mach, rng, count):
+    """Points 1e-5 to 3e-2 off the cone along the outward normal at the
+    nearest point of a randomly moved cone point (rows the move left on the
+    cone stay there): mostly near faces of lower dimension, inside their
+    tubes, where many rows take the Kirszbraun gap."""
+    n, q = mach.spec.dims.n, mach.spec.dims.q
+    y = xi_batch(mach.spec, rng.normal(size=(count, q, n)))
+    y += rng.normal(size=y.shape)
+    near = mach.lattice.nearest_point_batch(y)[0]
+    out = y - near
+    sigma = 10.0 ** rng.uniform(-5.0, -1.5, size=(count, 1))
+    return near + sigma * out / np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-300)
+
+
+def record_gap_rows(monkeypatch, mach):
+    """Patch mach so every row its Kirszbraun gap receives is kept in the
+    returned list."""
+    seen, gap = [], mach._kirszbraun_gap
+
+    def recorder(x, *args):
+        seen.append(x.copy())
+        return gap(x, *args)
+
+    monkeypatch.setattr(mach, "_kirszbraun_gap", recorder)
+    return seen
+
+
+def test_rho_star_gap_draws_no_random_numbers(monkeypatch):
+    mach = default_machinery(2, 2)
+    x = rho_star_inputs(mach, np.random.default_rng(1), 10)
+    seen = record_gap_rows(monkeypatch, mach)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rho_star drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    out = mach.rho_star_batch(x)
+    assert sum(map(len, seen)) > 0
+    assert np.all(mach.residual_on_image(out) < 1e-7)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rho_star_gap_on_cone_and_stable(n, q, seed):
+    """On inputs that reach the gap, rho_star lands on the cone within
+    criterion 04's displacement 10 c0, and a 1e-14 relative perturbation of
+    the gap rows moves their images by at most 1e-10 relative."""
+    mach = default_machinery(n, q)
+    rng = np.random.default_rng(seed)
+    x = gap_inputs(mach, rng, 64)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_gap_rows(mp, mach)
+        out = mach.rho_star_batch(x)
+    assert np.all(mach.residual_on_image(out) < 1e-7)
+    assert np.linalg.norm(out - x, axis=1).max() <= 10.0 * mach.ladder.ck(0)
+    gap = np.concatenate(seen)
+    assert len(gap)
+    base = mach.rho_star_batch(gap)
+    moved = mach.rho_star_batch(gap * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, gap.shape)))
+    tol = 1e-10 * (1.0 + np.linalg.norm(base, axis=1))
+    assert np.all(np.linalg.norm(moved - base, axis=1) <= tol)
+
+
 def test_rho_star_batch_rejects_non_finite_rows():
     mach = default_machinery(1, 2)
     x = np.array([[0.3, 0.4], [np.nan, 0.1], [np.inf, 0.0]])
