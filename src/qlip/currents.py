@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.ndimage import maximum_filter1d
 from scipy.optimize.elementwise import find_root
-from scipy.signal import fftconvolve
 from scipy.spatial import ConvexHull, QhullError
 
 from . import qfield as qf
@@ -360,30 +358,13 @@ def excess_two_ways(T: GraphCurrent, center, radius: float):
 # maximal function
 
 
-def _disk_kernel(h: float, s: float, sub: int = 4) -> np.ndarray:
-    """Coverage-fraction kernel of a disk of radius s on the node lattice."""
-    k = int(math.ceil(s / h)) + 1
-    # small kernels are all rim; refine them until quantization is ~1%
-    sub = max(sub, int(math.ceil(4.0 * h / s)) * 8)
-    ax = np.arange(-k, k + 1) * h
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    d = np.hypot(X, Y)
-    kern = (d <= s - h).astype(float)
-    edge = (d > s - h) & (d < s + h)
-    if np.any(edge):
-        offs = ((np.arange(sub) + 0.5) / sub - 0.5) * h
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        ex = X[edge][:, None] + ox.reshape(-1)[None, :]
-        ey = Y[edge][:, None] + oy.reshape(-1)[None, :]
-        kern[edge] = (np.hypot(ex, ey) <= s).mean(axis=1)
-    return kern
-
-
 def _footprint_max(a: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """maximum_filter(a, footprint=fp, mode="constant", cval=-inf), exactly, by
     one 1-D running maximum per row width of fp over an -inf padded array.
     fp must be symmetric with each row one interval on the middle column,
     as the disk footprints are."""
+    from scipy.ndimage import maximum_filter1d  # loaded on first use only
+
     k = len(fp) // 2
     width = fp.sum(axis=1)
     if not (np.array_equal(fp, fp[::-1]) and np.array_equal(
@@ -423,8 +404,8 @@ def maximal_excess(T: GraphCurrent, radii=None, ex=None):
     M = np.full(f.values.shape[:2], -np.inf)
     finest = None
     for s in radii:
-        kern = _disk_kernel(h, s)
-        sums = fftconvolve(dens, kern, mode="same")
+        kern = qf.disk_kernel(h, s)
+        sums = qf.kernel_sum(dens, kern)
         quot = sums / (_OMEGA[2] * s ** 2)
         valid = dist <= T.radius4 - s + 1e-12
         if finest is None:

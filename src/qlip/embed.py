@@ -323,7 +323,7 @@ class FaceRecord:
     """One face: canonical labeled pattern plus its span and closure inequalities."""
 
     __slots__ = ("index", "pattern", "slots", "dim", "basis", "cons",
-                 "projectors", "closure_of")
+                 "projectors")
 
     def __init__(self, index, pattern, dim, basis, cons, projectors):
         self.index = index
@@ -335,7 +335,6 @@ class FaceRecord:
         # (K, dim, dim): orthogonal projectors onto null(cons[S]), one per
         # nonempty linearly independent row set S with |S| <= dim
         self.projectors = projectors
-        self.closure_of = frozenset()
 
     def __repr__(self):
         return f"Face(dim={self.dim}, idx={self.index})"
@@ -535,21 +534,6 @@ def _face_geometry(spec, pattern):
     return basis, g, _active_set_projectors(g)
 
 
-def _closure_leq(pat_lo, pat_hi) -> bool:
-    """True when pat_lo refines the equalities of pat_hi (lies in its closure)."""
-    for (lev_g, zg, _), (lev_f, zf, _) in zip(pat_lo, pat_hi):
-        q = len(lev_f)
-        elems_f = list(lev_f) + [zf]
-        elems_g = list(lev_g) + [zg]
-        for a in range(q + 1):
-            for b in range(q + 1):
-                if elems_f[a] < elems_f[b] and elems_g[a] > elems_g[b]:
-                    return False
-                if elems_f[a] == elems_f[b] and elems_g[a] != elems_g[b]:
-                    return False
-    return True
-
-
 class FaceLattice:
     """All faces of the embedded cone, graded by dimension."""
 
@@ -614,7 +598,6 @@ class FaceLattice:
                 {
                     "pattern": [[list(b[0]), b[1], b[2]] for b in f.pattern],
                     "dim": f.dim,
-                    "closure_of": sorted(f.closure_of),
                 }
                 for f in self.faces
             ],
@@ -626,9 +609,7 @@ class FaceLattice:
         for i, fo in enumerate(obj["faces"]):
             pattern = tuple((tuple(b[0]), int(b[1]), int(b[2])) for b in fo["pattern"])
             basis, cons, projectors = _face_geometry(spec, pattern)
-            rec = FaceRecord(i, pattern, int(fo["dim"]), basis, cons, projectors)
-            rec.closure_of = frozenset(fo["closure_of"])
-            faces.append(rec)
+            faces.append(FaceRecord(i, pattern, int(fo["dim"]), basis, cons, projectors))
         return FaceLattice(spec, faces,
                            tilde_c=float(obj["tilde_c"]),
                            pair_separation={int(k): float(v)
@@ -668,13 +649,6 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     for i, pattern in enumerate(sorted(found)):
         basis, cons, projectors = _face_geometry(spec, pattern)
         faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons, projectors))
-
-    # closure relation through pattern weakening up to a common relabeling
-    perms = list(itertools.permutations(range(dims.q)))
-    for lo in faces:
-        lo.closure_of = frozenset(
-            hi.index for hi in faces if hi.dim > lo.dim
-            and any(_closure_leq(_permute_pattern(lo.pattern, p), hi.pattern) for p in perms))
 
     lattice = FaceLattice(spec, faces, tilde_c=0.5, pair_separation={})
     lattice.pair_separation = _measure_pair_separation(lattice)
@@ -762,8 +736,8 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
         dlow[ok] = lattice.skeleton_distance_batch(base[ok], k - 1)
         fibers.append((absz, ok, dlow))
 
-    # faces of equal dimension are never nested (closure_of holds only faces
-    # of higher dimension), so a point may lie in one fiber per dimension
+    # faces of equal dimension are never nested, so a point may lie in one
+    # fiber per dimension
     c = start
     for _ in range(8):
         if all(((ok & (absz <= c * dlow)).sum(axis=1) <= 1).all()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
-from scipy.signal import fftconvolve
 
 from . import qfield as qf
 from . import currents as cu
@@ -243,17 +242,6 @@ def local_optimality_trials(f: qf.QGridFunction, pinned: np.ndarray,
 # Estimate probes
 
 
-def _ball_means(density: np.ndarray, valid: np.ndarray, h: float, s: float):
-    """Coverage-weighted means of `density` over radius-s balls at each node."""
-    kern = cu._disk_kernel(h, s)
-    num = fftconvolve(density * valid, kern, mode="same")
-    den = fftconvolve(valid.astype(float), kern, mode="same")
-    out = np.zeros_like(num)
-    ok = den > 1e-12
-    out[ok] = num[ok] / den[ok]
-    return out
-
-
 def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
                          radii=None, radius: float = 1.0,
                          config: ProbeConfig = None) -> ProbeReport:
@@ -270,10 +258,15 @@ def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
     dens = qf.energy_density(u)
     nodes = u.nodes()
     dist = np.linalg.norm(nodes - 0.0, axis=-1)
+
+    def ball_means(a, s):
+        kern = qf.disk_kernel(h, s)
+        return qf.masked_kernel_mean(a, u.mask, kern, 1e-12)[0]
+
     rows = []
     for r in radii:
-        lhs = np.sqrt(_ball_means(dens, u.mask, h, r))
-        rhs = _ball_means(dens ** (p11 / 2.0), u.mask, h, 2 * r) ** (1 / p11)
+        lhs = np.sqrt(ball_means(dens, r))
+        rhs = ball_means(dens ** (p11 / 2.0), 2 * r) ** (1 / p11)
         sel = (dist <= radius - 2 * r - h) & u.mask
         ratio = np.ones_like(lhs)
         ok = rhs > 1e-14
@@ -302,8 +295,6 @@ def gradient_lp_probe(scales=None, p1: float = 1.25, res: int = 65,
     for lam in scales:
         T = factory(lam)
         ex = cu.ExcessField(T)
-        if ex.density is None:
-            raise ValueError("density field unavailable")
         h = T.base.spacing
         w2 = qf.disk_weights(T.base, T.center, T.radius4 / 2.0)
         low = (ex.density <= 1.0) & T.base.mask

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .embed import xi_batch, xi_inverse
 from .qspace import QPoint, metric_g
@@ -278,11 +277,12 @@ def energy_density(f: QGridFunction) -> np.ndarray:
     return dens
 
 
-def disk_weights(f: QGridFunction, center, radius: float, sub: int = 4) -> np.ndarray:
-    """Coverage fraction of each node's dual cell inside the disk."""
-    pts = f.nodes()
+def disk_coverage(pts: np.ndarray, h: float, center, radius: float,
+                  sub: int) -> np.ndarray:
+    """Coverage fraction inside the disk of the spacing-h dual cell of each
+    point: 1 or 0 beyond one spacing of the rim, a sub^m-point sample on it."""
     c = np.asarray(center, dtype=float)
-    h = f.spacing
+    m = pts.shape[-1]
     d = np.linalg.norm(pts - c, axis=-1)
     inner = d <= radius - h  # dual cell certainly inside
     outer = d >= radius + h
@@ -290,12 +290,52 @@ def disk_weights(f: QGridFunction, center, radius: float, sub: int = 4) -> np.nd
     edge = ~inner & ~outer
     if np.any(edge):
         offs = (np.arange(sub) + 0.5) / sub - 0.5
-        stencil = np.stack(np.meshgrid(*([offs] * f.m), indexing="ij"),
-                           axis=-1).reshape(-1, f.m) * h
+        stencil = np.stack(np.meshgrid(*([offs] * m), indexing="ij"),
+                           axis=-1).reshape(-1, m) * h
         epts = pts[edge][:, None, :] + stencil[None, :, :]
-        frac = (np.linalg.norm(epts - c, axis=-1) <= radius).mean(axis=1)
-        w[edge] = frac
+        w[edge] = (np.linalg.norm(epts - c, axis=-1) <= radius).mean(axis=1)
     return w
+
+
+def disk_weights(f: QGridFunction, center, radius: float, sub: int = 4) -> np.ndarray:
+    """Coverage fraction of each node's dual cell inside the disk."""
+    return disk_coverage(f.nodes(), f.spacing, center, radius, sub)
+
+
+def disk_kernel(h: float, s: float) -> np.ndarray:
+    """Coverage of a radius-s disk on the centred (2k+1)^2 planar node
+    lattice of spacing h, k = ceil(s/h) + 1."""
+    k = int(math.ceil(s / h)) + 1
+    # small kernels are all rim; refine them until quantization is ~1%
+    sub = max(4, int(math.ceil(4.0 * h / s)) * 8)
+    ax = np.arange(-k, k + 1) * h
+    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    return disk_coverage(pts, h, (0.0, 0.0), s, sub)
+
+
+def kernel_sum(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Sum of `a` under `kern` centred on each node, zero beyond the array."""
+    from scipy.signal import fftconvolve  # loaded on first use only
+
+    return fftconvolve(a, kern, mode="same")
+
+
+def masked_kernel_mean(values: np.ndarray, mask: np.ndarray, kern: np.ndarray,
+                       floor: float):
+    """Kernel-weighted mean of `values` (the grid shape of `mask`, plus any
+    trailing axes) over the masked nodes.
+
+    Returns (mean, weight): weight is the kernel mass on masked nodes, and
+    the mean is 0 where the weight is at most `floor`."""
+    w = kernel_sum(mask.astype(float), kern)
+    chans = values.reshape(mask.shape + (-1,)) * mask[..., None]
+    num = np.empty(chans.shape)
+    for i in range(chans.shape[-1]):
+        num[..., i] = kernel_sum(chans[..., i], kern)
+    good = w > floor
+    out = np.zeros_like(num)
+    out[good] = num[good] / w[good][..., None]
+    return out.reshape(values.shape), w
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +432,7 @@ def mollify_embedded(f: QGridFunction, eps: float, machinery=None):
         from .roproj import default_machinery
         machinery = default_machinery(f.n, f.q)
     emb = xi_batch(machinery.spec, f.values)
-    kern = _bump_kernel(f.m, f.spacing, eps)
-    w = fftconvolve(f.mask.astype(float), kern, mode="same")
-    out = np.empty_like(emb)
-    masked = emb * f.mask[..., None]
-    for i in range(emb.shape[-1]):
-        out[..., i] = fftconvolve(masked[..., i], kern, mode="same")
-    good = w > 1e-10
-    out[good] /= w[good][..., None]
-    out[~good] = 0.0
-    return out, w
+    return masked_kernel_mean(emb, f.mask, _bump_kernel(f.m, f.spacing, eps), 1e-10)
 
 
 def retract_embedded(emb: np.ndarray, machinery, select: np.ndarray = None) -> np.ndarray:

@@ -91,37 +91,29 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", d, d)
 
 
+def _min_assignment(cost: np.ndarray, method: str):
+    """Least total cost of a perfect matching of the square cost matrix."""
+    q = len(cost)
+    if method == "hungarian":
+        rows, cols = linear_sum_assignment(cost)
+        return cost[rows, cols].sum()
+    if method == "brute":
+        if q > _BRUTE_MAX_Q:
+            raise ValueError(f"brute force limited to Q <= {_BRUTE_MAX_Q}")
+        return min(cost[range(q), perm].sum() for perm in itertools.permutations(range(q)))
+    raise ValueError(f"unknown method {method!r}")
+
+
 def metric_g(s: QPoint, t: QPoint, method: str = "hungarian") -> float:
     """Matching metric: min over permutations of the root sum of squared gaps."""
     _check_compatible(s, t)
-    cost = _pairwise_sq(s.points, t.points)
-    if method == "hungarian":
-        rows, cols = linear_sum_assignment(cost)
-        return float(np.sqrt(cost[rows, cols].sum()))
-    if method == "brute":
-        if s.q > _BRUTE_MAX_Q:
-            raise ValueError(f"brute force limited to Q <= {_BRUTE_MAX_Q}")
-        best = min(
-            cost[range(s.q), perm].sum() for perm in itertools.permutations(range(s.q))
-        )
-        return float(np.sqrt(best))
-    raise ValueError(f"unknown method {method!r}")
+    return float(np.sqrt(_min_assignment(_pairwise_sq(s.points, t.points), method)))
 
 
 def wasserstein1(s: QPoint, t: QPoint, method: str = "hungarian") -> float:
     """Linear-cost matching distance; dominates metric_g."""
     _check_compatible(s, t)
-    cost = np.sqrt(_pairwise_sq(s.points, t.points))
-    if method == "hungarian":
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].sum())
-    if method == "brute":
-        if s.q > _BRUTE_MAX_Q:
-            raise ValueError(f"brute force limited to Q <= {_BRUTE_MAX_Q}")
-        return float(
-            min(cost[range(s.q), perm].sum() for perm in itertools.permutations(range(s.q)))
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return float(_min_assignment(np.sqrt(_pairwise_sq(s.points, t.points)), method))
 
 
 def mean_eta(t: QPoint) -> np.ndarray:

@@ -301,3 +301,21 @@ def test_entry_point_smoke():
     proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen-current" in proc.stdout
+
+
+def test_import_leaves_signal_and_ndimage_unloaded():
+    """scipy.signal and scipy.ndimage load only when a convolution or a
+    running maximum first runs, not on `import qlip.cli`."""
+    import os
+
+    import qlip
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qlip.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, qlip.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.ndimage') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

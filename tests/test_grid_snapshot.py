@@ -5,7 +5,14 @@ with spikes, the BV functional and the Dirichlet solver history.
 The values were computed before the matching, edge-walk, cell-average and
 spike-overlap code was folded into one helper each; a refactor of those
 helpers must reproduce them to rel 1e-13.
+
+The disk averages (maximal function, reverse-Hoelder means, mollification)
+are pinned exactly: they were computed before the disk kernel, the masked
+kernel mean and the convolution call were each folded into one routine.
 """
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -144,3 +151,44 @@ def test_dirichlet_solver_snapshot():
     for got, exp in zip(rep["start_energies"],
                         [7.531919049941525, 7.2434606169990685]):
         _close(got, exp)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _two_sheets(p):
+    return np.array([[math.sin(2 * p[0]) + 0.5 * p[1]],
+                     [2.0 + math.cos(p[0] + p[1])]])
+
+
+def test_maximal_excess_pinned():
+    M, info = cu.maximal_excess(cu.w32_current(0.125, res=65))
+    assert M.shape == (65, 65)
+    assert info["radii"] == [0.03125 * k for k in range(1, 9)] + [0.5]
+    assert _digest(M) == (
+        "b355f3eca8462f02301a4a6ed710163861b17d3b7272b5f1e05c9cddd76e80a9")
+    assert _digest(info["finest"]) == (
+        "be01760db8835a5da8262c56ea84e7e985aada2774565e7b12ddae3925f43f04")
+
+
+def test_reverse_holder_rows_pinned():
+    f = qf.from_callable(qf.ball(1.0), 65, _two_sheets, q=2, n=1)
+    rep = pb.reverse_holder_probe(f)
+    assert rep.rows == [
+        {"radius": 0.125, "max_ratio": 1.0178215431153752, "centers": 1653},
+        {"radius": 0.25, "max_ratio": 1.0653234448447773, "centers": 709},
+        {"radius": 0.5, "max_ratio": 1.0, "centers": 0}]
+
+
+def test_mollify_embedded_pinned():
+    f = qf.from_callable(qf.square(1.0), 49, _two_sheets, q=2, n=1)
+    emb, w = qf.mollify_embedded(f, eps=4 * f.spacing)
+    assert emb.shape == (49, 49, 2)
+    assert _digest(emb) == (
+        "75fa26240378c4276ac9160d8c9a8ee313649a2c9e6edc3c1b5710bbd92d954f")
+    assert _digest(w) == (
+        "dde77f959d23e81ffe552c8ff957c14d5cd1211d8f288d40f94b1a973cbe84e2")
