@@ -183,8 +183,10 @@ def _merge_config(args) -> tuple:
 
 
 def _opt(cfg: dict, key: str, default):
-    val = cfg.get(key)
-    return default if val is None else val
+    """cfg[key], set to `default` when unset so the manifest records it."""
+    if cfg.get(key) is None:
+        cfg[key] = default
+    return cfg[key]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +444,10 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
             report = pb.reverse_holder_probe(u, p11=_opt(cfg, "p11", 1.5),
                                              radius=radius, config=pc)
         elif name == "excess":
-            sub = dict(cfg)
-            sub["current"] = _opt(cfg, "current", "w32")
-            sub["scale"] = _opt(cfg, "scale", 2.0 ** -6)
-            sub["res"] = int(_opt(cfg, "res", 97))
-            report = pb.excess_probes(_make_current(sub, sink), config=pc)
+            _opt(cfg, "current", "w32")
+            _opt(cfg, "scale", 2.0 ** -6)
+            cfg["res"] = int(_opt(cfg, "res", 97))
+            report = pb.excess_probes(_make_current(cfg, sink), config=pc)
         elif name == "harmonic":
             res = int(_opt(cfg, "res", 49))
             report = pb.harmonic_approx_probe(

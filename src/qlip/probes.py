@@ -95,22 +95,6 @@ def _loglog_slope(x, y):
 # Dirichlet minimization on the covering graph
 
 
-def _edge_tables(f: qf.QGridFunction, weights: np.ndarray):
-    """Flat (a, b, w) arrays for every grid edge with positive weight, the
-    edges along axis 0 first."""
-    m, res, h = f.m, f.res, f.spacing
-    flat_ids = np.arange(res ** m).reshape((res,) * m)
-    tables = []
-    for ax, lo, hi in qf._axis_edges(m, res):
-        wedge = 0.5 * (weights[lo] + weights[hi])
-        wedge = wedge * qf._trapezoid_weights(res, m, ax) * h ** (m - 2)
-        tables.append((flat_ids[lo].ravel(), flat_ids[hi].ravel(),
-                       wedge.ravel()))
-    a, b, w = (np.concatenate(col) for col in zip(*tables))
-    keep = w > 0
-    return a[keep], b[keep], w[keep]
-
-
 def _solve_given_matchings(vals, pinned, a, b, w, pmat):
     """Minimize the frozen-matching quadratic form; one sparse solve.
 
@@ -161,7 +145,8 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
     nodes = f.nodes().reshape(-1, 2)
     pinned_flat = np.linalg.norm(nodes, axis=-1) >= radius
     weights = qf.disk_weights(f, (0.0, 0.0), radius)
-    a, b, w = _edge_tables(f, weights)
+    a, b, w = (np.concatenate(col)
+               for col in zip(*qf.grid_edges(f.mask, weights, h)))
     perms = qf._perm_bank(q)
     rng = np.random.default_rng(seed)
 
@@ -245,19 +230,23 @@ def local_optimality_trials(f: qf.QGridFunction, pinned: np.ndarray,
 def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
                          radii=None, radius: float = 1.0,
                          config: ProbeConfig = None) -> ProbeReport:
-    """Ratio of the B_r quadratic mean of |Du| to the B_2r p11-mean."""
+    """Ratio of the B_r quadratic mean of |Du| to the B_2r p11-mean.
+
+    A row's centres are the masked nodes within radius - 2r - h of the
+    domain's centre; C is the worst ratio over the rows that have any, and
+    a ValueError is raised when none has."""
     config = config or ProbeConfig(p11=p11)
     if not 2.0 * (u.m - 1) / u.m < p11 < 2.0:
         raise ValueError("p11 out of range")
     h = u.spacing
     if radii is None:
-        radii = [r for r in (4 * h, 8 * h, 16 * h) if 2 * r <= radius]
+        # a radius needs 2r + h <= radius to keep any centre below
+        radii = [r for r in (4 * h, 8 * h, 16 * h) if 2 * r + h <= radius]
         radii = radii or [4 * h]
     if max(radii) * 2 > radius:
         raise ValueError("radii exceed the domain")
     dens = qf.energy_density(u)
-    nodes = u.nodes()
-    dist = np.linalg.norm(nodes - 0.0, axis=-1)
+    dist = np.linalg.norm(u.nodes() - np.asarray(u.domain.center), axis=-1)
 
     def ball_means(a, s):
         kern = qf.disk_kernel(h, s)
@@ -275,7 +264,11 @@ def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
         worst = float(ratio[sel].max()) if sel.any() else 1.0
         rows.append({"radius": float(r), "max_ratio": worst,
                      "centers": int(sel.sum())})
-    cfit = max(row["max_ratio"] for row in rows)
+    fitted = [row["max_ratio"] for row in rows if row["centers"]]
+    if not fitted:
+        raise ValueError("no radius keeps a centre whose 2r-ball lies in "
+                         "the domain")
+    cfit = max(fitted)
     return ProbeReport("reverse_holder", rows,
                        {"C": cfit, "p11": p11},
                        passed=cfit <= config.holder_slack)

@@ -4,7 +4,9 @@ Values are unordered q-tuples per node.  The Dirichlet energy uses matched
 finite differences: each grid edge contributes the squared matching metric of
 its endpoint tuples over the spacing, weighted by a trapezoid rule in the
 transverse directions (exact for affine single-valued fields) and optionally
-by per-node region weights (coverage fractions for disks).
+by per-node region weights (coverage fractions for disks).  One edge table,
+`grid_edges`, carries these weights for both energies, the energy density and
+the Dirichlet solver.
 
 Extension, mollification and interpolation all route through the embedded
 coordinates and retract stray values with the almost-projection machinery.
@@ -193,59 +195,51 @@ def matched_diff_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-2])
 
 
-def _axis_edges(m: int, res: int):
-    """(axis, low ends, high ends) of the grid edges along each axis."""
+def grid_edges(mask: np.ndarray, weights: np.ndarray = None, h: float = 1.0):
+    """The grid's edge table: for each axis, flat (low, high, weight) arrays
+    of the edges along it with both ends in the mask and positive weight.
+
+    Ends are indices into the C-order ravel of the grid.  An edge's weight
+    is the mean of its end nodes' weights (`weights` times the mask; default:
+    the mask) times the transverse trapezoid factor (exact for affine
+    single-valued fields) times h^(m-2), so w @ |value[high] - value[low]|^2,
+    summed over the axes, is the Dirichlet energy."""
+    m, res = mask.ndim, mask.shape[0]
+    node_w = mask * (1.0 if weights is None else np.asarray(weights, dtype=float))
+    ids = np.arange(mask.size).reshape(mask.shape)
+    ends = np.ones(res)
+    ends[[0, -1]] = 0.5
     for ax in range(m):
-        lo = [slice(None)] * m
-        hi = [slice(None)] * m
-        lo[ax] = slice(0, res - 1)
-        hi[ax] = slice(1, res)
-        yield ax, tuple(lo), tuple(hi)
+        lo = (slice(None),) * ax + (slice(0, res - 1),)
+        hi = (slice(None),) * ax + (slice(1, res),)
+        # 1/2 for each transverse axis on whose boundary the edge lies
+        trap = functools.reduce(np.multiply, np.ix_(
+            *(np.ones(res - 1) if a == ax else ends for a in range(m))))
+        w = 0.5 * (node_w[lo] + node_w[hi]) * (mask[lo] & mask[hi]) \
+            * trap * h ** (m - 2)
+        keep = w > 0
+        yield ids[lo][keep], ids[hi][keep], w[keep]
 
 
-def _trapezoid_weights(res: int, m: int, axis: int) -> np.ndarray:
-    """Transverse trapezoid factors for edges along `axis` on an m-grid."""
-    if m == 1:
-        return np.ones(1)
-    factors = np.ones((res,) * m)
-    for ax in range(m):
-        if ax == axis:
-            continue
-        f = np.ones(res)
-        f[0] = f[-1] = 0.5
-        shape = [1] * m
-        shape[ax] = res
-        factors = factors * f.reshape(shape)
-    sl = [slice(None)] * m
-    sl[axis] = slice(0, res - 1)
-    return factors[tuple(sl)]
-
-
-def _region_weights(mask: np.ndarray, weights) -> np.ndarray:
-    if weights is None:
-        return mask.astype(float)
-    return np.asarray(weights, dtype=float) * mask
+def _edge_costs(values, mask, weights, h: float, edge_cost):
+    """(low, high, weight, edge_cost(low, high)) per axis of the edge table;
+    `values` has the grid shape of `mask` plus the value axes."""
+    flat = values.reshape((mask.size,) + values.shape[mask.ndim:])
+    for a, b, w in grid_edges(mask, weights, h):
+        yield a, b, w, edge_cost(flat[a], flat[b])
 
 
 def _edge_energy(values, mask, weights, h: float, edge_cost) -> float:
-    """Trapezoid quadrature of edge_cost(low, high) / h^2 over the edges
-    with both ends in the mask, each weighted by its mean node weight."""
-    m, res = mask.ndim, mask.shape[0]
-    total = 0.0
-    for ax, lo, hi in _axis_edges(m, res):
-        cost = edge_cost(values[lo], values[hi]) / h ** 2
-        wedge = 0.5 * (weights[lo] + weights[hi])
-        both = mask[lo] & mask[hi]
-        total += float(np.sum(cost * wedge * both * _trapezoid_weights(res, m, ax)))
-    return total * h ** m
+    """The edge table's weights dotted with edge_cost, summed over the axes."""
+    return sum((float(w @ cost) for _, _, w, cost
+                in _edge_costs(values, mask, weights, h, edge_cost)), 0.0)
 
 
 def dirichlet_energy(f: QGridFunction, weights: np.ndarray = None) -> float:
     """Sum over edges of matched difference quotients squared, times cell
     measure; `weights` are per-node region fractions (default: the mask).
     An empty or zero-weight region has energy 0."""
-    return _edge_energy(f.values, f.mask, _region_weights(f.mask, weights),
-                        f.spacing, matched_diff_sq)
+    return _edge_energy(f.values, f.mask, weights, f.spacing, matched_diff_sq)
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,24 +251,22 @@ def dirichlet_energy_embedded(emb: np.ndarray, h: float, mask: np.ndarray = None
     """Same quadrature for a single-valued embedded field (..., D)."""
     if mask is None:
         mask = np.ones(emb.shape[:-1], dtype=bool)
-    return _edge_energy(emb, mask, _region_weights(mask, weights), h, _sq_dist)
+    return _edge_energy(emb, mask, weights, h, _sq_dist)
 
 
 def energy_density(f: QGridFunction) -> np.ndarray:
-    """Per-node energy density: half-sum of incident edge difference quotients."""
-    h = f.spacing
-    out = np.zeros(f.values.shape[: f.m])
-    count = np.zeros_like(out)
-    for _, lo, hi in _axis_edges(f.m, f.res):
-        cost = matched_diff_sq(f.values[lo], f.values[hi]) / h ** 2
-        both = f.mask[lo] & f.mask[hi]
-        out[lo] += cost * both
-        out[hi] += cost * both
-        count[lo] += both
-        count[hi] += both
-    with np.errstate(invalid="ignore"):
-        dens = np.where(count > 0, out * (f.m / np.maximum(count, 1)), 0.0)
-    return dens
+    """Per-node energy density: m / (number of incident edges) times the sum
+    of their matched difference quotients squared, over the edges with both
+    ends in the mask; 0 at nodes with none."""
+    ends, costs = [], []
+    for a, b, _, cost in _edge_costs(f.values, f.mask, None, f.spacing,
+                                     matched_diff_sq):
+        ends += [a, b]
+        costs += [cost / f.spacing ** 2] * 2
+    ends = np.concatenate(ends)
+    out = np.bincount(ends, np.concatenate(costs), minlength=f.mask.size)
+    count = np.bincount(ends, minlength=f.mask.size)
+    return (out * (f.m / np.maximum(count, 1))).reshape(f.mask.shape)
 
 
 def disk_coverage(pts: np.ndarray, h: float, center, radius: float,
@@ -351,8 +343,8 @@ def lipschitz_and_osc(f: QGridFunction, stencil: int = 2):
     h = f.spacing
     m = f.m
     lip_sq = 0.0
-    # its own stencil, not _axis_edges: the pairs include diagonal offsets
-    # up to `stencil` nodes away, which the axis edges do not
+    # its own stencil, not grid_edges: the pairs include diagonal offsets
+    # up to `stencil` nodes away, which the edge table does not
     for off in itertools.product(range(-stencil, stencil + 1), repeat=m):
         if all(o == 0 for o in off) or off < tuple(-o for o in off):
             continue  # skip null and mirror-duplicate offsets

@@ -120,6 +120,19 @@ def test_approx_spike_benchmark(tmp_path):
     assert rep["area_bad"] <= 4.0 * rep["bad_bound"]
 
 
+def test_manifest_records_applied_defaults(tmp_path):
+    out = tmp_path / "approx"
+    assert cli.main(["approx", "--current", "spike", "--out", str(out)]) == 0
+    cfg = _read(out / "manifest.json")["config"]
+    assert {k: cfg[k] for k in ("res", "radius4", "q", "n")} == \
+        {"res": 129, "radius4": 4.0, "q": 2, "n": 1}
+    out = tmp_path / "excess"
+    assert cli.main(["probe", "excess", "--res", "33", "--out", str(out)]) == 0
+    cfg = _read(out / "manifest.json")["config"]
+    assert {k: cfg[k] for k in ("current", "scale", "res", "radius4")} == \
+        {"current": "w32", "scale": 2.0 ** -6, "res": 33, "radius4": 1.0}
+
+
 def test_rho_star_eval(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["rho-star-eval", "--samples", "60",

@@ -180,8 +180,7 @@ def test_reverse_holder_rows_pinned():
     rep = pb.reverse_holder_probe(f)
     assert rep.rows == [
         {"radius": 0.125, "max_ratio": 1.0178215431153752, "centers": 1653},
-        {"radius": 0.25, "max_ratio": 1.0653234448447773, "centers": 709},
-        {"radius": 0.5, "max_ratio": 1.0, "centers": 0}]
+        {"radius": 0.25, "max_ratio": 1.0653234448447773, "centers": 709}]
 
 
 def test_mollify_embedded_pinned():

@@ -106,6 +106,31 @@ def test_reverse_holder_harmonic_and_branch():
     assert abs(r65.fits["C"] - r33.fits["C"]) <= 0.4 * r33.fits["C"]
 
 
+def test_reverse_holder_centres_follow_the_domain():
+    # the same node values on a ball moved off the origin give the same rows
+    f = qf.from_callable(qf.ball(1.0), 33,
+                         lambda p: np.array([[p[0] ** 2 + 0.5 * p[1]]]),
+                         q=1, n=1)
+    moved = qf.QGridFunction(qf.ball(1.0, center=(0.5, 0.0)), 33, f.values)
+    assert np.array_equal(moved.mask, f.mask)
+    rows = pb.reverse_holder_probe(f).rows
+    assert [row["centers"] for row in rows] == [149]
+    assert pb.reverse_holder_probe(moved).rows == rows
+
+
+def test_reverse_holder_fits_populated_rows_only():
+    f = qf.from_callable(qf.square(1.0), 65,
+                         lambda p: np.array([[p[0] ** 4]]), q=1, n=1)
+    rep = pb.reverse_holder_probe(f)
+    assert [row["radius"] for row in rep.rows] == [0.125, 0.25]
+    assert all(row["centers"] > 0 for row in rep.rows)
+    assert rep.fits["C"] == max(row["max_ratio"] for row in rep.rows)
+    assert 0.9 < rep.fits["C"] < 0.95
+    # a radius whose 2r-balls all leave the domain keeps no centre
+    with pytest.raises(ValueError, match="centre"):
+        pb.reverse_holder_probe(f, radii=[0.5])
+
+
 def test_reverse_holder_rejects_big_radius():
     f = qf.constant_field(qf.square(1.0), 33, QPoint([[0.0]]))
     with pytest.raises(ValueError):

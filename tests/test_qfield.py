@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlip.qspace import QPoint, metric_g
-from qlip.embed import xi_batch
+from qlip.embed import build_embedding, xi_batch
 from qlip.roproj import default_machinery
 from qlip import qfield as qf
 
@@ -251,6 +251,37 @@ def test_empty_region_has_zero_energy():
     assert qf.dirichlet_energy_embedded(emb, f.spacing, mask=empty) == 0.0
     assert qf.dirichlet_energy_embedded(emb, f.spacing, mask=f.mask,
                                         weights=zero) == 0.0
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 2), q=st.integers(1, 3), m=st.integers(1, 2),
+       res=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_energy_identity_on_parallel_affine_sheets(n, q, m, res, seed):
+    """q parallel sheets x -> A x + b_j with distinct offsets never cross:
+    the identity pairing is optimal on every edge and each direction of
+    the embedding sorts the sheets the same way at every node, so the
+    matched and the embedded energies agree for any node weights, and
+    both are q |A|^2 (2r)^m on the full square."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, m))
+    A *= rng.uniform(0.5, 2.0) / np.linalg.norm(A)
+    offsets = rng.normal(size=n) + np.arange(q)[:, None] * rng.normal(size=n)
+    r = rng.uniform(0.5, 2.0)
+    dom = qf.GridDomain("square", (0.0,) * m, r)
+    nodes = qf.constant_field(dom, res, QPoint(np.zeros((1, m)))).nodes()
+    f = qf.QGridFunction(dom, res, (nodes @ A.T)[..., None, :] + offsets)
+    w = rng.uniform(0.0, 1.0, size=f.mask.shape)
+    w[rng.uniform(size=w.shape) < 0.3] = 0.0
+    # the certificate size default_machinery uses, so its specs are shared
+    emb = xi_batch(build_embedding(n, q, certificate_pairs=2000), f.values)
+
+    direct = qf.dirichlet_energy(f, w)
+    via = qf.dirichlet_energy_embedded(emb, f.spacing, f.mask, w)
+    assert abs(direct - via) <= 1e-12 * direct
+    exact = q * float(np.sum(A ** 2)) * (2.0 * r) ** m
+    for got in (qf.dirichlet_energy(f),
+                qf.dirichlet_energy_embedded(emb, f.spacing, f.mask)):
+        assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_readme_example():
