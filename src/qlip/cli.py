@@ -407,11 +407,14 @@ def _split_fields(mach, res: int):
 
 def _cmd_probe(cfg: dict, sink: _Sink) -> int:
     name = cfg["probe"]
+    for key, owner in (("starts", "reverse-holder"), ("radius4", "excess")):
+        if cfg.get(key) is not None and name != owner:
+            raise ConfigError("--%s applies to probe %s only" % (key, owner))
     pc = _probe_config(cfg)
     try:
         if name == "gradient-lp":
-            report = pb.gradient_lp_probe(scales=cfg.get("scales"),
-                                          p1=_opt(cfg, "p1", 1.25),
+            cfg["p1"] = pc.p1
+            report = pb.gradient_lp_probe(scales=_opt(cfg, "scales", pc.scales),
                                           res=int(_opt(cfg, "res", 65)),
                                           config=pc)
         elif name == "persistence":
@@ -441,8 +444,8 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
                     starts=int(_opt(cfg, "starts", 4)),
                     seed=int(cfg["seed"]))
                 radius = 1.0
-            report = pb.reverse_holder_probe(u, p11=_opt(cfg, "p11", 1.5),
-                                             radius=radius, config=pc)
+            cfg["p11"] = pc.p11
+            report = pb.reverse_holder_probe(u, radius=radius, config=pc)
         elif name == "excess":
             _opt(cfg, "current", "w32")
             _opt(cfg, "scale", 2.0 ** -6)
@@ -451,8 +454,7 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
         elif name == "harmonic":
             res = int(_opt(cfg, "res", 49))
             report = pb.harmonic_approx_probe(
-                scales=cfg.get("scales") or pc.scales[:3],
-                res=res, config=pc)
+                scales=_opt(cfg, "scales", pc.scales[:3]), res=res, config=pc)
         elif name == "energy-split":
             # n = 2 exercises the off-cone bucket but builds a much larger
             # embedding; the default stays with the cheap machinery

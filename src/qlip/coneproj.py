@@ -24,6 +24,7 @@ import itertools
 import numpy as np
 from scipy.optimize import lsq_linear
 
+_CONE_TOL = 1e-11  # oracle: slack of the in-cone test, relative to 1 + |z|
 
 # ---------------------------------------------------------------------------
 # pool adjacent violators with pinned pools
@@ -71,7 +72,7 @@ def pava_pinned(means, weights, pinned=None) -> np.ndarray:
 # projection onto {z : G z >= 0}
 
 
-def project_polyhedral_cone(point, G, tol: float = 1e-11):
+def project_polyhedral_cone(point, G):
     """Project onto {z : G z >= 0}.  Returns (projection, kkt_residual).
 
     Moreau: z* = z + P_C(-z) where C = cone{rows of G}; P_C is a nonnegative
@@ -84,7 +85,7 @@ def project_polyhedral_cone(point, G, tol: float = 1e-11):
     G = np.asarray(G, dtype=float)
     if G.size == 0:
         return z.copy(), 0.0
-    if np.all(G @ z >= -tol * (1.0 + np.linalg.norm(z))):
+    if np.all(G @ z >= -_CONE_TOL * (1.0 + np.linalg.norm(z))):
         return z.copy(), 0.0
     size = np.linalg.norm(z)
     mu = size * lsq_linear(G.T, -z / size, bounds=(0.0, np.inf), method="bvls",
@@ -100,9 +101,11 @@ def project_polyhedral_cone(point, G, tol: float = 1e-11):
 # ball intersection by an exact active-set solve
 
 _MAX_STEPS = 500
+_BALL_TOL = 1e-13       # ball solve: stop test, relative to its scale
+_KIRSZBRAUN_TOL = 1e-9  # Kirszbraun level: bisection width, relative
 
 
-def ball_intersection_point(centers, sq_radii, tol: float = 1e-13):
+def ball_intersection_point(centers, sq_radii):
     """Feasibility of the intersection of balls |y - v_i|^2 <= rho2_i.
 
     Returns (y, gap) with gap = max_i F_i(y), F_i(y) = |y - v_i|^2 - rho2_i, at
@@ -114,7 +117,7 @@ def ball_intersection_point(centers, sq_radii, tol: float = 1e-13):
     B (the KKT system of the simplex dual, in differences u = v - v_w); B is
     accepted when lam >= 0 and no working-set point lies above the dual value
     sum lam_j F_j(y), a lower bound.  The solve stops when no point exceeds
-    that bound by more than tol * scale, scale = 1 + max_i (|v_i - v_0|^2 +
+    that bound by more than _BALL_TOL * scale, scale = 1 + max_i (|v_i - v_0|^2 +
     |rho2_i|); it raises RuntimeError when no support is accepted or after
     _MAX_STEPS steps.
     """
@@ -126,7 +129,7 @@ def ball_intersection_point(centers, sq_radii, tol: float = 1e-13):
     F, scale = sq - rho2, 1.0 + float(np.max(sq + np.abs(rho2)))
     for _ in range(_MAX_STEPS):
         worst = int(np.argmax(F))
-        if F[worst] <= value + tol * scale:
+        if F[worst] <= value + _BALL_TOL * scale:
             return y, float(F[worst])
         work = np.array([*supp, worst])
         U = V[work] - V[worst]
@@ -141,7 +144,7 @@ def ball_intersection_point(centers, sq_radii, tol: float = 1e-13):
             z = lam @ U[s]
             s, lam = s + [len(supp)], np.append(lam, 1.0 - lam.sum())
             Fw = np.einsum("ij,ij->i", U - z, U - z) - rho2[work]
-            if lam.min() >= 0.0 and Fw.max() <= lam @ Fw[s] + tol * scale:
+            if lam.min() >= 0.0 and Fw.max() <= lam @ Fw[s] + _BALL_TOL * scale:
                 break
         else:
             break
@@ -152,8 +155,8 @@ def ball_intersection_point(centers, sq_radii, tol: float = 1e-13):
                        "k=%d centers in d=%d" % V.shape)
 
 
-def kirszbraun_value(x, anchors, values, lip: float, tol: float = 1e-9):
-    """A point y minimizing max_i (|y - v_i| - L |x - a_i|) to within tol.
+def kirszbraun_value(x, anchors, values, lip: float):
+    """A point y minimizing max_i (|y - v_i| - L |x - a_i|), to _KIRSZBRAUN_TOL.
 
     When the anchored data is L-Lipschitz the optimum is <= 0 and y extends
     the map at x without raising the constant against the anchors; otherwise
@@ -178,12 +181,12 @@ def kirszbraun_value(x, anchors, values, lip: float, tol: float = 1e-9):
     scale = 1.0 + float(np.max(r)) + float(np.max(np.abs(V)))
     y_best = None
     for _ in range(80):
-        if hi - lo <= tol * scale:
+        if hi - lo <= _KIRSZBRAUN_TOL * scale:
             break
         mid = 0.5 * (lo + hi)
         rho = np.maximum(mid + r, 0.0)
         y, gap = ball_intersection_point(V, rho * rho)
-        if gap <= (tol * scale) ** 2:
+        if gap <= (_KIRSZBRAUN_TOL * scale) ** 2:
             hi = mid
             y_best = y
         else:

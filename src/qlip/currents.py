@@ -28,6 +28,10 @@ from . import qfield as qf
 from .embed import xi_batch, xi_inverse
 
 _OMEGA = {1: 2.0, 2: math.pi}  # unit-ball measure per base dimension
+_POLAR_NODES = (96, 32)  # excess disk quadrature: directions, Gauss radii
+_PROFILE_NODES = (64, 24)  # mass-ratio ray quadrature: directions, Gauss radii
+_SHORT_MAP_BOX, _SHORT_MAP_SAMPLES = 4.0, 300  # short-map spot check
+_COMPETITOR_SIGMAS = 10  # competitor: candidate blend radii in [1.25 r, 2 r]
 
 
 @dataclass(frozen=True)
@@ -220,8 +224,9 @@ def _spike_ball_mass(spikes, h: float, center, radius: float) -> float:
     return total
 
 
-def _polar_integral(fn, center, radius, n_theta=96, n_rad=32):
+def _polar_integral(fn, center, radius):
     """Integral of fn over the disk B_radius(center), Gauss in the radius."""
+    n_theta, n_rad = _POLAR_NODES
     t, wt = leggauss(n_rad)
     t = 0.5 * radius * (t + 1.0)
     wt = 0.5 * radius * wt
@@ -283,10 +288,10 @@ class ExcessField:
         area = _OMEGA[self.T.m] * radius ** self.T.m
         return self.T.q * area + self.ball_excess(center, radius)
 
-    def excess_ratio(self, radius: float, center=None) -> float:
+    def excess_ratio(self, radius: float) -> float:
         """E(T, C_radius(center)) = excess / (omega_m radius^m)."""
-        c = self.T.center if center is None else center
-        return self.ball_excess(c, radius) / (_OMEGA[self.T.m] * radius ** self.T.m)
+        return (self.ball_excess(self.T.center, radius)
+                / (_OMEGA[self.T.m] * radius ** self.T.m))
 
 
 def mass_and_excess(T: GraphCurrent, region=None):
@@ -379,7 +384,7 @@ def _footprint_max(a: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def maximal_excess(T: GraphCurrent, radii=None, ex=None):
+def maximal_excess(T: GraphCurrent, ex=None):
     """Non-centered maximal function of the excess over a finite family of
     balls: grid-node centers, unit-step radii h..8h plus dyadic radii up to
     the cylinder, all constrained inside B_{4r}(x) (`ex`: T's ExcessField,
@@ -391,12 +396,11 @@ def maximal_excess(T: GraphCurrent, radii=None, ex=None):
     ex = ExcessField(T) if ex is None else ex
     f = T.base
     h = f.spacing
-    if radii is None:
-        radii = [h * k for k in range(1, 9)]
-        s = 16 * h
-        while s < T.radius4 - h:
-            radii.append(s)
-            s *= 2.0
+    radii = [h * k for k in range(1, 9)]
+    s = 16 * h
+    while s < T.radius4 - h:
+        radii.append(s)
+        s *= 2.0
     radii = [s for s in radii if s <= T.radius4 - h] or [h]
     nodes = f.nodes()
     dist = np.linalg.norm(nodes - T.center, axis=-1)
@@ -420,12 +424,11 @@ def maximal_excess(T: GraphCurrent, radii=None, ex=None):
 # slices and the BV functional
 
 
-def check_short_map(psi, n: int, box: float = 4.0, samples: int = 300,
-                    rng=None) -> float:
-    rng = rng or np.random.default_rng(0)
-    y = rng.uniform(-box, box, size=(samples, n))
+def check_short_map(psi, n: int) -> float:
+    rng = np.random.default_rng(0)
+    y = rng.uniform(-_SHORT_MAP_BOX, _SHORT_MAP_BOX, size=(_SHORT_MAP_SAMPLES, n))
     step = 1e-5
-    g2 = np.zeros(samples)
+    g2 = np.zeros(_SHORT_MAP_SAMPLES)
     for i in range(n):
         d = np.zeros(n)
         d[i] = step
@@ -528,12 +531,11 @@ def lipschitz_approximation(T: GraphCurrent, delta11: float, strict: bool = Fals
 # height and mass ratio
 
 
-def height(T: GraphCurrent, radius: float = None) -> float:
-    """Diameter of the vertical support over the region (0 for a plane)."""
+def height(T: GraphCurrent) -> float:
+    """Diameter of the vertical support over B_{4r} (0 for a plane)."""
     f = T.base
-    rad = T.radius4 if radius is None else radius
     dist = np.linalg.norm(f.nodes() - T.center, axis=-1)
-    sel = (dist <= rad) & f.mask
+    sel = (dist <= T.radius4) & f.mask
     cloud = f.values[sel].reshape(-1, T.n)
     for sp in T.spikes:
         if sp.values is not None:
@@ -562,10 +564,9 @@ def _diameter(cloud: np.ndarray) -> float:
     return float(d.max())
 
 
-def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
-                       curvature: float = 0.0, z0=None, n_theta=64, n_rad=24):
-    """rho -> exp(cconst curvature^2 rho^2) rho^{-m} ||T||(B_rho(p)) on
-    ambient balls around p = (center, z0); needs analytic sheets.
+def mass_ratio_profile(T: GraphCurrent, radii, z0=None):
+    """rho -> rho^{-m} ||T||(B_rho(p)) on ambient balls around p = (center,
+    z0) of the flat ambient space; needs analytic sheets.
 
     Each sheet is assumed to leave the ball at most once along each ray from
     the center, as the radial quadrature of its mass assumes: the exit t* of
@@ -584,6 +585,7 @@ def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
     if z0 is None:
         z0 = T.values_at(T.center[None])[0].mean(axis=0)
     z0 = np.asarray(z0, dtype=float)
+    n_theta, n_rad = _PROFILE_NODES
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
     tmax = T.radius4 * 0.999
@@ -614,7 +616,7 @@ def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
         pts = T.center + ts[..., None] * dirs[:, None, None, :]
         own = np.diagonal(T.sheet_area_density(pts), axis1=-2, axis2=-1)
         mass[i] = np.sum(own * ts * ws) * (2 * math.pi / n_theta)
-    vals = np.exp(cconst * curvature ** 2 * radii ** 2) * mass / radii ** T.m
+    vals = mass / radii ** T.m
     worst = float(np.max(vals[:-1] - vals[1:], initial=0.0))
     return [(float(r), float(v)) for r, v in zip(radii, vals)], worst
 
@@ -623,16 +625,14 @@ def mass_ratio_profile(T: GraphCurrent, radii, cconst: float = 0.0,
 # competitor
 
 
-def build_competitor(T: GraphCurrent, beta1: float, ladder=None,
-                     machinery=None, n_sigma: int = 10):
+def build_competitor(T: GraphCurrent, beta1: float):
     """Mollify-blend competitor: smooth the embedded approximation in a core
     ball, interpolate back to the approximation across two annuli of width s,
     keep the original beyond; energy and Lipschitz constants are reported
     against the kept-set energy.
 
     Exponent schedule: eps = E^a with a = (1-2 beta1)/(2m), blend width
-    s = E^{a/2} (grid-floored), retraction scale c0 = E^a unless a ladder or
-    machinery is supplied."""
+    s = E^{a/2} (grid-floored), retraction scale c0 = E^a within [1e-3, 0.12]."""
     from .roproj import AlmostProjection, ConstantLadder, default_machinery
 
     if T.m != 2:
@@ -647,20 +647,18 @@ def build_competitor(T: GraphCurrent, beta1: float, ladder=None,
     u, K, rep = lipschitz_approximation(T, delta11, ex=ex)
     f = T.base
     h = f.spacing
-    if machinery is None:
-        base_mach = default_machinery(T.n, T.q)
-        if ladder is None:
-            c0 = min(max(E ** a, 1e-3), 0.12)
-            ladder = ConstantLadder.explicit(base_mach.ladder.nq, c0=c0,
-                                             delta=min(0.4, math.sqrt(c0)))
-        machinery = AlmostProjection(base_mach.spec, base_mach.lattice, ladder)
+    base_mach = default_machinery(T.n, T.q)
+    c0 = min(max(E ** a, 1e-3), 0.12)
+    ladder = ConstantLadder.explicit(base_mach.ladder.nq, c0=c0,
+                                     delta=min(0.4, math.sqrt(c0)))
+    machinery = AlmostProjection(base_mach.spec, base_mach.lattice, ladder)
     spec = machinery.spec
     s_abs = min(max(E ** (a / 2.0) * r, 3 * h), r / 4.0)
     eps_abs = min(max(E ** a * r, h), s_abs)
 
     dist = np.linalg.norm(f.nodes() - T.center, axis=-1)
     dens_u = qf.energy_density(u)
-    sigmas = np.linspace(1.25 * r, 2.0 * r, n_sigma)
+    sigmas = np.linspace(1.25 * r, 2.0 * r, _COMPETITOR_SIGMAS)
     scores = [float(dens_u[(dist <= sg) & (dist > sg - s_abs) & u.mask].sum())
               for sg in sigmas]
     sigma = float(sigmas[int(np.argmin(scores))])

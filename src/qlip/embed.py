@@ -29,6 +29,8 @@ _SPAN_TOL = 1e-9
 # pass) and of its active-set enumeration: they bound the kernel temporaries
 _SPAN_PAIRS = 1 << 14
 _PROJECT_CHUNK = 256
+_APERTURE_START, _APERTURE_SAMPLES = 0.5, 200  # calibration: first try, points
+_FACE_TOL = 1e-7  # face_of_point: distance slack, relative to 1 + |v|
 
 
 class NotOnImageError(ValueError):
@@ -711,15 +713,15 @@ def _measure_pair_separation(lattice) -> dict:
     return out
 
 
-def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> float:
-    """Largest aperture (halving from `start`) for which sampled cone fibers
+def _calibrate_aperture(lattice) -> float:
+    """Largest aperture (halving from _APERTURE_START) for which sampled cone fibers
     of non-nested faces of equal dimension stay disjoint."""
     spec = lattice.spec
     rng = np.random.default_rng(2029)
     pts = xi_batch(spec, np.asarray([
         random_qpoint(rng, spec.dims.q, spec.dims.n,
                       cluster=float(rng.choice([0.0, 0.02, 0.3]))).points
-        for _ in range(samples)]))
+        for _ in range(_APERTURE_SAMPLES)]))
 
     # per dimension and (point, face) pair: the distance |z| of the point to
     # the face's span, whether its span point is off the face itself and
@@ -738,7 +740,7 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
 
     # faces of equal dimension are never nested, so a point may lie in one
     # fiber per dimension
-    c = start
+    c = _APERTURE_START
     for _ in range(8):
         if all(((ok & (absz <= c * dlow)).sum(axis=1) <= 1).all()
                for absz, ok, dlow in fibers):
@@ -751,12 +753,12 @@ def _calibrate_aperture(lattice, start: float = 0.5, samples: int = 200) -> floa
 # face lookup and inverse
 
 
-def face_of_point(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> FaceRecord:
-    """The lowest-dimensional face whose closure lies within tol * (1 + |v|)
-    of v; for a point of the cone, the face containing it.  Raises
+def face_of_point(lattice: FaceLattice, v: np.ndarray) -> FaceRecord:
+    """The lowest-dimensional face whose closure lies within _FACE_TOL *
+    (1 + |v|) of v; for a point of the cone, the face containing it.  Raises
     NotOnImageError when even the top faces are farther than that."""
     v = np.asarray(v, dtype=float)[None]
-    tol_abs = tol * (1.0 + float(np.linalg.norm(v)))
+    tol_abs = _FACE_TOL * (1.0 + float(np.linalg.norm(v)))
     for k in range(lattice.max_dim + 1):
         faces = lattice.faces_of_dim(k)
         _, d, which = faces.nearest(v)

@@ -24,23 +24,26 @@ from . import qfield as qf
 from . import currents as cu
 from .qspace import QPoint, separation_diameter
 
+_MAX_SWEEPS, _SWEEP_TOL = 40, 1e-10  # Dirichlet minimizer, per start
+_WEAK_TRIALS = 10  # random weak small sets of the excess probe
+
 
 @dataclass
 class ProbeConfig:
-    """Exponents, thresholds and sweep layout shared by the probes."""
+    """Exponents and sweep layout (fields) and verdict thresholds (constants)."""
     p1: float = 1.25
     p11: float = 1.5
     beta: float = 0.1
     scales: tuple = (2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
     seed: int = 0
-    ratio_factor: float = 3.0
-    weak_slack: float = 0.2
-    area_fraction: float = 0.01
-    holder_slack: float = 5.0
-    harmonic_tol: float = 0.25
-    split_slack: float = 30.0
-    density_tol: float = 0.015
-    ambient_bound: float = 0.0
+    ratio_factor = 3.0     # gradient-lp: largest ratio spread over the sweep
+    weak_slack = 0.2       # excess: largest weak small-set ratio
+    area_fraction = 0.01   # excess: largest weak-set area, share of B_s
+    holder_slack = 5.0     # reverse-holder: largest fitted C
+    harmonic_tol = 0.25    # harmonic: largest normalized distance
+    split_slack = 30.0     # energy-split: far-energy factor
+    density_tol = 0.015    # persistence: density deviation from Q at p
+    ambient_bound = 0.0    # A: the currents here sit in flat space
 
     def validate(self, m: int = 2) -> None:
         if not 1.0 < self.p1 < 1.0 + 1.0 / m:
@@ -124,7 +127,6 @@ def _solve_given_matchings(vals, pinned, a, b, w, pmat):
 
 def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
                         radius: float = 1.0, starts: int = 8, seed: int = 0,
-                        max_sweeps: int = 40, tol: float = 1e-10,
                         half: float = None):
     """Minimize the matched discrete energy over the disk with pinned trace.
 
@@ -161,7 +163,7 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
         history = []
         prev = math.inf
         converged = False
-        for sweep in range(max_sweeps):
+        for sweep in range(_MAX_SWEEPS):
             vals = _solve_given_matchings(vals, pinned_flat, a, b, w,
                                           perms[eperm])
             # rematch each edge to its cheapest permutation; the matched
@@ -170,7 +172,7 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
             eperm = np.argmin(cost, axis=0)
             energy = float(w @ cost.min(axis=0))
             history.append(energy)
-            if prev - energy < tol:
+            if prev - energy < _SWEEP_TOL:
                 converged = True
                 break
             prev = energy
@@ -206,19 +208,16 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
 
 def local_optimality_trials(f: qf.QGridFunction, pinned: np.ndarray,
                             weights: np.ndarray, trials: int = 100,
-                            scale: float = None, seed: int = 1):
-    """Random one-node perturbations; returns the worst energy decrease."""
+                            seed: int = 1):
+    """Random one-node bumps of size 0.3 h; returns the worst energy decrease."""
     rng = np.random.default_rng(seed)
     base = qf.dirichlet_energy(f, weights)
     inner = np.argwhere(~pinned & f.mask)
-    scale = 0.3 * f.spacing if scale is None else scale
     worst = 0.0
     for _ in range(trials):
         ij = tuple(inner[rng.integers(len(inner))])
         g = f.copy()
-        bump = rng.normal(scale=scale, size=g.values[ij].shape)
-        g.values = f.values.copy()
-        g.values[ij] = g.values[ij] + bump
+        g.values[ij] += rng.normal(scale=0.3 * f.spacing, size=g.values[ij].shape)
         worst = min(worst, qf.dirichlet_energy(g, weights) - base)
     return worst, base
 
@@ -227,17 +226,17 @@ def local_optimality_trials(f: qf.QGridFunction, pinned: np.ndarray,
 # Estimate probes
 
 
-def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
-                         radii=None, radius: float = 1.0,
+def reverse_holder_probe(u: qf.QGridFunction, radii=None, radius: float = 1.0,
                          config: ProbeConfig = None) -> ProbeReport:
-    """Ratio of the B_r quadratic mean of |Du| to the B_2r p11-mean.
+    """Ratio of the B_r quadratic mean of |Du| to the B_2r config.p11-mean.
 
     A row's centres are the masked nodes within radius - 2r - h of the
-    domain's centre; C is the worst ratio over the rows that have any, and
-    a ValueError is raised when none has."""
-    config = config or ProbeConfig(p11=p11)
-    if not 2.0 * (u.m - 1) / u.m < p11 < 2.0:
-        raise ValueError("p11 out of range")
+    domain's centre; a row without any reports max_ratio None.  C is the
+    worst ratio over the rows that have centres, and a ValueError is raised
+    when none has."""
+    config = config or ProbeConfig()
+    config.validate(u.m)
+    p11 = config.p11
     h = u.spacing
     if radii is None:
         # a radius needs 2r + h <= radius to keep any centre below
@@ -260,8 +259,7 @@ def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
         ratio = np.ones_like(lhs)
         ok = rhs > 1e-14
         ratio[ok] = lhs[ok] / rhs[ok]
-        ratio[~ok & (lhs <= 1e-14)] = 1.0
-        worst = float(ratio[sel].max()) if sel.any() else 1.0
+        worst = float(ratio[sel].max()) if sel.any() else None
         rows.append({"radius": float(r), "max_ratio": worst,
                      "centers": int(sel.sum())})
     fitted = [row["max_ratio"] for row in rows if row["centers"]]
@@ -274,14 +272,14 @@ def reverse_holder_probe(u: qf.QGridFunction, p11: float = 1.5,
                        passed=cfit <= config.holder_slack)
 
 
-def gradient_lp_probe(scales=None, p1: float = 1.25, res: int = 65,
-                      factory=None, config: ProbeConfig = None) -> ProbeReport:
-    """Low-density integral of d^p1 on B_2 against E^{p1-1}(E + A^2)."""
-    config = config or ProbeConfig(p1=p1)
+def gradient_lp_probe(scales=None, res: int = 65, factory=None,
+                      config: ProbeConfig = None) -> ProbeReport:
+    """Planar low-density integral of d^p1 on B_2 against E^{p1-1}(E + A^2)."""
+    config = config or ProbeConfig()
+    config.validate()
+    p1 = config.p1
     if scales is None:
         scales = config.scales
-    if not 1.0 < p1 < 1.5:
-        raise ValueError("p1 out of range")
     if factory is None:
         factory = lambda lam: cu.w32_current(lam, res=res, radius4=4.0)
     rows = []
@@ -310,8 +308,7 @@ def gradient_lp_probe(scales=None, p1: float = 1.25, res: int = 65,
                        passed=spread <= config.ratio_factor)
 
 
-def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None,
-                  trials: int = 10) -> ProbeReport:
+def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None) -> ProbeReport:
     """Small-set excess against E s^m (weak) and a fitted power law (strong)."""
     config = config or ProbeConfig()
     ex = cu.ExcessField(T)
@@ -323,43 +320,33 @@ def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None,
     pool = np.argwhere((dist <= s) & T.base.mask)
     rng = np.random.default_rng(config.seed)
     rows = []
-    weak_max = 0.0
-    for t in range(trials):
-        frac = config.area_fraction * rng.uniform(0.2, 1.0)
+
+    def measure(kind, ind):
+        e = max(ex.region_excess(ind), 0.0)
+        rows.append({"kind": kind, "area": float(ind.sum() * h ** 2),
+                     "excess": float(e), "ratio": float(e / (E * s ** T.m))})
+        return rows[-1]
+
+    def random_set(frac):
         count = max(1, int(frac * math.pi * s ** 2 / h ** 2))
         pick = pool[rng.choice(len(pool), size=min(count, len(pool)),
                                replace=False)]
         ind = np.zeros(T.base.mask.shape)
         ind[tuple(pick.T)] = 1.0
-        e = max(ex.region_excess(ind), 0.0)
-        area = float(ind.sum() * h ** 2)
-        ratio = e / (E * s ** T.m)
-        weak_max = max(weak_max, ratio)
-        rows.append({"kind": "weak", "area": area, "excess": float(e),
-                     "ratio": float(ratio)})
-    for sp in T.spikes:
-        # deterministic control: a set that covers one spike outright
+        return ind
+
+    weak = [measure("weak", random_set(config.area_fraction
+                                       * rng.uniform(0.2, 1.0)))
+            for _ in range(_WEAK_TRIALS)]
+    for sp in T.spikes:  # deterministic control: a set covering one spike
         d = np.linalg.norm(nodes - np.asarray(sp.center), axis=-1)
-        ind = (d <= max(2.0 * sp.radius, 2.0 * h)).astype(float)
-        e = max(ex.region_excess(ind), 0.0)
-        ratio = e / (E * s ** T.m)
-        weak_max = max(weak_max, ratio)
-        rows.append({"kind": "spike-control",
-                     "area": float(ind.sum() * h ** 2),
-                     "excess": float(e), "ratio": float(ratio)})
-    areas, excesses = [], []
-    for frac in (0.002, 0.005, 0.01, 0.02, 0.05):
-        count = max(1, int(frac * math.pi * s ** 2 / h ** 2))
-        pick = pool[rng.choice(len(pool), size=min(count, len(pool)),
-                               replace=False)]
-        ind = np.zeros(T.base.mask.shape)
-        ind[tuple(pick.T)] = 1.0
-        e = max(ex.region_excess(ind), 0.0)
-        area = float(ind.sum() * h ** 2)
-        areas.append(area)
-        excesses.append(e)
-        rows.append({"kind": "strong", "area": area, "excess": float(e),
-                     "ratio": float(e / (E * s ** T.m))})
+        weak.append(measure("spike-control",
+                            (d <= max(2.0 * sp.radius, 2.0 * h)).astype(float)))
+    weak_max = max([0.0] + [row["ratio"] for row in weak])
+    strong = [measure("strong", random_set(frac))
+              for frac in (0.002, 0.005, 0.01, 0.02, 0.05)]
+    areas = [row["area"] for row in strong]
+    excesses = [row["excess"] for row in strong]
     gamma = _loglog_slope(areas, excesses)
     gamma = 0.0 if not np.isfinite(gamma) else max(0.0, min(gamma, 1.0))
     denom = [(E ** gamma + a ** gamma) * (E + config.ambient_bound ** 2)
@@ -427,11 +414,10 @@ def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
                        passed=worst <= config.harmonic_tol)
 
 
-def persistence_probe(point=(0.0, 0.0), s_list=(0.05, 0.1, 0.2),
-                      factory=None, res: int = 129,
+def persistence_probe(s_list=(0.05, 0.1, 0.2), factory=None, res: int = 129,
                       config: ProbeConfig = None) -> ProbeReport:
-    """Second moment of the separation from the mean sheet near a full-density
-    point, re-windowed so every probe ball is well resolved."""
+    """Second moment of the separation from the mean sheet near the current's
+    centre (a full-density point), re-windowed so every ball is resolved."""
     config = config or ProbeConfig()
     if factory is None:
         factory = lambda radius4: cu.w32_current(1.0, res=res,
@@ -450,7 +436,7 @@ def persistence_probe(point=(0.0, 0.0), s_list=(0.05, 0.1, 0.2),
         h = u.spacing
         mean = u.values.mean(axis=-2, keepdims=True)
         sep2 = np.sum((u.values - mean) ** 2, axis=(-2, -1))
-        wball = qf.disk_weights(u, point, s)
+        wball = qf.disk_weights(u, T.center, s)
         lhs = float(np.sum(sep2 * wball * u.mask) * h ** T.m)
         shape = s ** T.m * 1.0 ** (T.m + 2) * E
         rows.append({"s": float(s), "lhs": lhs, "shape": float(shape),

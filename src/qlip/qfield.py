@@ -23,6 +23,10 @@ import numpy as np
 from .embed import xi_batch, xi_inverse
 from .qspace import QPoint, metric_g
 
+_DISK_SUB = 4  # disk_weights: samples per axis of a rim cell
+_LIP_STENCIL = 2  # lipschitz_and_osc: largest node offset per axis
+_CHART_SAMPLES, _CHART_BOX = 200, 1.0  # AmbientChart.validate's spot check
+
 
 @dataclass(frozen=True)
 class GridDomain:
@@ -289,9 +293,9 @@ def disk_coverage(pts: np.ndarray, h: float, center, radius: float,
     return w
 
 
-def disk_weights(f: QGridFunction, center, radius: float, sub: int = 4) -> np.ndarray:
+def disk_weights(f: QGridFunction, center, radius: float) -> np.ndarray:
     """Coverage fraction of each node's dual cell inside the disk."""
-    return disk_coverage(f.nodes(), f.spacing, center, radius, sub)
+    return disk_coverage(f.nodes(), f.spacing, center, radius, _DISK_SUB)
 
 
 def disk_kernel(h: float, s: float) -> np.ndarray:
@@ -334,8 +338,8 @@ def masked_kernel_mean(values: np.ndarray, mask: np.ndarray, kern: np.ndarray,
 # Lipschitz constant and oscillation
 
 
-def lipschitz_and_osc(f: QGridFunction, stencil: int = 2):
-    """Max difference quotient over node pairs within the stencil radius, and
+def lipschitz_and_osc(f: QGridFunction):
+    """Max difference quotient over node pairs within the stencil, and
     the exact min-over-centers of the worst spread (solved as a weighted
     smallest enclosing problem on tuple means and spreads)."""
     from .coneproj import offset_enclosing_center
@@ -344,8 +348,8 @@ def lipschitz_and_osc(f: QGridFunction, stencil: int = 2):
     m = f.m
     lip_sq = 0.0
     # its own stencil, not grid_edges: the pairs include diagonal offsets
-    # up to `stencil` nodes away, which the edge table does not
-    for off in itertools.product(range(-stencil, stencil + 1), repeat=m):
+    # up to _LIP_STENCIL nodes away, which the edge table does not
+    for off in itertools.product(range(-_LIP_STENCIL, _LIP_STENCIL + 1), repeat=m):
         if all(o == 0 for o in off) or off < tuple(-o for o in off):
             continue  # skip null and mirror-duplicate offsets
         src = [slice(max(0, -o), f.res - max(0, o)) for o in off]
@@ -427,18 +431,13 @@ def mollify_embedded(f: QGridFunction, eps: float, machinery=None):
     return masked_kernel_mean(emb, f.mask, _bump_kernel(f.m, f.spacing, eps), 1e-10)
 
 
-def retract_embedded(emb: np.ndarray, machinery, select: np.ndarray = None) -> np.ndarray:
+def retract_embedded(emb: np.ndarray, machinery) -> np.ndarray:
     """Bring embedded node values back onto the cone: exact nearest point when
     the residual is tiny, the full almost-projection otherwise."""
     flat = emb.reshape(-1, emb.shape[-1])
-    sel = np.ones(len(flat), dtype=bool) if select is None \
-        else np.asarray(select, dtype=bool).reshape(-1)
-    out = flat.copy()
-    snapped, resid = machinery.lattice.nearest_point_batch(flat[sel])
-    tol = machinery.on_image_tol * (1 + np.linalg.norm(flat[sel], axis=1))
-    rows = np.flatnonzero(sel)
-    out[rows] = snapped
-    off = rows[resid > tol]
+    out, resid = machinery.lattice.nearest_point_batch(flat)
+    tol = machinery.on_image_tol * (1 + np.linalg.norm(flat, axis=1))
+    off = np.flatnonzero(resid > tol)
     if len(off):
         out[off] = machinery.rho_star_batch(flat[off])
     return out.reshape(emb.shape)
@@ -491,14 +490,13 @@ class AmbientChart:
     dpsi_bound: float
     d2psi_bound: float
 
-    def validate(self, rng: np.random.Generator, samples: int = 200,
-                 box: float = 1.0) -> dict:
-        y = rng.uniform(-box, box, size=(samples, self.m))
-        v = rng.uniform(-box, box, size=(samples, self.n))
+    def validate(self, rng: np.random.Generator) -> dict:
+        y = rng.uniform(-_CHART_BOX, _CHART_BOX, size=(_CHART_SAMPLES, self.m))
+        v = rng.uniform(-_CHART_BOX, _CHART_BOX, size=(_CHART_SAMPLES, self.n))
         base = np.asarray(self.psi(y, v), dtype=float)
         anchor = np.asarray(self.psi(np.zeros((1, self.m)), np.zeros((1, self.n))))
         step = 1e-5
-        grad_sq = np.zeros(samples)
+        grad_sq = np.zeros(_CHART_SAMPLES)
         for i in range(self.m):
             dy = np.zeros(self.m)
             dy[i] = step

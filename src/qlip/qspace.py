@@ -110,10 +110,11 @@ def metric_g(s: QPoint, t: QPoint, method: str = "hungarian") -> float:
     return float(np.sqrt(_min_assignment(_pairwise_sq(s.points, t.points), method)))
 
 
-def wasserstein1(s: QPoint, t: QPoint, method: str = "hungarian") -> float:
+def wasserstein1(s: QPoint, t: QPoint) -> float:
     """Linear-cost matching distance; dominates metric_g."""
     _check_compatible(s, t)
-    return float(_min_assignment(np.sqrt(_pairwise_sq(s.points, t.points)), method))
+    return float(_min_assignment(np.sqrt(_pairwise_sq(s.points, t.points)),
+                                 "hungarian"))
 
 
 def mean_eta(t: QPoint) -> np.ndarray:
@@ -191,11 +192,12 @@ def separate_blocks(t: QPoint, threshold: float) -> BlockDecomposition:
     )
 
 
-def random_qpoint(rng: np.random.Generator, q: int, n: int, scale: float = 1.0,
+def random_qpoint(rng: np.random.Generator, q: int, n: int,
                   cluster: float = 0.0) -> QPoint:
-    """Random tuple; cluster > 0 shrinks points toward a common center."""
-    pts = rng.normal(size=(q, n)) * scale
+    """Random standard normal tuple; cluster > 0 shrinks points toward a
+    common center."""
+    pts = rng.normal(size=(q, n))
     if cluster > 0:
-        center = rng.normal(size=n) * scale
+        center = rng.normal(size=n)
         pts = center + pts * cluster
     return QPoint(pts)

@@ -194,16 +194,16 @@ class ConstantLadder:
 class AlmostProjection:
     """Bundle of spec + lattice + ladder evaluating the three maps."""
 
+    far_scale = 1.0  # least skeleton distance of the projection region
+    on_image_tol = 1e-7  # on-cone slack, relative to 1 + |x|
+
     def __init__(self, spec: EmbeddingSpec, lattice: FaceLattice,
-                 ladder: ConstantLadder, far_scale: float = 1.0,
-                 on_image_tol: float = 1e-7):
+                 ladder: ConstantLadder):
         if ladder.nq != lattice.max_dim:
             raise LadderError("ladder length does not match the lattice grading")
         self.spec = spec
         self.lattice = lattice
         self.ladder = ladder
-        self.far_scale = far_scale
-        self.on_image_tol = on_image_tol
         ladder.validate_margins(lattice)
 
     # -- rho_flat ------------------------------------------------------------
@@ -455,12 +455,11 @@ class AlmostProjection:
 _MACHINERY_CACHE: dict = {}
 
 
-def default_machinery(n: int, q: int, c0: float = 0.1, delta: float = 0.1,
-                      seed: int = 0):
+def default_machinery(n: int, q: int, c0: float = 0.1, delta: float = 0.1):
     """Embedding + lattice + explicit ladder + projection machine, cached."""
-    key = (n, q, c0, delta, seed)
+    key = (n, q, c0, delta)
     if key not in _MACHINERY_CACHE:
-        spec = build_embedding(n, q, seed=seed, certificate_pairs=2000)
+        spec = build_embedding(n, q, certificate_pairs=2000)
         lattice = face_lattice(spec)
         ladder = ConstantLadder.explicit(lattice.max_dim, c0=c0, delta=delta)
         _MACHINERY_CACHE[key] = AlmostProjection(spec, lattice, ladder)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from qlip import cli
+from qlip import probes as pb
 from qlip import qfield as qf
 
 
@@ -194,6 +195,33 @@ def test_probe_failure_exit_1(tmp_path):
     rep = _read(out / "probe-excess.json")["report"]
     assert not rep["passed"]
     assert (out / "manifest.json").exists()
+
+
+def test_probe_manifest_records_what_ran(tmp_path):
+    default = list(pb.ProbeConfig().scales)
+    runs = (("gradient-lp", [], "gradient-lp", {"scales": default, "p1": 1.25}),
+            ("harmonic", [], "harmonic", {"scales": default[:3]}),
+            ("reverse-holder", ["--starts", "2"], "reverse-holder",
+             {"starts": 2, "p11": 1.5}))
+    for probe, extra, stem, want in runs:
+        out = tmp_path / probe
+        assert cli.main(["probe", probe, "--res", "33", "--seed", "1",
+                         "--out", str(out)] + extra) in (0, 1)
+        cfg = _read(out / "manifest.json")["config"]
+        assert {k: cfg[k] for k in want} == want
+        if "scales" in want:
+            rows = _read(out / ("probe-%s.json" % stem))["report"]["rows"]
+            assert [row["scale"] for row in rows] == want["scales"]
+
+
+@pytest.mark.parametrize("probe, flag", [("harmonic", "--starts"),
+                                         ("excess", "--starts"),
+                                         ("gradient-lp", "--radius4"),
+                                         ("reverse-holder", "--radius4")])
+def test_probe_flag_of_another_probe_exit_3(tmp_path, capsys, probe, flag):
+    assert cli.main(["probe", probe, flag, "2", "--res", "33",
+                     "--out", str(tmp_path / "run")]) == 3
+    assert flag in capsys.readouterr().err
 
 
 def test_probe_bad_exponent_exit_3(tmp_path):

@@ -131,6 +131,15 @@ def test_reverse_holder_fits_populated_rows_only():
         pb.reverse_holder_probe(f, radii=[0.5])
 
 
+def test_reverse_holder_empty_row_has_no_ratio():
+    f = qf.from_callable(qf.ball(1.0), 65,
+                         lambda p: np.array([[p[0] ** 4]]), q=1, n=1)
+    rep = pb.reverse_holder_probe(f, radii=[0.125, 0.5])
+    assert rep.rows[1] == {"radius": 0.5, "max_ratio": None, "centers": 0}
+    assert rep.rows[0]["centers"] > 0
+    assert rep.fits["C"] == rep.rows[0]["max_ratio"]
+
+
 def test_reverse_holder_rejects_big_radius():
     f = qf.constant_field(qf.square(1.0), 33, QPoint([[0.0]]))
     with pytest.raises(ValueError):
@@ -151,6 +160,22 @@ def test_gradient_lp_probe_flat_vacuous():
         factory=lambda lam: cu.flat_current(q=2, n=1, res=33, radius4=4.0))
     assert rep.passed
     assert all(row["ratio"] == 1.0 for row in rep.rows)
+
+
+def test_probe_exponents_come_from_the_config():
+    rep = pb.gradient_lp_probe(
+        scales=(0.1, 0.2, 0.3, 0.4),
+        factory=lambda lam: cu.flat_current(q=2, n=1, res=33, radius4=4.0),
+        config=pb.ProbeConfig(p1=1.4))
+    assert rep.fits["p1"] == 1.4
+    f = qf.from_callable(qf.square(1.0), 33,
+                         lambda p: np.array([[p[0] ** 4]]), q=1, n=1)
+    default = pb.reverse_holder_probe(f)
+    rep = pb.reverse_holder_probe(f, config=pb.ProbeConfig(p11=1.2))
+    assert rep.fits["p11"] == 1.2 and default.fits["p11"] == 1.5
+    assert rep.rows != default.rows
+    with pytest.raises(ValueError, match="p11"):
+        pb.reverse_holder_probe(f, config=pb.ProbeConfig(p11=2.5))
 
 
 def test_excess_probes_w32():
