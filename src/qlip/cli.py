@@ -31,8 +31,6 @@ from .roproj import default_machinery
 SCHEMA = 1
 
 _CURRENT_KINDS = ("flat", "spike", "w32", "custom-graph")
-_PROBE_NAMES = ("gradient-lp", "persistence", "reverse-holder", "excess",
-                "harmonic", "energy-split")
 
 
 class ConfigError(ValueError):
@@ -114,6 +112,18 @@ def _current_defaults(current, scale, **extra) -> dict:
     return dict(cfg, current=current, scale=scale, **extra)
 
 
+# The config keys each probe reads, besides out and seed.  Setting any other
+# key, by flag or in the config file, is a usage error (exit 3).
+_PROBE_KEYS = {
+    "gradient-lp": ("scales", "res", "p1"),
+    "persistence": ("current", "scale", "res", "s_list"),
+    "reverse-holder": ("input", "boundary", "res", "starts", "p11"),
+    "excess": tuple(_current_defaults(None, None)),  # all of _make_current's
+    "harmonic": ("scales", "res"),
+    "energy-split": ("n", "q", "res"),
+}
+
+
 _DEFAULTS = {
     "gen-current": _current_defaults("w32", 1.0, profile_points=25),
     "approx": _current_defaults("flat", 1.0, delta11=None, beta=0.1,
@@ -153,17 +163,19 @@ def _merge_config(args) -> tuple:
     """Defaults < config file < explicit command-line flags."""
     cfg = dict(_DEFAULTS[args.cmd])
     cfg.update(_COMMON_DEFAULTS)
-    inputs = {}
+    inputs, given = {}, set()
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config, inputs)
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
         cfg.update(file_cfg)
+        given.update(file_cfg)
     for key in list(cfg):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+            given.add(key)
 
     if isinstance(cfg.get("heights"), str):
         try:
@@ -175,8 +187,13 @@ def _merge_config(args) -> tuple:
             cfg[key] = tuple(float(v) for v in cfg[key])
     if cfg.get("current") is not None and cfg["current"] not in _CURRENT_KINDS:
         raise ConfigError("unknown current kind %r" % cfg["current"])
-    if args.cmd == "probe" and cfg["probe"] not in _PROBE_NAMES:
-        raise ConfigError("unknown probe %r" % cfg["probe"])
+    if args.cmd == "probe":
+        if cfg["probe"] not in _PROBE_KEYS:
+            raise ConfigError("unknown probe %r" % cfg["probe"])
+        unread = sorted(given.difference(_PROBE_KEYS[cfg["probe"]], ("probe", "out", "seed")))
+        if unread:
+            raise ConfigError("probe %s does not read %s" % (cfg["probe"], ", ".join(
+                "--" + key.replace("_", "-") for key in unread)))
     if args.cmd in ("dirmin", "probe") and cfg["boundary"] not in _TRACES:
         raise ConfigError("unknown boundary %r" % cfg["boundary"])
     return cfg, inputs
@@ -407,9 +424,6 @@ def _split_fields(mach, res: int):
 
 def _cmd_probe(cfg: dict, sink: _Sink) -> int:
     name = cfg["probe"]
-    for key, owner in (("starts", "reverse-holder"), ("radius4", "excess")):
-        if cfg.get(key) is not None and name != owner:
-            raise ConfigError("--%s applies to probe %s only" % (key, owner))
     pc = _probe_config(cfg)
     try:
         if name == "gradient-lp":
@@ -612,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", parents=[common],
                        help="run one empirical estimate")
-    p.add_argument("probe", choices=_PROBE_NAMES)
+    p.add_argument("probe", choices=_PROBE_KEYS)
     p.add_argument("--current", choices=_CURRENT_KINDS)
     _add_current_options(p)
     p.add_argument("--scales", nargs="+", type=float)

@@ -36,6 +36,7 @@ def pava_pinned(means, weights, pinned=None) -> np.ndarray:
     A pool that absorbs a pinned element has value exactly 0 regardless of its
     data (infinite-weight limit).  It fits face closures on the real line,
     where the virtual zero level is a hard constraint, not a data point.
+    Kept for its tests; perfbench/tracer.py binds it by name.
     """
     m = np.asarray(means, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -79,7 +80,8 @@ def project_polyhedral_cone(point, G):
     least squares problem, solved exactly by the bounded-variable active-set
     method on the unit vector z / |z| (the projection is positively
     homogeneous).  scipy's `nnls` is not used: on degenerate ties it returns
-    non-optimal multipliers with a zero reported residual.
+    non-optimal multipliers with a zero reported residual.  Kept as the
+    tests' oracle for the face kernel; perfbench/tracer.py binds it by name.
     """
     z = np.asarray(point, dtype=float)
     G = np.asarray(G, dtype=float)

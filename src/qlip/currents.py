@@ -1,12 +1,12 @@
 """Graph currents over a disk at small excess.
 
 A current here is a multi-valued graph on a grid plus optional declared
-spikes (bad cells carrying extra mass) and an optional ambient chart.  The
-module computes mass and cylindrical excess with a Taylor-remainder
-diagnostic, the non-centered maximal function of the excess over a finite
-ball family, slices and a BV functional of slice pushforwards, the
-threshold-and-extend Lipschitz approximation pipeline, ambient mass-ratio
-profiles, and the mollify-blend competitor used for energy comparisons.
+spikes (bad cells carrying extra mass).  The module computes mass and
+cylindrical excess with a Taylor-remainder diagnostic, the non-centered
+maximal function of the excess over a finite ball family, a BV functional of
+slice pushforwards, the threshold-and-extend Lipschitz approximation
+pipeline, ambient mass-ratio profiles, and the mollify-blend competitor used
+for energy comparisons.
 
 Analytic sheet callables (values and Jacobians), when supplied, route the
 integrals through polar Gauss quadrature; otherwise matched cell differences
@@ -51,22 +51,11 @@ class Spike:
                 [list(row) for row in self.values]}
 
 
-@dataclass
-class ZeroCurrent:
-    """Finite sum of weighted point masses in the vertical space."""
-
-    points: np.ndarray
-    multiplicities: np.ndarray
-
-    def total(self) -> int:
-        return int(self.multiplicities.sum())
-
-
 class GraphCurrent:
     """Multiplicity-Q graph over B_{4r}(x) with declared spikes."""
 
     def __init__(self, base: qf.QGridFunction, center=(0.0, 0.0),
-                 radius4: float = None, spikes=(), chart=None,
+                 radius4: float = None, spikes=(),
                  sheet_values=None, sheet_jacobians=None):
         self.base = base
         self.center = np.asarray(center, dtype=float)
@@ -75,7 +64,6 @@ class GraphCurrent:
         if reach > base.domain.radius + 1e-9:
             raise ValueError("cylinder exceeds the grid extent")
         self.spikes = tuple(spikes)
-        self.chart = chart
         self.sheet_values = sheet_values
         self.sheet_jacobians = sheet_jacobians
 
@@ -114,30 +102,16 @@ class GraphCurrent:
         J = np.asarray(self.sheet_jacobians(np.asarray(pts, dtype=float)))
         return np.sum(J ** 2, axis=(-2, -1))
 
-    def slice_at(self, x) -> ZeroCurrent:
-        x = np.asarray(x, dtype=float)
-        for sp in self.spikes:
-            if sp.values is not None and \
-                    np.linalg.norm(x - np.asarray(sp.center)) <= sp.radius:
-                pts = np.asarray(sp.values, dtype=float)
-                return ZeroCurrent(pts, np.ones(len(pts), dtype=int))
-        vals = self.values_at(x[None])[0]
-        zc = ZeroCurrent(vals, np.ones(self.q, dtype=int))
-        if zc.total() != self.q:  # boundary-free encoding: constant multiplicity
-            raise ValueError("slice multiplicity mismatch")
-        return zc
-
     def to_json(self):
         return {"base": self.base.to_json(), "center": self.center.tolist(),
                 "radius4": self.radius4,
-                "spikes": [sp.to_json() for sp in self.spikes],
-                "chart": None if self.chart is None else "ambient-chart"}
+                "spikes": [sp.to_json() for sp in self.spikes]}
 
 
 def current_from_json(blob) -> GraphCurrent:
-    """Rebuild a grid-backed current from ``to_json`` output.  Analytic
-    sheet callables and ambient charts are not serialized; the result
-    integrates off the stored node values only."""
+    """Rebuild a grid-backed current from ``to_json`` output, ignoring other
+    keys (older files carry "chart").  Analytic sheet callables are not
+    serialized; the result integrates off the stored node values only."""
     spikes = [Spike(center=tuple(sp["center"]), radius=sp["radius"],
                     excess=sp["excess"],
                     values=None if sp["values"] is None else
@@ -295,7 +269,8 @@ class ExcessField:
 
 
 def mass_and_excess(T: GraphCurrent, region=None):
-    """Mass over a region plus the excess/energy/Taylor-remainder breakdown.
+    """Mass over a region plus the excess/energy/Taylor-remainder breakdown
+    (kept as the tests' Taylor-remainder oracle for ExcessField).
 
     region: None (full B_{4r}), ("ball", center, radius), or a per-node
     weight array.  The remainder is mass - Q |region| - energy/2.
@@ -342,7 +317,8 @@ def _grid_mass_energy(f: qf.QGridFunction, node_weights: np.ndarray):
 
 def excess_two_ways(T: GraphCurrent, center, radius: float):
     """Excess as mass - Q area and as the tangent-defect integral against
-    the mass measure; the two agree up to quadrature."""
+    the mass measure; the two agree up to quadrature.  Kept as the tests'
+    oracle for ExcessField.ball_excess."""
     ex = ExcessField(T)
     first = ex.ball_excess(center, radius)
     if T.sheet_jacobians is not None:
@@ -421,7 +397,7 @@ def maximal_excess(T: GraphCurrent, ex=None):
 
 
 # ---------------------------------------------------------------------------
-# slices and the BV functional
+# the BV functional
 
 
 def check_short_map(psi, n: int) -> float:
@@ -691,25 +667,21 @@ def build_competitor(T: GraphCurrent, beta1: float):
     gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside], tol=1e-4)
     g = qf.QGridFunction(f.domain, f.res, gvals, u.mask)
 
-    chart = T.chart
-    amb = 0.0 if chart is None else chart.dpsi_bound
-    gfull = qf.compose_ambient(g, chart) if chart is not None else g
-    ufull = qf.compose_ambient(u, chart) if chart is not None else u
     wsig = qf.disk_weights(f, T.center, sigma)
-    lhs_rebuilt = qf.dirichlet_energy(gfull, weights=wsig)
-    lhs_kept = qf.dirichlet_energy(ufull, weights=wsig)
-    base = qf.dirichlet_energy(ufull, weights=wsig * K)
+    lhs_rebuilt = qf.dirichlet_energy(g, weights=wsig)
+    lhs_kept = qf.dirichlet_energy(u, weights=wsig)
+    base = qf.dirichlet_energy(u, weights=wsig * K)
     # the approximation itself is admissible (same boundary values, bounded
     # Lipschitz constant); return the cheaper candidate so the reported
     # inequality reflects the best competitor the builder found
     if lhs_kept <= lhs_rebuilt + 1e-15:
-        choice, lhs, best, bvals = "kept", lhs_kept, ufull, u.values
+        choice, lhs, best, bvals = "kept", lhs_kept, u, u.values
     else:
-        choice, lhs, best, bvals = "rebuilt", lhs_rebuilt, gfull, g.values
+        choice, lhs, best, bvals = "rebuilt", lhs_rebuilt, g, g.values
     ring = qf.QGridFunction(f.domain, f.res, bvals, (dist <= r3) & u.mask)
     lip_g, _ = qf.lipschitz_and_osc(ring)
     boundary = (dist > r3) & u.mask
-    report = {"E": E, "A": amb, "sigma": sigma, "radii": (r1, r2, r3),
+    report = {"E": E, "sigma": sigma, "radii": (r1, r2, r3),
               "s": s_abs, "eps": eps_abs, "c0": machinery.ladder.ck(0),
               "energy": lhs, "kept_energy": base, "gap": lhs - base,
               "gap_rebuilt": lhs_rebuilt - base, "choice": choice,
@@ -725,7 +697,7 @@ def build_competitor(T: GraphCurrent, beta1: float):
 
 
 def flat_current(q: int = 2, n: int = 1, heights=None, res: int = 65,
-                 radius4: float = 1.0, spikes=(), chart=None) -> GraphCurrent:
+                 radius4: float = 1.0, spikes=()) -> GraphCurrent:
     """Union of horizontal planes at the given heights (default all zero)."""
     if heights is None:
         heights = np.zeros((q, n))
@@ -742,7 +714,7 @@ def flat_current(q: int = 2, n: int = 1, heights=None, res: int = 65,
     dom = qf.ball(radius4)
     base = qf.QGridFunction(dom, res,
                             np.broadcast_to(H, (res, res, q, n)).copy())
-    return GraphCurrent(base, (0.0, 0.0), radius4, spikes=spikes, chart=chart,
+    return GraphCurrent(base, (0.0, 0.0), radius4, spikes=spikes,
                         sheet_values=vals, sheet_jacobians=jacs)
 
 

@@ -31,6 +31,7 @@ _SPAN_PAIRS = 1 << 14
 _PROJECT_CHUNK = 256
 _APERTURE_START, _APERTURE_SAMPLES = 0.5, 200  # calibration: first try, points
 _FACE_TOL = 1e-7  # face_of_point: distance slack, relative to 1 + |v|
+_EMBED_SEED = 0  # build_embedding: seed of the n >= 3 frames and the certificate
 
 
 class NotOnImageError(ValueError):
@@ -103,7 +104,7 @@ class EmbeddingSpec:
 # frames and the embedding map
 
 
-def _frame(n: int, h: int, seed: int) -> np.ndarray:
+def _frame(n: int, h: int) -> np.ndarray:
     if n == 1:
         return np.ones((1, 1))
     if n == 2:
@@ -112,7 +113,7 @@ def _frame(n: int, h: int, seed: int) -> np.ndarray:
     # unions of orthonormal bases: h must be a multiple of n
     if h % n != 0:
         raise ValueError("for n >= 3 the frame size must be a multiple of n")
-    rng = np.random.default_rng(seed + 7919)
+    rng = np.random.default_rng(_EMBED_SEED + 7919)
     blocks = [np.eye(n)]
     for _ in range(h // n - 1):
         a = rng.normal(size=(n, n))
@@ -142,8 +143,8 @@ def _sorted_projections(pts, directions, scale) -> np.ndarray:
     return scale * np.swapaxes(srt, -1, -2).reshape(pts.shape[:-2] + (big_n,))
 
 
-def _certificate(dims: Dimensions, directions, scale, seed, pairs) -> InjectivityCertificate:
-    rng = np.random.default_rng(seed)
+def _certificate(dims: Dimensions, directions, scale, pairs) -> InjectivityCertificate:
+    rng = np.random.default_rng(_EMBED_SEED)
     hard = pairs // 2
     min_ratio = np.inf
     for i in range(pairs):
@@ -165,7 +166,7 @@ def _certificate(dims: Dimensions, directions, scale, seed, pairs) -> Injectivit
                              - _sorted_projections(b, directions, scale))
         min_ratio = min(min_ratio, gap / g)
     return InjectivityCertificate(pairs=pairs, hard_pairs=hard,
-                                  min_gap_ratio=float(min_ratio), seed=seed)
+                                  min_gap_ratio=float(min_ratio), seed=_EMBED_SEED)
 
 
 def _same_multiset(a, b) -> bool:
@@ -175,15 +176,14 @@ def _same_multiset(a, b) -> bool:
 _EMBED_CACHE: dict = {}
 
 
-def build_embedding(n: int, q: int, seed: int = 0,
-                    certificate_pairs: int = 10_000) -> EmbeddingSpec:
+def build_embedding(n: int, q: int, certificate_pairs: int = 10_000) -> EmbeddingSpec:
     """Choose a tight direction frame passing the randomized injectivity test.
 
     Starts from the smallest frame (n = 1: the identity; n = 2: three
     equiangular directions; n >= 3: two stacked orthonormal bases) and grows
     it until no sampled pair of distinct tuples collides.
     """
-    cache_key = (n, q, seed, certificate_pairs)
+    cache_key = (n, q, certificate_pairs)
     if cache_key in _EMBED_CACHE:
         return _EMBED_CACHE[cache_key]
     if n == 1:
@@ -195,9 +195,9 @@ def build_embedding(n: int, q: int, seed: int = 0,
     last = None
     for h in h_list:
         dims = Dimensions(n, q, h)  # rejects n, q < 1
-        directions = _frame(n, h, seed)
+        directions = _frame(n, h)
         scale = float(np.sqrt(n / h))
-        cert = _certificate(dims, directions, scale, seed, certificate_pairs)
+        cert = _certificate(dims, directions, scale, certificate_pairs)
         last = EmbeddingSpec(dims=dims, directions=directions, scale=scale, certificate=cert)
         if cert.passed:
             _EMBED_CACHE[cache_key] = last
@@ -565,13 +565,15 @@ class FaceLattice:
     # -- distances ---------------------------------------------------------
 
     def closure_distance(self, v, face, with_point=False):
-        """Distance from v to the closure of face (and the nearest point)."""
+        """Distance from v to the closure of face (and the nearest point).
+        One-row view for the tests; perfbench/tracer.py binds it."""
         v, faces = np.asarray(v, dtype=float), self.faces_of_dim(face.dim)
         p = faces.project(v[None], np.array([faces.index(face)]))[0]
         d = float(np.linalg.norm(v - p))
         return (d, p) if with_point else d
 
     def skeleton_distance(self, v, k: int) -> float:
+        """One-row view for the tests; perfbench/tracer.py binds it."""
         return float(self.skeleton_distance_batch(np.asarray(v, dtype=float)[None], k)[0])
 
     def skeleton_distance_batch(self, pts: np.ndarray, k: int) -> np.ndarray:
@@ -579,7 +581,8 @@ class FaceLattice:
         return self.faces_up_to(k).nearest(pts)[1]
 
     def nearest_point(self, v):
-        """Nearest point of the embedded cone and its distance."""
+        """Nearest point of the cone and its distance.  One-row view for the
+        tests; perfbench/tracer.py binds it."""
         p, d = self.nearest_point_batch(np.asarray(v, dtype=float)[None])
         return p[0], float(d[0])
 
@@ -589,6 +592,7 @@ class FaceLattice:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        """JSON form; test_lattice_snapshot_plane_two digests its "faces"."""
         return {
             "n": self.spec.dims.n,
             "q": self.spec.dims.q,
@@ -604,18 +608,6 @@ class FaceLattice:
                 for f in self.faces
             ],
         }
-
-    @staticmethod
-    def from_json(spec: EmbeddingSpec, obj) -> "FaceLattice":
-        faces = []
-        for i, fo in enumerate(obj["faces"]):
-            pattern = tuple((tuple(b[0]), int(b[1]), int(b[2])) for b in fo["pattern"])
-            basis, cons, projectors = _face_geometry(spec, pattern)
-            faces.append(FaceRecord(i, pattern, int(fo["dim"]), basis, cons, projectors))
-        return FaceLattice(spec, faces,
-                           tilde_c=float(obj["tilde_c"]),
-                           pair_separation={int(k): float(v)
-                                            for k, v in obj["pair_separation"].items()})
 
 
 _LATTICE_CACHE: dict = {}
@@ -756,7 +748,8 @@ def _calibrate_aperture(lattice) -> float:
 def face_of_point(lattice: FaceLattice, v: np.ndarray) -> FaceRecord:
     """The lowest-dimensional face whose closure lies within _FACE_TOL *
     (1 + |v|) of v; for a point of the cone, the face containing it.  Raises
-    NotOnImageError when even the top faces are farther than that."""
+    NotOnImageError when even the top faces are farther than that.  Kept as
+    the tests' oracle: every face is recovered from a point of it."""
     v = np.asarray(v, dtype=float)[None]
     tol_abs = _FACE_TOL * (1.0 + float(np.linalg.norm(v)))
     for k in range(lattice.max_dim + 1):

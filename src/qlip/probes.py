@@ -69,11 +69,6 @@ class ProbeReport:
         return {"name": self.name, "rows": self.rows, "fits": self.fits,
                 "passed": bool(self.passed), "notes": self.notes}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProbeReport":
-        return cls(obj["name"], obj["rows"], obj["fits"], obj["passed"],
-                   obj.get("notes", ""))
-
     def to_csv(self) -> str:
         if not self.rows:
             return ""
@@ -241,7 +236,10 @@ def reverse_holder_probe(u: qf.QGridFunction, radii=None, radius: float = 1.0,
     if radii is None:
         # a radius needs 2r + h <= radius to keep any centre below
         radii = [r for r in (4 * h, 8 * h, 16 * h) if 2 * r + h <= radius]
-        radii = radii or [4 * h]
+        if not radii:
+            raise ValueError(f"grid too coarse for the default radii 4h, 8h, "
+                             f"16h: h = {h:.4g}, and even 4h needs 2r + h <= "
+                             f"radius = {radius:.4g}")
     if max(radii) * 2 > radius:
         raise ValueError("radii exceed the domain")
     dens = qf.energy_density(u)

@@ -8,8 +8,8 @@ by per-node region weights (coverage fractions for disks).  One edge table,
 `grid_edges`, carries these weights for both energies, the energy density and
 the Dirichlet solver.
 
-Extension, mollification and interpolation all route through the embedded
-coordinates and retract stray values with the almost-projection machinery.
+Extension and mollification route through the embedded coordinates, and
+stray values are retracted with the almost-projection machinery.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .qspace import QPoint, metric_g
 
 _DISK_SUB = 4  # disk_weights: samples per axis of a rim cell
 _LIP_STENCIL = 2  # lipschitz_and_osc: largest node offset per axis
-_CHART_SAMPLES, _CHART_BOX = 200, 1.0  # AmbientChart.validate's spot check
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,6 @@ class QGridFunction:
         idx = np.clip(idx, 0, self.res - 1).astype(int)
         return self.values[tuple(np.moveaxis(idx, -1, 0))]
 
-    def node(self, idx) -> QPoint:
-        return QPoint(self.values[idx])
-
     def copy(self) -> "QGridFunction":
         return QGridFunction(self.domain, self.res, self.values.copy(), self.mask.copy())
 
@@ -156,11 +152,6 @@ def from_callable(domain: GridDomain, res: int, fn, q: int, n: int) -> QGridFunc
     pts = probe.nodes().reshape(-1, domain.m)
     vals = np.stack([np.asarray(fn(p), dtype=float).reshape(q, n) for p in pts])
     return QGridFunction(domain, res, vals.reshape((res,) * domain.m + (q, n)))
-
-
-def constant_field(domain: GridDomain, res: int, t: QPoint) -> QGridFunction:
-    vals = np.broadcast_to(t.points, (res,) * domain.m + t.points.shape).copy()
-    return QGridFunction(domain, res, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +365,7 @@ def lipschitz_and_osc(f: QGridFunction):
 
 
 # ---------------------------------------------------------------------------
-# extension, mollification, interpolation
+# extension, mollification, retraction
 
 
 def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float,
@@ -441,87 +432,3 @@ def retract_embedded(emb: np.ndarray, machinery) -> np.ndarray:
     if len(off):
         out[off] = machinery.rho_star_batch(flat[off])
     return out.reshape(emb.shape)
-
-
-def annulus_interpolate(f: QGridFunction, g: QGridFunction, r: float,
-                        rbar: float, machinery=None) -> QGridFunction:
-    """Radial embedded blend: g inside B_rbar, f outside B_r, linear in the
-    radius between, retracted onto the cone in the open annulus only (so the
-    boundary values are preserved bitwise)."""
-    if rbar >= r:
-        raise ValueError("need rbar < r")
-    if f.res != g.res or f.domain != g.domain:
-        raise ValueError("fields must share the grid")
-    if machinery is None:
-        from .roproj import default_machinery
-        machinery = default_machinery(f.n, f.q)
-    spec = machinery.spec
-    rho = np.linalg.norm(f.nodes() - np.asarray(f.domain.center), axis=-1)
-    t = np.clip((rho - rbar) / (r - rbar), 0.0, 1.0)
-    emb = (1.0 - t[..., None]) * xi_batch(spec, g.values) \
-        + t[..., None] * xi_batch(spec, f.values)
-    out = f.copy()
-    inner = t <= 0.0
-    outer = t >= 1.0
-    out.values[inner] = g.values[inner]
-    out.values[outer] = f.values[outer]
-    mid = ~inner & ~outer & f.mask
-    if np.any(mid):
-        out.values[mid] = xi_inverse(machinery.lattice,
-                                     retract_embedded(emb[mid], machinery), tol=1e-5)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# ambient composition
-
-
-@dataclass(frozen=True)
-class AmbientChart:
-    """Second-fundamental-form style chart: w = (u, psi(y, u)) per sheet.
-
-    psi maps (points (..., m), values (..., n)) -> (..., l) vectorized; the
-    declared derivative bounds are spot-checked by finite differences."""
-
-    psi: object
-    m: int
-    n: int
-    l: int
-    dpsi_bound: float
-    d2psi_bound: float
-
-    def validate(self, rng: np.random.Generator) -> dict:
-        y = rng.uniform(-_CHART_BOX, _CHART_BOX, size=(_CHART_SAMPLES, self.m))
-        v = rng.uniform(-_CHART_BOX, _CHART_BOX, size=(_CHART_SAMPLES, self.n))
-        base = np.asarray(self.psi(y, v), dtype=float)
-        anchor = np.asarray(self.psi(np.zeros((1, self.m)), np.zeros((1, self.n))))
-        step = 1e-5
-        grad_sq = np.zeros(_CHART_SAMPLES)
-        for i in range(self.m):
-            dy = np.zeros(self.m)
-            dy[i] = step
-            d = (np.asarray(self.psi(y + dy, v)) - np.asarray(self.psi(y - dy, v))) / (2 * step)
-            grad_sq += np.sum(d ** 2, axis=-1)
-        for i in range(self.n):
-            dv = np.zeros(self.n)
-            dv[i] = step
-            d = (np.asarray(self.psi(y, v + dv)) - np.asarray(self.psi(y, v - dv))) / (2 * step)
-            grad_sq += np.sum(d ** 2, axis=-1)
-        worst = float(np.sqrt(grad_sq.max()))
-        report = {"anchor_zero": float(np.abs(anchor).max()),
-                  "max_dpsi": worst, "declared": self.dpsi_bound,
-                  "ok": bool(worst <= self.dpsi_bound * (1 + 1e-6)
-                             and np.abs(anchor).max() < 1e-12)}
-        return report
-
-
-def compose_ambient(u: QGridFunction, chart: AmbientChart) -> QGridFunction:
-    if chart.m != u.m or chart.n != u.n:
-        raise ValueError("chart dimensions do not match the field")
-    pts = u.nodes()[..., None, :]  # broadcast over sheets
-    y = np.broadcast_to(pts, u.values.shape[:-1] + (u.m,))
-    psi_vals = np.asarray(chart.psi(y.reshape(-1, u.m),
-                                    u.values.reshape(-1, u.n)), dtype=float)
-    psi_vals = psi_vals.reshape(u.values.shape[:-1] + (chart.l,))
-    w = np.concatenate([u.values, psi_vals], axis=-1)
-    return QGridFunction(u.domain, u.res, w, u.mask.copy())

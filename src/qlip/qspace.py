@@ -8,8 +8,6 @@ sum of squared distances; W1 uses linear costs and always dominates G.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -63,23 +61,6 @@ class QPoint:
         rows = ", ".join("(" + ", ".join(f"{v:g}" for v in p) + ")" for p in self.points)
         return f"QPoint[{rows}]"
 
-    @staticmethod
-    def singleton(p, q: int = 1) -> "QPoint":
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return QPoint(np.tile(p, (q, 1)))
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "n": self.n, "points": self.points.tolist()}
-
-    @staticmethod
-    def from_json(obj) -> "QPoint":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        pts = np.asarray(obj["points"], dtype=float)
-        if pts.shape != (obj["q"], obj["n"]):
-            raise ValueError("point array does not match declared (q, n)")
-        return QPoint(pts)
-
 
 def _check_compatible(s: QPoint, t: QPoint):
     if s.q != t.q or s.n != t.n:
@@ -117,11 +98,6 @@ def wasserstein1(s: QPoint, t: QPoint) -> float:
                                  "hungarian"))
 
 
-def mean_eta(t: QPoint) -> np.ndarray:
-    """Barycenter of the tuple."""
-    return t.points.mean(axis=0)
-
-
 def separation_diameter(t: QPoint) -> tuple[float, float]:
     """(separation, diameter): min gap between distinct values, max gap overall.
 
@@ -135,61 +111,6 @@ def separation_diameter(t: QPoint) -> tuple[float, float]:
     distinct = gaps[gaps > 0.0]
     separation = float(distinct.min()) if distinct.size else float("inf")
     return separation, diameter
-
-
-def translate(t: QPoint, y) -> QPoint:
-    """Shift every point by y; a G-isometry."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (t.n,):
-        raise ValueError(f"offset must have shape ({t.n},)")
-    return QPoint(t.points + y)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Partition of a Q-tuple into groups pairwise farther apart than the threshold."""
-
-    blocks: tuple  # tuple of (multiplicity, QPoint)
-    threshold: float
-
-    def __post_init__(self):
-        for mult, blk in self.blocks:
-            if mult != blk.q:
-                raise ValueError("block multiplicity must match its point count")
-        for (_, a), (_, b) in itertools.combinations(self.blocks, 2):
-            d = np.sqrt(_pairwise_sq(a.points, b.points))
-            if d.min() <= self.threshold:
-                raise ValueError("blocks are not separated beyond the threshold")
-
-
-def separate_blocks(t: QPoint, threshold: float) -> BlockDecomposition:
-    """Single-linkage split: points chain-connected at gaps <= threshold share a block."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    pts = t.points
-    d = np.sqrt(_pairwise_sq(pts, pts))
-    parent = list(range(t.q))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(t.q):
-        for j in range(i + 1, t.q):
-            if d[i, j] <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(t.q):
-        groups.setdefault(find(i), []).append(i)
-    blocks = [QPoint(pts[idx]) for idx in groups.values()]
-    blocks.sort(key=lambda b: b.points[0].tolist() + [b.q])
-    return BlockDecomposition(
-        blocks=tuple((b.q, b) for b in blocks), threshold=float(threshold)
-    )
 
 
 def random_qpoint(rng: np.random.Generator, q: int, n: int,

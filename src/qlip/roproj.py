@@ -130,19 +130,6 @@ class ConstantLadder:
         ladder._check_chain()
         return ladder
 
-    @staticmethod
-    def from_values(nq: int, c: np.ndarray, delta: float) -> "ConstantLadder":
-        c = np.asarray(c, dtype=float)
-        if c.shape != (nq + 1,):
-            raise LadderError("need nq + 1 values: c_{-1} through c_{nq-1}")
-        with np.errstate(divide="ignore"):
-            log10_c = np.log10(c)
-        ladder = ConstantLadder(nq=nq, mode="explicit", delta=float(delta),
-                                log10_delta=float(log10_c[1]) * 8.0 ** nq,
-                                c=c, log10_c=log10_c)
-        ladder._check_chain()
-        return ladder
-
     def _check_chain(self):
         if self.ck(0) >= 0.125:
             raise LadderError(f"c0 = {self.ck(0):.4g} >= 1/8: radial maps undefined")
@@ -172,19 +159,6 @@ class ConstantLadder:
                     f"separation margin fails at dimension {k}: "
                     f"2 sqrt(c_{k}) = 1e{lhs:.2f} vs cbar c_{k - 1}^2 = 1e{rhs:.2f}")
         return report
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "nq": self.nq, "delta": self.delta,
-                "log10_delta": self.log10_delta, "c": [float(v) for v in self.c],
-                "log10_c": [float(v) for v in self.log10_c]}
-
-    @staticmethod
-    def from_json(obj) -> "ConstantLadder":
-        return ConstantLadder(nq=int(obj["nq"]), mode=obj["mode"],
-                              delta=float(obj["delta"]),
-                              log10_delta=float(obj["log10_delta"]),
-                              c=np.asarray(obj["c"], dtype=float),
-                              log10_c=np.asarray(obj["log10_c"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +233,8 @@ class AlmostProjection:
 
     def tube_level(self, x: np.ndarray):
         """Smallest l with dist(x, S_l) <= delta^(l+1), counting the cone
-        itself as level nq; None when x is outside every tube."""
+        itself as level nq; None when x is outside every tube.  One-row view
+        for the tests; perfbench/tracer.py binds it."""
         x = np.asarray(x, dtype=float)[None]
         level = self._tube_levels(x, self.lattice.nearest_point_batch(x)[1])[0]
         return None if level < 0 else int(level)
@@ -297,6 +272,7 @@ class AlmostProjection:
         return near, dq, level
 
     def rho_sharp(self, x: np.ndarray) -> np.ndarray:
+        """One-row view for the tests; perfbench/tracer.py binds it."""
         x = np.asarray(x, dtype=float)[None]
         return self._sharp(x, *self._locate(x))[0]
 

@@ -95,6 +95,17 @@ def test_custom_graph_roundtrip(tmp_path):
     assert "profile" not in blob["metrics"]
     manifest = _read(second / "manifest.json")
     assert len(manifest["input_hashes"]) == 1
+    # files written before "chart" was dropped come from outside the
+    # program and still load, to the same current
+    blob = _read(first / "current.json")
+    assert "chart" not in blob["current"]
+    blob["current"]["chart"] = None
+    (tmp_path / "old.json").write_text(json.dumps(blob))
+    assert cli.main(["gen-current", "custom-graph",
+                     "--input", str(tmp_path / "old.json"),
+                     "--out", str(tmp_path / "old")]) == 0
+    assert (tmp_path / "old" / "current.json").read_bytes() == \
+        (second / "current.json").read_bytes()
     missing = tmp_path / "third"
     assert cli.main(["gen-current", "custom-graph", "--input",
                      str(tmp_path / "nope.json"), "--out", str(missing)]) == 3
@@ -214,14 +225,34 @@ def test_probe_manifest_records_what_ran(tmp_path):
             assert [row["scale"] for row in rows] == want["scales"]
 
 
-@pytest.mark.parametrize("probe, flag", [("harmonic", "--starts"),
-                                         ("excess", "--starts"),
-                                         ("gradient-lp", "--radius4"),
-                                         ("reverse-holder", "--radius4")])
-def test_probe_flag_of_another_probe_exit_3(tmp_path, capsys, probe, flag):
-    assert cli.main(["probe", probe, flag, "2", "--res", "33",
-                     "--out", str(tmp_path / "run")]) == 3
-    assert flag in capsys.readouterr().err
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["harmonic", "--starts", "2"], {}, id="harmonic---starts"),
+    pytest.param(["excess", "--starts", "2"], {}, id="excess---starts"),
+    pytest.param(["gradient-lp", "--radius4", "2"], {},
+                 id="gradient-lp---radius4"),
+    pytest.param(["reverse-holder", "--radius4", "2"], {},
+                 id="reverse-holder---radius4"),
+    pytest.param(["gradient-lp", "--s-list", "0.1", "--scale", "0.5",
+                  "--boundary", "linear", "--q", "3"], {},
+                 id="gradient-lp---s-list---scale---boundary---q"),
+    pytest.param(["harmonic", "--p1", "1.3", "--n", "4"], {},
+                 id="harmonic---p1---n"),
+    # a config-file key counts as given, even when it equals the default
+    pytest.param(["gradient-lp"], {"boundary": "sqrt-branch"},
+                 id="gradient-lp-config-boundary"),
+])
+def test_probe_flag_of_another_probe_exit_3(tmp_path, capsys, argv, config):
+    extra = []
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        extra = ["--config", str(path)]
+    assert cli.main(["probe"] + argv + extra + [
+        "--res", "33", "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    flags = [a for a in argv if a.startswith("--")]
+    flags += ["--" + key.replace("_", "-") for key in config]
+    assert all(flag in err for flag in flags)
 
 
 def test_probe_bad_exponent_exit_3(tmp_path):

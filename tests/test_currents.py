@@ -1,5 +1,5 @@
-"""Currents: mass/excess quadrature, maximal function, slices and the BV
-inequality, the threshold-and-extend approximation, mass ratios, competitor.
+"""Currents: mass/excess quadrature, maximal function, the BV inequality,
+the threshold-and-extend approximation, mass ratios, competitor.
 
 Closed-form oracles:
   * two flat sheets over B_1: mass 2 pi, excess 0;
@@ -138,23 +138,6 @@ def test_maximal_spike_decay():
         ratio = M[idx] * math.pi * dd**2 / eps0
         # smallest-enclosing-ball value is 4, discretized family quantizes it
         assert 1.2 <= ratio <= 4.6
-
-
-def test_slice_and_spike_override():
-    T = cu.w32_current(1.0, res=33, radius4=1.0)
-    x = np.array([0.4, 0.1])
-    zc = T.slice_at(x)
-    assert zc.total() == 2
-    assert np.all(zc.multiplicities == 1)
-    w = complex(x[0], x[1])
-    v = (w**3) ** 0.5
-    want = QPoint([[v.real, v.imag], [-v.real, -v.imag]])
-    assert metric_g(QPoint(zc.points), want) <= 1e-12
-
-    sp = cu.Spike((0.0, 0.0), 0.05, 0.01, values=((0.7, 0.0), (0.7, 0.0)))
-    base = cu.flat_current(q=2, n=2, res=33, radius4=1.0, spikes=(sp,))
-    got = base.slice_at(np.array([0.01, 0.0]))
-    assert np.allclose(got.points, 0.7 * np.eye(2)[0])
 
 
 def test_bv_functional_odd_cancellation():

@@ -371,16 +371,3 @@ def test_line_face_projection_example():
     # (1.0, 0.5) pools the inversion to 0.75 and keeps the zero constraint slack
     _, p = lat.closure_distance(np.array([1.0, 0.5]), chamber, with_point=True)
     assert np.allclose(p, [0.75, 0.75])
-
-
-def test_lattice_json_roundtrip():
-    spec = spec22()
-    lat = face_lattice(spec)
-    blob = json.loads(json.dumps(lat.to_json()))
-    lat2 = lat.from_json(spec, blob)
-    assert len(lat2.faces) == len(lat.faces)
-    assert lat2.tilde_c == lat.tilde_c
-    assert lat2.pair_separation == lat.pair_separation
-    for a, b in zip(lat.faces, lat2.faces):
-        assert a.pattern == b.pattern and a.dim == b.dim
-        assert np.allclose(a.basis @ a.basis.T, b.basis @ b.basis.T, atol=1e-10)

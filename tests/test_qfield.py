@@ -1,14 +1,12 @@
 """Grid fields: energy quadrature, Lipschitz/oscillation, extension,
-mollification, annulus blending, ambient composition.
+mollification.
 
 Hand oracles used below:
   * affine single-valued field on the full square: energy -> |A|_F^2 * area,
     exact for the trapezoid-weighted matched differences;
   * two-branch square root on the unit disk: |Df|^2 = 1/|w|, integral 2*pi;
   * pair {x, -x} on [-1, 1]: Lipschitz sqrt(2), oscillation sqrt(2) (the
-    optimal center is 0 and the worst spread is 2 at the endpoints);
-  * annulus ramp between constants 1 and 0 over radii [0.5, 1]: gradient
-    magnitude 2, energy 4 * (pi - pi/4) = 3*pi.
+    optimal center is 0 and the worst spread is 2 at the endpoints).
 """
 import math
 import re
@@ -18,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import constant_field
 
 from qlip.qspace import QPoint, metric_g
 from qlip.embed import build_embedding, xi_batch
@@ -102,7 +102,7 @@ def test_lip_and_osc_pair():
 
 
 def test_lip_and_osc_constant():
-    f = qf.constant_field(qf.square(1.0), 17, QPoint([[0.3, -0.2]]))
+    f = constant_field(qf.square(1.0), 17, QPoint([[0.3, -0.2]]))
     lip, osc = qf.lipschitz_and_osc(f)
     assert lip == 0.0
     assert osc == 0.0
@@ -137,7 +137,7 @@ def test_extension_preserves_anchors_and_lands_on_cone():
 
 def test_mollify_constant_invariant():
     mach = default_machinery(1, 2)
-    f = qf.constant_field(qf.square(1.0), 33, QPoint([[0.2], [0.9]]))
+    f = constant_field(qf.square(1.0), 33, QPoint([[0.2], [0.9]]))
     emb, w = qf.mollify_embedded(f, eps=3 * f.spacing)
     target = xi_batch(mach.spec, f.values[0, 0][None])[0]
     good = w > 0.5
@@ -158,70 +158,9 @@ def test_mollify_energy_non_increase():
 
 
 def test_mollify_rejects_small_radius():
-    f = qf.constant_field(qf.square(1.0), 17, QPoint([[0.0], [1.0]]))
+    f = constant_field(qf.square(1.0), 17, QPoint([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         qf.mollify_embedded(f, eps=0.5 * f.spacing)
-
-
-def test_annulus_ramp_energy():
-    dom = qf.square(1.0)  # blend clamps outside B_1, so grid past the rim is fine
-    f = qf.constant_field(dom, 129, QPoint([[0.0]]))
-    g = qf.constant_field(dom, 129, QPoint([[1.0]]))
-    out = qf.annulus_interpolate(f, g, r=1.0, rbar=0.5)
-    w = qf.disk_weights(out, (0.0, 0.0), 1.0)
-    got = qf.dirichlet_energy(out, weights=w)
-    expect = 3 * math.pi
-    assert abs(got - expect) <= 0.02 * expect
-    d = np.linalg.norm(out.nodes(), axis=-1)
-    inner = d <= 0.5
-    assert np.array_equal(out.values[inner], g.values[inner])
-    rim = d >= 1.0 - 1e-12
-    assert rim.any()
-    assert np.array_equal(out.values[rim], f.values[rim])
-
-
-def test_annulus_two_sheets_hand_value():
-    mach = default_machinery(1, 2)
-    dom = qf.ball(1.0)
-    f = qf.constant_field(dom, 33, QPoint([[0.35], [-0.35]]))
-    g = qf.constant_field(dom, 33, QPoint([[0.0], [0.0]]))
-    out = qf.annulus_interpolate(f, g, r=1.0, rbar=0.5, machinery=mach)
-    pts = out.nodes()
-    d = np.linalg.norm(pts, axis=-1)
-    idx = np.unravel_index(np.argmin(np.abs(d - 0.75)), d.shape)
-    t = (d[idx] - 0.5) / 0.5
-    want = np.sort(np.array([0.35 * t, -0.35 * t]))
-    assert np.allclose(np.sort(out.values[idx][:, 0]), want, atol=1e-9)
-
-
-def _chart():
-    def psi(y, v):
-        return 0.1 * (y[..., :1] ** 2 + y[..., 1:2] ** 2 + v[..., :1] ** 2)
-
-    return qf.AmbientChart(psi=psi, m=2, n=1, l=1, dpsi_bound=0.35, d2psi_bound=0.2)
-
-
-def test_chart_validate():
-    rep = _chart().validate(np.random.default_rng(0))
-    assert rep["ok"]
-    assert rep["anchor_zero"] == 0.0
-    assert rep["max_dpsi"] <= 0.35
-
-
-def test_compose_ambient_energy_bounds():
-    def fn(p):
-        return np.array([[0.4 * p[0] - 0.1 * p[1]], [0.3 * p[1] + 1.0]])
-
-    u = qf.from_callable(qf.square(1.0), 33, fn, q=2, n=1)
-    chart = _chart()
-    w = qf.compose_ambient(u, chart)
-    assert w.n == 2 and w.q == 2
-    assert np.array_equal(w.values[..., :1], u.values)
-    eu = qf.dirichlet_energy(u)
-    ew = qf.dirichlet_energy(w)
-    B2 = chart.dpsi_bound ** 2
-    assert ew >= eu - 1e-12
-    assert ew <= (1 + 2 * B2) * eu + 2 * B2 * u.q * 4.0 + 1e-9
 
 
 def test_embedded_energy_matches_tuple_energy():
@@ -268,7 +207,7 @@ def test_energy_identity_on_parallel_affine_sheets(n, q, m, res, seed):
     offsets = rng.normal(size=n) + np.arange(q)[:, None] * rng.normal(size=n)
     r = rng.uniform(0.5, 2.0)
     dom = qf.GridDomain("square", (0.0,) * m, r)
-    nodes = qf.constant_field(dom, res, QPoint(np.zeros((1, m)))).nodes()
+    nodes = constant_field(dom, res, QPoint(np.zeros((1, m)))).nodes()
     f = qf.QGridFunction(dom, res, (nodes @ A.T)[..., None, :] + offsets)
     w = rng.uniform(0.0, 1.0, size=f.mask.shape)
     w[rng.uniform(size=w.shape) < 0.3] = 0.0
@@ -306,8 +245,6 @@ def test_grid_accessors():
     f = _sqrt_field(16)
     assert f.m == 2 and f.q == 2 and f.n == 2
     assert abs(f.spacing - 2.0 / 15) <= 1e-15
-    t = f.node((0, 0))
-    assert isinstance(t, QPoint)
     assert f.mask[0, 0] == (np.linalg.norm(f.nodes()[0, 0]) <= 1.0 + 1e-12)
 
 

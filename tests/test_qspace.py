@@ -1,12 +1,9 @@
-"""Unordered tuple space: metric, blocks, canonical form."""
-import json
-
+"""Unordered tuple space: metric, separation, canonical form."""
 import numpy as np
 import pytest
 
-from qlip.qspace import (BlockDecomposition, QPoint, mean_eta, metric_g,
-                         random_qpoint, separate_blocks, separation_diameter,
-                         translate, wasserstein1)
+from qlip.qspace import (QPoint, metric_g, random_qpoint, separation_diameter,
+                         wasserstein1)
 
 
 def test_canonical_order_and_equality():
@@ -25,12 +22,6 @@ def test_points_are_write_locked():
         a.points[0] = 5.0
 
 
-def test_singleton_and_shapes():
-    s = QPoint.singleton(np.array([2.0, -1.0]), q=3)
-    assert (s.q, s.n) == (3, 2)
-    assert np.allclose(s.points, [[2.0, -1.0]] * 3)
-
-
 def test_metric_hand_value():
     # two particles on a line against a fused pair: optimal matching moves
     # each particle by 1/2, so the metric is sqrt(2)/2
@@ -43,8 +34,8 @@ def test_metric_singletons_reduce_to_euclid():
     rng = np.random.default_rng(3)
     for _ in range(20):
         p, r = rng.normal(size=2), rng.normal(size=2)
-        s = QPoint.singleton(p, 3)
-        t = QPoint.singleton(r, 3)
+        s = QPoint(np.tile(p, (3, 1)))
+        t = QPoint(np.tile(r, (3, 1)))
         assert metric_g(s, t) == pytest.approx(np.sqrt(3) * np.linalg.norm(p - r), rel=1e-12)
 
 
@@ -85,58 +76,10 @@ def test_wasserstein1_bounds():
         assert w1 <= np.sqrt(q) * g + 1e-12
 
 
-def test_mean_and_translate():
-    s = QPoint([[0.0, 0.0], [2.0, 4.0]])
-    assert np.allclose(mean_eta(s), [1.0, 2.0])
-    shifted = translate(s, np.array([-1.0, -2.0]))
-    assert np.allclose(mean_eta(shifted), [0.0, 0.0])
-    assert metric_g(shifted, QPoint([[-1.0, -2.0], [1.0, 2.0]])) == pytest.approx(0.0, abs=1e-14)
-
-
 def test_separation_and_diameter():
     s = QPoint([[0.0], [0.0], [3.0], [7.0]])
     sep, diam = separation_diameter(s)
     assert sep == pytest.approx(3.0)  # smallest gap between distinct values
     assert diam == pytest.approx(7.0)
-    sep0, diam0 = separation_diameter(QPoint.singleton(np.zeros(2), 3))
+    sep0, diam0 = separation_diameter(QPoint(np.tile(np.zeros(2), (3, 1))))
     assert sep0 == np.inf and diam0 == 0.0
-
-
-def test_separate_blocks_simple():
-    s = QPoint([[0.0], [0.1], [5.0]])
-    dec = separate_blocks(s, threshold=1.0)
-    assert isinstance(dec, BlockDecomposition)
-    assert [m for m, _ in dec.blocks] == [2, 1]
-    assert np.allclose(dec.blocks[0][1].points, [[0.0], [0.1]])
-    assert np.allclose(dec.blocks[1][1].points, [[5.0]])
-
-
-def test_separate_blocks_chains():
-    # single linkage: pairwise gaps of 0.9 chain into one block at threshold 1
-    s = QPoint([[0.0], [0.9], [1.8]])
-    dec = separate_blocks(s, threshold=1.0)
-    assert len(dec.blocks) == 1
-    assert dec.blocks[0][0] == 3
-
-
-def test_separate_blocks_invariants():
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        q = int(rng.integers(2, 7))
-        s = random_qpoint(rng, q, 2, cluster=0.05)
-        thr = float(rng.uniform(0.01, 1.0))
-        dec = separate_blocks(s, threshold=thr)
-        assert sum(m for m, _ in dec.blocks) == q
-        # blocks are separated strictly beyond the threshold
-        for i, (_, bi) in enumerate(dec.blocks):
-            for j, (_, bj) in enumerate(dec.blocks):
-                if i < j:
-                    d = np.linalg.norm(bi.points[:, None, :] - bj.points[None, :, :], axis=-1)
-                    assert d.min() > thr
-
-
-def test_json_roundtrip():
-    s = QPoint([[0.5, -1.0], [0.5, -1.0], [2.0, 3.0]])
-    blob = json.dumps(s.to_json())
-    t = QPoint.from_json(json.loads(blob))
-    assert s == t

@@ -82,16 +82,6 @@ def test_ladder_errors():
         ConstantLadder.paper(2, delta=0.9)  # c0 too large
     with pytest.raises(LadderError):
         ConstantLadder.paper(2)
-    with pytest.raises(LadderError):
-        ConstantLadder.from_values(2, np.array([0.7, 0.1, 1e-7]), 0.1)  # broken chain
-
-
-def test_ladder_json_roundtrip():
-    lad = ConstantLadder.paper(4, log10_delta=-4000.0)
-    lad2 = ConstantLadder.from_json(lad.to_json())
-    assert lad2.nq == lad.nq and lad2.mode == lad.mode
-    assert np.array_equal(lad2.c, lad.c)
-    assert np.allclose(lad2.log10_c, lad.log10_c)
 
 
 def test_margin_validation():
