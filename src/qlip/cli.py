@@ -30,9 +30,6 @@ from .roproj import default_machinery
 
 SCHEMA = 1
 
-_CURRENT_KINDS = ("flat", "spike", "w32", "custom-graph")
-
-
 class ConfigError(ValueError):
     """Unusable configuration or input file; maps to exit code 3."""
 
@@ -86,59 +83,65 @@ class _Sink:
 # configuration
 
 
-_COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
-
 # Options of every command that builds a current (gen-current, approx,
-# probe): flag, argparse keywords, config default.  The current kind and
-# --scale default per command.
+# probe): flag and argparse keywords.
 _CURRENT_OPTIONS = (
-    ("--scale", {"type": float}, None),
-    ("--res", {"type": int}, None),
-    ("--radius4", {"type": float}, None),
-    ("--q", {"type": int}, None),
-    ("--n", {"type": int}, None),
-    ("--heights", {"help": "JSON (q, n) height rows"}, None),
-    ("--spike-center", {"nargs": 2, "type": float}, (0.3, 0.2)),
-    ("--spike-radius", {"type": float}, 0.05),
-    ("--spike-excess", {"type": float}, 0.008),
+    ("--scale", {"type": float}),
+    ("--res", {"type": int}),
+    ("--radius4", {"type": float}),
+    ("--q", {"type": int}),
+    ("--n", {"type": int}),
+    ("--heights", {"help": "JSON (q, n) height rows"}),
+    ("--spike-center", {"nargs": 2, "type": float}),
+    ("--spike-radius", {"type": float}),
+    ("--spike-excess", {"type": float}),
     ("--input", {"help": "current JSON for custom-graph; field JSON for "
-                         "probe reverse-holder"}, None),
+                         "probe reverse-holder"}),
 )
 
-
-def _current_defaults(current, scale, **extra) -> dict:
-    cfg = {flag[2:].replace("-", "_"): default
-           for flag, _, default in _CURRENT_OPTIONS}
-    return dict(cfg, current=current, scale=scale, **extra)
-
-
-# The config keys each probe reads, besides out and seed.  Setting any other
-# key, by flag or in the config file, is a usage error (exit 3).
-_PROBE_KEYS = {
-    "gradient-lp": ("scales", "res", "p1"),
-    "persistence": ("current", "scale", "res", "s_list"),
-    "reverse-holder": ("input", "boundary", "res", "starts", "p11"),
-    "excess": tuple(_current_defaults(None, None)),  # all of _make_current's
-    "harmonic": ("scales", "res"),
-    "energy-split": ("n", "q", "res"),
-}
-
-
-_DEFAULTS = {
-    "gen-current": _current_defaults("w32", 1.0, profile_points=25),
-    "approx": _current_defaults("flat", 1.0, delta11=None, beta=0.1,
-                                strict=None),
-    "rho-star-eval": {
-        "n": 1, "q": 2, "c0": 0.1, "delta": 0.1, "samples": 200,
-    },
-    "dirmin": {
-        "boundary": "sqrt-branch", "res": 33, "starts": 4, "radius": 1.0,
-    },
-    "probe": _current_defaults(None, None, probe=None, scales=None,
-                               s_list=None, p1=None, p11=None,
-                               boundary="sqrt-branch", starts=None),
+# The keys each run reads, with their defaults: one row per command, per
+# probe (reverse-holder has one per input mode) and per current kind.  Every
+# command reads the "*" row too; a row in _CURRENT_ROWS also reads its
+# current kind's row, and its own defaults for current keys apply only when
+# that kind reads them.  Giving any other key, by flag or in the config file,
+# is an error (exit 3).  A None default means "derive it" or "not given".
+_READS = {
+    "*": {"out": "qlip-out", "seed": 0},
+    "gen-current": {"profile_points": 25},
+    "approx": {"current": "flat", "delta11": None, "beta": 0.1,
+               "strict": False},
+    "rho-star-eval": {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1,
+                      "samples": 200},
+    "dirmin": {"boundary": "sqrt-branch", "res": 33, "starts": 4,
+               "radius": 1.0},
     "report": {"dir": None},
+    "probe gradient-lp": {"scales": pb.ProbeConfig.scales, "res": 65,
+                          "p1": pb.ProbeConfig.p1},
+    "probe persistence": {"current": "w32", "scale": 1.0, "res": 129,
+                          "s_list": (0.05, 0.1, 0.2)},
+    "probe reverse-holder": {"boundary": "sqrt-branch", "res": 49,
+                             "starts": 4, "p11": pb.ProbeConfig.p11},
+    "probe reverse-holder --input": {"input": None,
+                                     "p11": pb.ProbeConfig.p11},
+    "probe excess": {"current": "w32", "scale": 2.0 ** -6, "res": 97},
+    "probe harmonic": {"scales": pb.ProbeConfig.scales[:3], "res": 49},
+    "probe energy-split": {"n": 1, "q": 2, "res": 21},
+    "current w32": {"scale": 1.0, "res": 129, "radius4": 1.0},
+    "current flat": {"q": 2, "n": 1, "heights": None, "res": 65,
+                     "radius4": 1.0},
+    "current spike": {"q": 2, "n": 1, "heights": None, "res": 129,
+                      "radius4": 4.0, "spike_center": (0.3, 0.2),
+                      "spike_radius": 0.05, "spike_excess": 0.008},
+    "current custom-graph": {"input": None},
 }
+_CURRENT_ROWS = ("gen-current", "approx", "probe excess")
+_CURRENT_KEYS = {flag[2:].replace("-", "_") for flag, _ in _CURRENT_OPTIONS}
+
+
+def _names(prefix: str) -> list:
+    """The probes (prefix "probe") or current kinds ("current") of _READS."""
+    return list(dict.fromkeys(row.split()[1] for row in _READS
+                              if row.startswith(prefix + " ")))
 
 
 def _load_config_file(path: str, inputs: dict) -> dict:
@@ -160,22 +163,35 @@ def _load_config_file(path: str, inputs: dict) -> dict:
 
 
 def _merge_config(args) -> tuple:
-    """Defaults < config file < explicit command-line flags."""
-    cfg = dict(_DEFAULTS[args.cmd])
-    cfg.update(_COMMON_DEFAULTS)
-    inputs, given = {}, set()
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config, inputs)
-        unknown = sorted(set(file_cfg) - set(cfg))
-        if unknown:
-            raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-        cfg.update(file_cfg)
-        given.update(file_cfg)
-    for key in list(cfg):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            given.add(key)
+    """The run's row of _READS: its defaults < config file < flags.  A null
+    in the config file, like an absent flag, leaves the default."""
+    inputs = {}
+    given = _load_config_file(args.config, inputs) if args.config else {}
+    given = {key: val for key, val in given.items() if val is not None}
+    given.update((key, val) for key, val in vars(args).items()
+                 if val is not None and key not in ("cmd", "config"))
+    row, reads = args.cmd, dict(_READS["*"])
+    if row == "probe":
+        row += " " + given["probe"]
+        if "input" in given and row + " --input" in _READS:
+            row += " --input"
+        reads["probe"] = given["probe"]
+    reads.update(_READS[row])
+    label = row
+    if row in _CURRENT_ROWS:
+        kind = given.get("current", reads.get("current"))
+        if kind not in _names("current"):
+            raise ConfigError("unknown current kind %r" % (kind,))
+        own = _READS["current " + kind]
+        reads = dict(own, **{key: val for key, val in reads.items()
+                             if key not in _CURRENT_KEYS or key in own})
+        reads["current"] = kind
+        label += " with current " + kind
+    unread = sorted(set(given) - set(reads))
+    if unread:
+        raise ConfigError("%s does not read %s" % (label, ", ".join(
+            "--" + key.replace("_", "-") for key in unread)))
+    cfg = dict(reads, **given)
 
     if isinstance(cfg.get("heights"), str):
         try:
@@ -183,27 +199,11 @@ def _merge_config(args) -> tuple:
         except json.JSONDecodeError as exc:
             raise ConfigError("heights must be JSON: %s" % exc)
     for key in ("scales", "s_list", "spike_center"):
-        if cfg.get(key) is not None:
+        if key in cfg:
             cfg[key] = tuple(float(v) for v in cfg[key])
-    if cfg.get("current") is not None and cfg["current"] not in _CURRENT_KINDS:
-        raise ConfigError("unknown current kind %r" % cfg["current"])
-    if args.cmd == "probe":
-        if cfg["probe"] not in _PROBE_KEYS:
-            raise ConfigError("unknown probe %r" % cfg["probe"])
-        unread = sorted(given.difference(_PROBE_KEYS[cfg["probe"]], ("probe", "out", "seed")))
-        if unread:
-            raise ConfigError("probe %s does not read %s" % (cfg["probe"], ", ".join(
-                "--" + key.replace("_", "-") for key in unread)))
-    if args.cmd in ("dirmin", "probe") and cfg["boundary"] not in _TRACES:
+    if "boundary" in cfg and cfg["boundary"] not in _TRACES:
         raise ConfigError("unknown boundary %r" % cfg["boundary"])
     return cfg, inputs
-
-
-def _opt(cfg: dict, key: str, default):
-    """cfg[key], set to `default` when unset so the manifest records it."""
-    if cfg.get(key) is None:
-        cfg[key] = default
-    return cfg[key]
 
 
 # ---------------------------------------------------------------------------
@@ -214,42 +214,34 @@ def _make_current(cfg: dict, sink: _Sink) -> cu.GraphCurrent:
     kind = cfg["current"]
     try:
         if kind == "w32":
-            return cu.w32_current(_opt(cfg, "scale", 1.0),
-                                  res=_opt(cfg, "res", 129),
-                                  radius4=_opt(cfg, "radius4", 1.0))
-        if kind == "flat":
-            return cu.flat_current(q=_opt(cfg, "q", 2), n=_opt(cfg, "n", 1),
-                                   heights=cfg.get("heights"),
-                                   res=_opt(cfg, "res", 65),
-                                   radius4=_opt(cfg, "radius4", 1.0))
-        if kind == "spike":
-            spike = cu.Spike(tuple(cfg["spike_center"]),
-                             float(cfg["spike_radius"]),
-                             float(cfg["spike_excess"]))
-            return cu.flat_current(q=_opt(cfg, "q", 2), n=_opt(cfg, "n", 1),
-                                   heights=cfg.get("heights"),
-                                   res=_opt(cfg, "res", 129),
-                                   radius4=_opt(cfg, "radius4", 4.0),
-                                   spikes=(spike,))
+            return cu.w32_current(cfg["scale"], res=cfg["res"],
+                                  radius4=cfg["radius4"])
+        if kind != "custom-graph":
+            spikes = ()
+            if kind == "spike":
+                spikes = (cu.Spike(cfg["spike_center"],
+                                   float(cfg["spike_radius"]),
+                                   float(cfg["spike_excess"])),)
+            return cu.flat_current(q=cfg["q"], n=cfg["n"],
+                                   heights=cfg["heights"], res=cfg["res"],
+                                   radius4=cfg["radius4"], spikes=spikes)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if kind == "custom-graph":
-        if not cfg.get("input"):
-            raise ConfigError("custom-graph needs --input <current JSON>")
-        raw = sink.note_input(cfg["input"])
-        try:
-            blob = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError("input is not valid JSON: %s" % exc)
-        if "current" in blob:
-            blob = blob["current"]
-        if "base" not in blob:
-            raise ConfigError("input does not look like a serialized current")
-        try:
-            return cu.current_from_json(blob)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("cannot rebuild current: %s" % exc)
-    raise ConfigError("unknown current kind %r" % kind)
+    if not cfg["input"]:
+        raise ConfigError("custom-graph needs --input <current JSON>")
+    raw = sink.note_input(cfg["input"])
+    try:
+        blob = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError("input is not valid JSON: %s" % exc)
+    if "current" in blob:
+        blob = blob["current"]
+    if "base" not in blob:
+        raise ConfigError("input does not look like a serialized current")
+    try:
+        return cu.current_from_json(blob)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError("cannot rebuild current: %s" % exc)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
         "spikes": len(T.spikes),
     }
     if T.sheet_values is not None:
-        k = max(int(_opt(cfg, "profile_points", 25)), 2)
+        k = max(int(cfg["profile_points"]), 2)
         radii = np.linspace(0.98 * r1 / k, 0.98 * r1, k)
         profile, drop = cu.mass_ratio_profile(T, radii)
         metrics["profile"] = [[rho, val] for rho, val in profile]
@@ -286,17 +278,17 @@ def _cmd_approx(cfg: dict, sink: _Sink) -> int:
     T = _make_current(cfg, sink)
     ex = cu.ExcessField(T)
     E = ex.excess_ratio(T.radius4)
-    beta = float(_opt(cfg, "beta", 0.1))
+    beta = float(cfg["beta"])
     if not 0.0 < beta < 1.0 / (2 * T.m):
         raise ConfigError("beta out of range")
-    delta11 = cfg.get("delta11")
+    delta11 = cfg["delta11"]
     if delta11 is None:
         # threshold keeping the smallness hypothesis honest, floored so a
         # zero-excess current keeps its full good set
         delta11 = max(max(E, 0.0) ** (2 * beta), 1.25 * 16 ** T.m * E, 1e-4)
     try:
         u, K, rep = cu.lipschitz_approximation(T, float(delta11),
-                                               strict=bool(cfg.get("strict")), ex=ex)
+                                               strict=bool(cfg["strict"]), ex=ex)
     except ValueError as exc:
         raise ConfigError(str(exc))
     dist = np.linalg.norm(T.base.nodes() - T.center, axis=-1)
@@ -384,13 +376,8 @@ def _cmd_dirmin(cfg: dict, sink: _Sink) -> int:
 
 
 def _probe_config(cfg: dict) -> pb.ProbeConfig:
-    # explicit --scales goes to the probe call, not the config: short
-    # sweeps are legitimate for some probes and would fail validate()
-    kw = {"seed": int(cfg["seed"])}
-    for key in ("p1", "p11"):
-        if cfg.get(key) is not None:
-            kw[key] = float(cfg[key])
-    pc = pb.ProbeConfig(**kw)
+    pc = pb.ProbeConfig(seed=int(cfg["seed"]), **{
+        key: float(cfg[key]) for key in ("p1", "p11") if key in cfg})
     try:
         pc.validate()
     except ValueError as exc:
@@ -427,23 +414,21 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
     pc = _probe_config(cfg)
     try:
         if name == "gradient-lp":
-            cfg["p1"] = pc.p1
-            report = pb.gradient_lp_probe(scales=_opt(cfg, "scales", pc.scales),
-                                          res=int(_opt(cfg, "res", 65)),
-                                          config=pc)
+            report = pb.gradient_lp_probe(scales=cfg["scales"],
+                                          res=int(cfg["res"]), config=pc)
         elif name == "persistence":
-            if cfg.get("current") not in (None, "w32"):
+            if cfg["current"] != "w32":
                 raise ConfigError(
                     "persistence probe runs on the branched benchmark only")
-            res = int(_opt(cfg, "res", 129))
-            lam = float(_opt(cfg, "scale", 1.0))
+            res = int(cfg["res"])
+            lam = float(cfg["scale"])
             report = pb.persistence_probe(
-                s_list=tuple(_opt(cfg, "s_list", (0.05, 0.1, 0.2))),
+                s_list=cfg["s_list"],
                 factory=lambda radius4: cu.w32_current(lam, res=res,
                                                        radius4=radius4),
                 res=res, config=pc)
         elif name == "reverse-holder":
-            if cfg.get("input"):
+            if "input" in cfg:
                 raw = sink.note_input(cfg["input"])
                 try:
                     u = qf.QGridFunction.from_json(json.loads(raw.decode()))
@@ -454,30 +439,21 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
             else:
                 trace, q, n, _ = _TRACES[cfg["boundary"]]
                 u, _rep = pb.solve_dir_minimizer(
-                    trace, res=int(_opt(cfg, "res", 49)), q=q, n=n,
-                    starts=int(_opt(cfg, "starts", 4)),
-                    seed=int(cfg["seed"]))
+                    trace, res=int(cfg["res"]), q=q, n=n,
+                    starts=int(cfg["starts"]), seed=int(cfg["seed"]))
                 radius = 1.0
-            cfg["p11"] = pc.p11
             report = pb.reverse_holder_probe(u, radius=radius, config=pc)
         elif name == "excess":
-            _opt(cfg, "current", "w32")
-            _opt(cfg, "scale", 2.0 ** -6)
-            cfg["res"] = int(_opt(cfg, "res", 97))
             report = pb.excess_probes(_make_current(cfg, sink), config=pc)
         elif name == "harmonic":
-            res = int(_opt(cfg, "res", 49))
             report = pb.harmonic_approx_probe(
-                scales=_opt(cfg, "scales", pc.scales[:3]), res=res, config=pc)
-        elif name == "energy-split":
+                scales=cfg["scales"], res=int(cfg["res"]), config=pc)
+        else:  # energy-split
             # n = 2 exercises the off-cone bucket but builds a much larger
             # embedding; the default stays with the cheap machinery
-            mach = default_machinery(int(_opt(cfg, "n", 1)),
-                                     int(_opt(cfg, "q", 2)))
-            fields = _split_fields(mach, int(_opt(cfg, "res", 21)))
+            mach = default_machinery(int(cfg["n"]), int(cfg["q"]))
+            fields = _split_fields(mach, int(cfg["res"]))
             report = pb.energy_split_probe(mach, fields, config=pc)
-        else:
-            raise ConfigError("unknown probe %r" % name)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -537,7 +513,7 @@ def _classify(rel: str, blob: dict, rows: list, dats: dict) -> None:
 
 
 def _cmd_report(cfg: dict, sink: _Sink) -> int:
-    root = Path(cfg.get("dir") or sink.out)
+    root = Path(cfg["dir"] or sink.out)
     if not root.is_dir():
         raise ConfigError("artifact directory %s missing" % root)
     skip = {"manifest.json", "summary.json"}
@@ -581,7 +557,7 @@ _HANDLERS = {
 
 
 def _add_current_options(parser) -> None:
-    for flag, kw, _ in _CURRENT_OPTIONS:
+    for flag, kw in _CURRENT_OPTIONS:
         parser.add_argument(flag, **kw)
 
 
@@ -597,13 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-current", parents=[common],
                        help="build a benchmark current and its metrics")
-    g.add_argument("current", choices=_CURRENT_KINDS)
+    g.add_argument("current", choices=_names("current"))
     _add_current_options(g)
     g.add_argument("--profile-points", type=int)
 
     a = sub.add_parser("approx", parents=[common],
                        help="run the Lipschitz approximation pipeline")
-    a.add_argument("--current", choices=_CURRENT_KINDS)
+    a.add_argument("--current", choices=_names("current"))
     _add_current_options(a)
     a.add_argument("--delta11", type=float)
     a.add_argument("--beta", type=float)
@@ -626,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", parents=[common],
                        help="run one empirical estimate")
-    p.add_argument("probe", choices=_PROBE_KEYS)
-    p.add_argument("--current", choices=_CURRENT_KINDS)
+    p.add_argument("probe", choices=_names("probe"))
+    p.add_argument("--current", choices=_names("current"))
     _add_current_options(p)
     p.add_argument("--scales", nargs="+", type=float)
     p.add_argument("--s-list", nargs="+", type=float)
@@ -664,7 +640,7 @@ def main(argv=None) -> int:
         "schema": SCHEMA,
         "command": list(argv) if argv is not None else sys.argv[1:],
         "config": {k: v for k, v in cfg.items() if k != "out"},
-        "seed": cfg.get("seed", 0),
+        "seed": cfg["seed"],
         "input_hashes": sink.inputs,
         "outputs": sorted(sink.hashes),
         "artifacts": sink.hashes,

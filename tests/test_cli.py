@@ -322,28 +322,32 @@ def test_report_empty_and_corrupt(tmp_path):
     assert cli.main(["report", "--dir", str(empty), "--out", str(rep)]) == 3
 
 
-_CURRENT_DEFAULTS = {"res": None, "radius4": None, "q": None, "n": None,
-                     "heights": None, "input": None,
-                     "spike_center": (0.3, 0.2), "spike_radius": 0.05,
-                     "spike_excess": 0.008}
+_FLAT = {"q": 2, "n": 1, "heights": None, "res": 65, "radius4": 1.0}
 _COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
 
 
 @pytest.mark.parametrize("argv, want", [
     (["gen-current", "w32"],
-     dict(_CURRENT_DEFAULTS, current="w32", scale=1.0, profile_points=25)),
+     {"current": "w32", "scale": 1.0, "res": 129, "radius4": 1.0,
+      "profile_points": 25}),
     (["approx"],
-     dict(_CURRENT_DEFAULTS, current="flat", scale=1.0, delta11=None,
-          beta=0.1, strict=None)),
+     dict(_FLAT, current="flat", delta11=None, beta=0.1, strict=False)),
     (["rho-star-eval"],
      {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1, "samples": 200}),
     (["dirmin"],
      {"boundary": "sqrt-branch", "res": 33, "starts": 4, "radius": 1.0}),
     (["probe", "excess"],
-     dict(_CURRENT_DEFAULTS, probe="excess", current=None, scale=None,
-          scales=None, s_list=None, p1=None, p11=None,
-          boundary="sqrt-branch", starts=None)),
+     {"probe": "excess", "current": "w32", "scale": 2.0 ** -6, "res": 97,
+      "radius4": 1.0}),
     (["report"], {"dir": None}),
+    # excess keeps its res for every kind, and its scale only for w32
+    (["probe", "excess", "--current", "flat"],
+     dict(_FLAT, probe="excess", current="flat", res=97)),
+    (["probe", "reverse-holder"],
+     {"probe": "reverse-holder", "boundary": "sqrt-branch", "res": 49,
+      "starts": 4, "p11": 1.5}),
+    (["probe", "reverse-holder", "--input", "f.json"],
+     {"probe": "reverse-holder", "input": "f.json", "p11": 1.5}),
 ])
 def test_merged_config_keys_and_defaults(argv, want):
     cfg, inputs = cli._merge_config(cli.build_parser().parse_args(argv))
@@ -351,20 +355,92 @@ def test_merged_config_keys_and_defaults(argv, want):
     assert inputs == {}
 
 
+def test_config_null_leaves_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"res": None, "starts": 2}))
+    argv = ["dirmin", "--config", str(path)]
+    cfg, inputs = cli._merge_config(cli.build_parser().parse_args(argv))
+    assert (cfg["res"], cfg["starts"]) == (33, 2)
+    assert list(inputs) == [str(path)]
+
+
 @pytest.mark.parametrize("head", [["gen-current", "spike"],
                                   ["approx", "--current", "spike"],
                                   ["probe", "excess", "--current", "spike"]])
 def test_shared_current_flags(head):
-    argv = head + ["--scale", "0.5", "--res", "17", "--radius4", "2.0",
+    argv = head + ["--res", "17", "--radius4", "2.0",
                    "--q", "3", "--n", "2", "--spike-center", "0.1", "-0.2",
                    "--spike-radius", "0.03", "--spike-excess", "0.002",
-                   "--input", "cur.json", "--heights", "[[0, 1], [2, 3]]"]
-    want = {"current": "spike", "scale": 0.5, "res": 17, "radius4": 2.0,
+                   "--heights", "[[0, 1], [2, 3]]"]
+    want = {"current": "spike", "res": 17, "radius4": 2.0,
             "q": 3, "n": 2, "spike_center": (0.1, -0.2),
-            "spike_radius": 0.03, "spike_excess": 0.002, "input": "cur.json",
+            "spike_radius": 0.03, "spike_excess": 0.002,
             "heights": [[0, 1], [2, 3]]}
     cfg, _ = cli._merge_config(cli.build_parser().parse_args(argv))
     assert {k: cfg[k] for k in want} == want
+
+
+@pytest.mark.parametrize("argv, config, unread", [
+    pytest.param(["gen-current", "w32", "--q", "3", "--n", "2",
+                  "--heights", "[[1]]"], {}, ["--q", "--n", "--heights"],
+                 id="gen-current-w32"),
+    pytest.param(["approx", "--current", "flat", "--spike-radius", "0.2",
+                  "--spike-excess", "0.5"], {},
+                 ["--spike-radius", "--spike-excess"], id="approx-flat"),
+    pytest.param(["gen-current", "custom-graph", "--input", "cur.json",
+                  "--scale", "3", "--radius4", "0.5"], {},
+                 ["--scale", "--radius4"], id="gen-current-custom-graph"),
+    pytest.param(["probe", "reverse-holder", "--input", "field.json",
+                  "--starts", "7", "--boundary", "linear", "--res", "99"], {},
+                 ["--starts", "--boundary", "--res"],
+                 id="reverse-holder-input"),
+    pytest.param(["gen-current", "spike", "--scale", "0.5"], {}, ["--scale"],
+                 id="gen-current-spike-scale"),
+    pytest.param(["approx", "--current", "spike", "--input", "cur.json"], {},
+                 ["--input"], id="approx-spike-input"),
+    pytest.param(["probe", "excess", "--current", "spike", "--scale", "0.5",
+                  "--input", "cur.json"], {}, ["--scale", "--input"],
+                 id="excess-spike-scale-input"),
+    pytest.param(["dirmin"], {"samples": 3}, ["--samples"],
+                 id="dirmin-config-samples"),
+])
+def test_unread_flag_exit_3(tmp_path, capsys, argv, config, unread):
+    """Any command exits 3 on a key its row does not read, given by flag or
+    in the config file, and names it."""
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "does not read" in err
+    assert all(flag in err for flag in unread)
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_config_is_the_row(tmp_path):
+    """The manifest's config holds the row's keys, seed and the probe or
+    current name, and nothing else."""
+    field = tmp_path / "dirmin"
+    assert cli.main(["dirmin", "--res", "33", "--starts", "1",
+                     "--out", str(field)]) == 0
+    runs = (
+        (["probe", "reverse-holder",
+          "--input", str(field / "dirmin-field.json")],
+         {"probe", "input", "p11"}),
+        (["approx", "--current", "spike"],
+         {"current", "delta11", "beta", "strict", "q", "n", "heights", "res",
+          "radius4", "spike_center", "spike_radius", "spike_excess"}),
+        (["gen-current", "flat", "--res", "17"],
+         {"current", "profile_points", "q", "n", "heights", "res",
+          "radius4"}),
+    )
+    for i, (argv, keys) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert set(_read(out / "manifest.json")["config"]) == keys | {"seed"}
+    # flat and spike never read --scale; current.json says so
+    assert _read(tmp_path / "2" / "current.json")["scale"] is None
 
 
 def test_entry_point_smoke():

@@ -280,10 +280,6 @@ def test_probe_config_validation():
         pb.ProbeConfig(p1=1.6).validate()
     with pytest.raises(ValueError):
         pb.ProbeConfig(p11=0.8).validate()
-    with pytest.raises(ValueError):
-        pb.ProbeConfig(beta=0.3).validate()
-    with pytest.raises(ValueError):
-        pb.ProbeConfig(scales=(0.1, 0.2)).validate()
 
 
 def test_probe_report_serialization():
