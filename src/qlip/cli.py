@@ -100,16 +100,21 @@ _CURRENT_OPTIONS = (
 )
 
 # The keys each run reads, with their defaults: one row per command, per
-# probe (reverse-holder has one per input mode) and per current kind.  Every
-# command reads the "*" row too; a row in _CURRENT_ROWS also reads its
+# probe and per current kind.  A row "<row> --<key>" replaces <row> when that
+# key is given (reverse-holder and approx have one row per input mode).
+# Every command reads the "*" row too; a row in _CURRENT_ROWS also reads its
 # current kind's row, and its own defaults for current keys apply only when
 # that kind reads them.  Giving any other key, by flag or in the config file,
 # is an error (exit 3).  A None default means "derive it" or "not given".
 _READS = {
     "*": {"out": "qlip-out", "seed": 0},
     "gen-current": {"profile_points": 25},
+    # a current rebuilt from a file has no analytic sheets to profile
+    "gen-current --input": {},
     "approx": {"current": "flat", "delta11": None, "beta": 0.1,
                "strict": False},
+    # beta serves only to derive delta11
+    "approx --delta11": {"current": "flat", "delta11": None, "strict": False},
     "rho-star-eval": {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1,
                       "samples": 200},
     "dirmin": {"boundary": "sqrt-branch", "res": 33, "starts": 4,
@@ -173,12 +178,14 @@ def _merge_config(args) -> tuple:
     row, reads = args.cmd, dict(_READS["*"])
     if row == "probe":
         row += " " + given["probe"]
-        if "input" in given and row + " --input" in _READS:
-            row += " --input"
         reads["probe"] = given["probe"]
+    base = row
+    for key in sorted(given):
+        if "%s --%s" % (base, key) in _READS:
+            row = "%s --%s" % (base, key)
     reads.update(_READS[row])
     label = row
-    if row in _CURRENT_ROWS:
+    if base in _CURRENT_ROWS:
         kind = given.get("current", reads.get("current"))
         if kind not in _names("current"):
             raise ConfigError("unknown current kind %r" % (kind,))
@@ -250,7 +257,7 @@ def _make_current(cfg: dict, sink: _Sink) -> cu.GraphCurrent:
 
 def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
     T = _make_current(cfg, sink)
-    ex = cu.ExcessField(T)
+    ex = T.excess
     r1 = min(1.0, T.radius4)
     metrics = {
         "q": T.q, "n": T.n, "res": T.base.res, "radius4": T.radius4,
@@ -276,19 +283,18 @@ def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
 
 def _cmd_approx(cfg: dict, sink: _Sink) -> int:
     T = _make_current(cfg, sink)
-    ex = cu.ExcessField(T)
-    E = ex.excess_ratio(T.radius4)
-    beta = float(cfg["beta"])
-    if not 0.0 < beta < 1.0 / (2 * T.m):
-        raise ConfigError("beta out of range")
     delta11 = cfg["delta11"]
     if delta11 is None:
+        beta = float(cfg["beta"])
+        if not 0.0 < beta < 1.0 / (2 * T.m):
+            raise ConfigError("beta out of range")
         # threshold keeping the smallness hypothesis honest, floored so a
         # zero-excess current keeps its full good set
+        E = T.excess.excess_ratio(T.radius4)
         delta11 = max(max(E, 0.0) ** (2 * beta), 1.25 * 16 ** T.m * E, 1e-4)
     try:
         u, K, rep = cu.lipschitz_approximation(T, float(delta11),
-                                               strict=bool(cfg["strict"]), ex=ex)
+                                               strict=bool(cfg["strict"]))
     except ValueError as exc:
         raise ConfigError(str(exc))
     dist = np.linalg.norm(T.base.nodes() - T.center, axis=-1)
@@ -342,28 +348,30 @@ def _cmd_rho_star_eval(cfg: dict, sink: _Sink) -> int:
     return 0
 
 
+def _sqrt_rows(p):
+    """The two branches of sqrt(x + iy) at points (..., 2), as (..., 2, 2)."""
+    v = np.sqrt(p[..., 0] + 1j * p[..., 1])
+    sheet = np.stack([v.real, v.imag], axis=-1)
+    return np.stack([sheet, -sheet], axis=-2)
+
+
 _TRACES = {
-    # boundary data -> (callable, q, n, closed-form disk energy or None)
-    "sqrt-branch": (lambda p: _sqrt_rows(p), 2, 2, 2.0 * math.pi),
-    "linear": (lambda p: np.array([[p[0]]]), 1, 1, math.pi),
-    "const": (lambda p: np.array([[0.3], [-0.4]]), 2, 1, 0.0),
+    # boundary data -> (points (..., 2) -> values (..., q, n), disk energy)
+    "sqrt-branch": (_sqrt_rows, 2.0 * math.pi),
+    "linear": (lambda p: p[..., None, :1], math.pi),
+    "const": (lambda p: np.broadcast_to([[0.3], [-0.4]], p.shape[:-1] + (2, 1)), 0.0),
 }
 
 
-def _sqrt_rows(p):
-    v = complex(p[0], p[1]) ** 0.5
-    return np.array([[v.real, v.imag], [-v.real, -v.imag]])
-
-
 def _cmd_dirmin(cfg: dict, sink: _Sink) -> int:
-    trace, q, n, reference = _TRACES[cfg["boundary"]]
+    trace, reference = _TRACES[cfg["boundary"]]
     try:
         f, rep = pb.solve_dir_minimizer(
-            trace, res=int(cfg["res"]), q=q, n=n, radius=float(cfg["radius"]),
+            trace, res=int(cfg["res"]), radius=float(cfg["radius"]),
             starts=int(cfg["starts"]), seed=int(cfg["seed"]))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    blob = {"schema": SCHEMA, "boundary": cfg["boundary"], "q": q, "n": n,
+    blob = {"schema": SCHEMA, "boundary": cfg["boundary"], "q": f.q, "n": f.n,
             "res": int(cfg["res"]), "reference_energy": reference}
     for key in ("energy", "history", "start_energies", "converged",
                 "center_separation", "branch_offset", "spacing"):
@@ -391,14 +399,11 @@ def _split_fields(mach, res: int):
     n = mach.spec.dims.n
 
     def fn(p):
-        a = 0.2 * math.sin(2.0 * p[0]) + 0.1 * p[1]
-        out = np.empty((q, n))
-        for j in range(q):
-            for i in range(n):
-                out[j, i] = a + 0.5 * j + 0.1 * math.cos((i + 1.0) * p[0])
-        return out
+        x, y = p[..., 0, None, None], p[..., 1, None, None]
+        return (0.2 * np.sin(2.0 * x) + 0.1 * y + 0.5 * np.arange(q)[:, None]
+                + 0.1 * np.cos((np.arange(n) + 1.0) * x))
 
-    f = qf.from_callable(qf.square(1.0), res, fn, q=q, n=n)
+    f = qf.from_callable(qf.square(1.0), res, fn)
     emb = xi_batch(mach.spec, f.values.reshape(-1, q, n))
     emb = emb.reshape(res, res, -1)
     x, y = np.meshgrid(*f.axes(), indexing="ij")
@@ -437,9 +442,8 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
                     raise ConfigError("cannot load field: %s" % exc)
                 radius = u.domain.radius
             else:
-                trace, q, n, _ = _TRACES[cfg["boundary"]]
                 u, _rep = pb.solve_dir_minimizer(
-                    trace, res=int(cfg["res"]), q=q, n=n,
+                    _TRACES[cfg["boundary"]][0], res=int(cfg["res"]),
                     starts=int(cfg["starts"]), seed=int(cfg["seed"]))
                 radius = 1.0
             report = pb.reverse_holder_probe(u, radius=radius, config=pc)

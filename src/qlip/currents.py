@@ -67,6 +67,11 @@ class GraphCurrent:
         self.sheet_values = sheet_values
         self.sheet_jacobians = sheet_jacobians
 
+    @functools.cached_property
+    def excess(self) -> ExcessField:
+        """The current's excess field, built on first use."""
+        return ExcessField(self)
+
     @property
     def r(self) -> float:
         return self.radius4 / 4.0
@@ -220,7 +225,10 @@ class ExcessField:
     and weighted-region integrals (additive over disjoint regions)."""
 
     def __init__(self, T: GraphCurrent):
-        self.T = T
+        # T's data, not T: T keeps its field, so a reference back to T would
+        # make a cycle that only the cyclic garbage collector frees
+        self.base, self.center, self.radius4 = T.base, T.center, T.radius4
+        self.spikes, self.sheet_jacobians = T.spikes, T.sheet_jacobians
         f = T.base
         self.h = f.spacing
         nodes = f.nodes()
@@ -242,30 +250,30 @@ class ExcessField:
         self.density = self.graph_density + spike
 
     def region_excess(self, weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float) * self.T.base.mask
-        return float(np.sum(self.density * w) * self.h ** self.T.m)
+        w = np.asarray(weights, dtype=float) * self.base.mask
+        return float(np.sum(self.density * w) * self.h ** self.base.m)
 
     def ball_excess(self, center, radius: float) -> float:
-        if np.linalg.norm(np.asarray(center) - self.T.center) + radius \
-                > self.T.radius4 + 1e-9:
+        if np.linalg.norm(np.asarray(center) - self.center) + radius \
+                > self.radius4 + 1e-9:
             raise ValueError("ball leaves the cylinder of validity")
-        if self.T.sheet_jacobians is not None:
+        if self.sheet_jacobians is not None:
             graph = _polar_integral(
-                lambda p: self.T.sheet_area_density(p).sum(axis=-1) - self.T.q,
+                lambda p: _sqrt_det(self.sheet_jacobians(p)).sum(axis=-1) - self.base.q,
                 center, radius)
         else:
-            w = qf.disk_weights(self.T.base, center, radius)
-            graph = float(np.sum(self.graph_density * w) * self.h ** self.T.m)
-        return graph + _spike_ball_mass(self.T.spikes, self.h, center, radius)
+            w = qf.disk_weights(self.base, center, radius)
+            graph = float(np.sum(self.graph_density * w) * self.h ** self.base.m)
+        return graph + _spike_ball_mass(self.spikes, self.h, center, radius)
 
     def ball_mass(self, center, radius: float) -> float:
-        area = _OMEGA[self.T.m] * radius ** self.T.m
-        return self.T.q * area + self.ball_excess(center, radius)
+        area = _OMEGA[self.base.m] * radius ** self.base.m
+        return self.base.q * area + self.ball_excess(center, radius)
 
     def excess_ratio(self, radius: float) -> float:
         """E(T, C_radius(center)) = excess / (omega_m radius^m)."""
-        return (self.ball_excess(self.T.center, radius)
-                / (_OMEGA[self.T.m] * radius ** self.T.m))
+        return (self.ball_excess(self.center, radius)
+                / (_OMEGA[self.base.m] * radius ** self.base.m))
 
 
 def mass_and_excess(T: GraphCurrent, region=None):
@@ -295,8 +303,7 @@ def mass_and_excess(T: GraphCurrent, region=None):
         w = np.asarray(region, dtype=float)
         area = float(np.sum(w * T.base.mask) * T.base.spacing ** T.m)
         gmass, energy = _grid_mass_energy(T.base, w)
-        ex = ExcessField(T)
-        spikes = float(np.sum(ex.spike_density * w * T.base.mask)
+        spikes = float(np.sum(T.excess.spike_density * w * T.base.mask)
                        * T.base.spacing ** T.m)
     mass = gmass + spikes
     excess = mass - T.q * area
@@ -319,8 +326,7 @@ def excess_two_ways(T: GraphCurrent, center, radius: float):
     """Excess as mass - Q area and as the tangent-defect integral against
     the mass measure; the two agree up to quadrature.  Kept as the tests'
     oracle for ExcessField.ball_excess."""
-    ex = ExcessField(T)
-    first = ex.ball_excess(center, radius)
+    first = T.excess.ball_excess(center, radius)
     if T.sheet_jacobians is not None:
         def defect_mass(p):
             J = np.asarray(T.sheet_jacobians(p))
@@ -360,16 +366,14 @@ def _footprint_max(a: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def maximal_excess(T: GraphCurrent, ex=None):
+def maximal_excess(T: GraphCurrent):
     """Non-centered maximal function of the excess over a finite family of
     balls: grid-node centers, unit-step radii h..8h plus dyadic radii up to
-    the cylinder, all constrained inside B_{4r}(x) (`ex`: T's ExcessField,
-    if already built).
+    the cylinder, all constrained inside B_{4r}(x).
 
     Returns (M, info) with the finest-scale density field in info."""
     if T.m != 2:
         raise ValueError("maximal function implemented for planar bases")
-    ex = ExcessField(T) if ex is None else ex
     f = T.base
     h = f.spacing
     radii = [h * k for k in range(1, 9)]
@@ -380,7 +384,7 @@ def maximal_excess(T: GraphCurrent, ex=None):
     radii = [s for s in radii if s <= T.radius4 - h] or [h]
     nodes = f.nodes()
     dist = np.linalg.norm(nodes - T.center, axis=-1)
-    dens = ex.density * (h ** 2)
+    dens = T.excess.density * (h ** 2)
     M = np.full(f.values.shape[:2], -np.inf)
     finest = None
     for s in radii:
@@ -436,7 +440,6 @@ def bv_functional(T: GraphCurrent, psi, regions=None):
     if regions is None:
         regions = [qf.disk_weights(f, T.center, T.radius4 * fr)
                    for fr in (0.25, 0.5, 0.75, 1.0)]
-    ex = ExcessField(T)
     h = f.spacing
     reports = []
     if T.m == 1:
@@ -449,7 +452,7 @@ def bv_functional(T: GraphCurrent, psi, regions=None):
     for w in regions:
         w = np.asarray(w, dtype=float) * f.mask
         tv = float(np.sum(grad * (_cell_average(w) * ok)) * h ** T.m)
-        e = max(ex.region_excess(w), 0.0)
+        e = max(T.excess.region_excess(w), 0.0)
         area = float(np.sum(w) * h ** T.m)
         mass_region = T.q * area + e
         rhs = 2.0 * T.m ** 2 * e * mass_region
@@ -462,21 +465,19 @@ def bv_functional(T: GraphCurrent, psi, regions=None):
 # Lipschitz approximation
 
 
-def lipschitz_approximation(T: GraphCurrent, delta11: float, strict: bool = False, ex=None):
+def lipschitz_approximation(T: GraphCurrent, delta11: float, strict: bool = False):
     """Threshold the maximal excess at delta11, keep the graph there, extend
-    across the bad set (`ex`: T's ExcessField, if already built); returns
-    (u on B_{3r}, K mask, report).
+    across the bad set; returns (u on B_{3r}, K mask, report).
 
     The smallness hypothesis 16^m E < delta11 is reported; strict=True makes
     a violation fatal."""
     f = T.base
-    ex = ExcessField(T) if ex is None else ex
-    E = ex.excess_ratio(T.radius4)
+    E = T.excess.excess_ratio(T.radius4)
     hyp_ok = bool((16 ** T.m) * E < delta11)
     if strict and not hyp_ok:
         raise ValueError("excess too large for the threshold: 16^m E = %.3g"
                          % ((16 ** T.m) * E))
-    M, info = maximal_excess(T, ex=ex)
+    M, info = maximal_excess(T)
     dist = np.linalg.norm(f.nodes() - T.center, axis=-1)
     ball3 = (dist <= 3 * T.r + 1e-12) & f.mask
     K = (M < delta11) & ball3
@@ -494,7 +495,7 @@ def lipschitz_approximation(T: GraphCurrent, delta11: float, strict: bool = Fals
     area_bad = float(bad.sum()) * h ** T.m
     grow = min((1.0 + r0) * T.r, T.radius4)
     big = (M > (2.0 ** -T.m) * delta11) & (dist <= grow)
-    bound = (10 ** T.m / delta11) * max(ex.region_excess(big.astype(float)), 0.0)
+    bound = (10 ** T.m / delta11) * max(T.excess.region_excess(big.astype(float)), 0.0)
     match = bool(np.array_equal(u.values[K], f.values[K]))
     report = {"E": E, "delta11": delta11, "hypothesis_ok": hyp_ok, "r0": r0,
               "lip_u": lip_u, "osc_u": osc_u, "lip_K": lip_K,
@@ -616,11 +617,10 @@ def build_competitor(T: GraphCurrent, beta1: float):
     if not 0 < beta1 < 1.0 / (2 * T.m):
         raise ValueError("beta1 out of range")
     r = T.r
-    ex = ExcessField(T)
-    E = max(ex.excess_ratio(T.radius4), 1e-12)
+    E = max(T.excess.excess_ratio(T.radius4), 1e-12)
     a = (1.0 - 2.0 * beta1) / (2.0 * T.m)
     delta11 = max(E ** (2 * beta1), (16 ** T.m) * E * 1.25)
-    u, K, rep = lipschitz_approximation(T, delta11, ex=ex)
+    u, K, rep = lipschitz_approximation(T, delta11)
     f = T.base
     h = f.spacing
     base_mach = default_machinery(T.n, T.q)
@@ -704,16 +704,13 @@ def flat_current(q: int = 2, n: int = 1, heights=None, res: int = 65,
     H = np.asarray(heights, dtype=float).reshape(q, n)
 
     def vals(pts):
-        pts = np.asarray(pts)
-        return np.broadcast_to(H, pts.shape[:-1] + (q, n)).copy()
+        return np.broadcast_to(H, np.shape(pts)[:-1] + (q, n))
 
     def jacs(pts):
         pts = np.asarray(pts)
         return np.zeros(pts.shape[:-1] + (q, n, pts.shape[-1]))
 
-    dom = qf.ball(radius4)
-    base = qf.QGridFunction(dom, res,
-                            np.broadcast_to(H, (res, res, q, n)).copy())
+    base = qf.from_callable(qf.ball(radius4), res, vals)
     return GraphCurrent(base, (0.0, 0.0), radius4, spikes=spikes,
                         sheet_values=vals, sheet_jacobians=jacs)
 
@@ -752,8 +749,6 @@ def w32_current(scale: float = 1.0, res: int = 129,
         J[..., 1, :, :] = -J[..., 0, :, :]
         return J
 
-    dom = qf.ball(radius4)
-    probe = qf.QGridFunction(dom, res, np.zeros((res, res, 2, 2)))
-    base = qf.QGridFunction(dom, res, vals(probe.nodes()))
+    base = qf.from_callable(qf.ball(radius4), res, vals)
     return GraphCurrent(base, (0.0, 0.0), radius4,
                         sheet_values=vals, sheet_jacobians=jacs)

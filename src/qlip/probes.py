@@ -117,13 +117,12 @@ def _solve_given_matchings(vals, pinned, a, b, w, pmat):
     return out.reshape(vals.shape)
 
 
-def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
-                        radius: float = 1.0, starts: int = 8, seed: int = 0,
-                        half: float = None):
+def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
+                        starts: int = 8, seed: int = 0, half: float = None):
     """Minimize the matched discrete energy over the disk with pinned trace.
 
-    `trace` is a callable point -> (q, n) array; it is sampled on a collar of
-    nodes outside the open disk, which plays the role of the boundary
+    `trace` maps points (..., 2) to values (..., q, n), which set q and n;
+    its values on a collar of nodes outside the open disk are the boundary
     condition.  Returns (field, report); the reported energy uses the disk
     coverage weights, so it approximates the energy over the round disk.
     `half` overrides the grid half-width when the caller needs node alignment
@@ -134,8 +133,8 @@ def solve_dir_minimizer(trace, res: int = 65, q: int = 2, n: int = 2,
     if half is None:
         half = radius + 3.0 * 2.0 * radius / (res - 1)
     dom = qf.square(half)
-    f = qf.from_callable(dom, res, trace, q=q, n=n)
-    h = f.spacing
+    f = qf.from_callable(dom, res, trace)
+    q, n, h = f.q, f.n, f.spacing
     nodes = f.nodes().reshape(-1, 2)
     pinned_flat = np.linalg.norm(nodes, axis=-1) >= radius
     weights = qf.disk_weights(f, (0.0, 0.0), radius)
@@ -280,7 +279,7 @@ def gradient_lp_probe(scales=None, res: int = 65, factory=None,
     rows = []
     for lam in scales:
         T = factory(lam)
-        ex = cu.ExcessField(T)
+        ex = T.excess
         h = T.base.spacing
         w2 = qf.disk_weights(T.base, T.center, T.radius4 / 2.0)
         low = (ex.density <= 1.0) & T.base.mask
@@ -306,9 +305,8 @@ def gradient_lp_probe(scales=None, res: int = 65, factory=None,
 def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None) -> ProbeReport:
     """Small-set excess against E s^m (weak) and a fitted power law (strong)."""
     config = config or ProbeConfig()
-    ex = cu.ExcessField(T)
     s = 2.0 * T.r
-    E = max(ex.excess_ratio(T.radius4), 1e-12)
+    E = max(T.excess.excess_ratio(T.radius4), 1e-12)
     h = T.base.spacing
     nodes = T.base.nodes()
     dist = np.linalg.norm(nodes - np.asarray(T.center), axis=-1)
@@ -317,7 +315,7 @@ def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None) -> ProbeReport
     rows = []
 
     def measure(kind, ind):
-        e = max(ex.region_excess(ind), 0.0)
+        e = max(T.excess.region_excess(ind), 0.0)
         rows.append({"kind": kind, "area": float(ind.sum() * h ** 2),
                      "excess": float(e), "ratio": float(e / (E * s ** T.m))})
         return rows[-1]
@@ -371,20 +369,18 @@ def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
     rows = []
     for lam in scales:
         T = factory(lam)
-        ex = cu.ExcessField(T)
-        E = max(ex.excess_ratio(T.radius4), 1e-12)
+        E = max(T.excess.excess_ratio(T.radius4), 1e-12)
         delta11 = max(E ** (2 * config.beta), 1.25 * 16 ** T.m * E)
-        u, K, rep = cu.lipschitz_approximation(T, delta11, ex=ex)
+        u, K, rep = cu.lipschitz_approximation(T, delta11)
         r = T.r
         # align the solver lattice with u's nodes so sampled gradients are
         # free of resampling staircase noise
         hu = u.spacing
         half = (math.ceil(r / hu) + 2) * hu
         res_w = int(round(2 * half / hu)) + 1
-        w, wrep = solve_dir_minimizer(u.nearest_values, res=res_w,
-                                      q=T.q, n=T.n, radius=r,
+        w, wrep = solve_dir_minimizer(u.nearest_values, res=res_w, radius=r,
                                       starts=8, seed=config.seed, half=half)
-        usamp = qf.QGridFunction(w.domain, w.res, u.nearest_values(w.nodes()))
+        usamp = qf.from_callable(w.domain, w.res, u.nearest_values)
         wd = wrep["weights"]
         h = w.spacing
         g2 = float(np.sum(qf.matched_diff_sq(usamp.values, w.values) * wd)
@@ -424,10 +420,9 @@ def persistence_probe(s_list=(0.05, 0.1, 0.2), factory=None, res: int = 129,
         dens = prof[0][1] / (cu._OMEGA[T.m] * T.q)
         if abs(dens - 1.0) > config.density_tol:
             raise ValueError("density at the probe point is not Q")
-        ex = cu.ExcessField(T)
-        E = max(ex.excess_ratio(T.radius4), 1e-12)
+        E = max(T.excess.excess_ratio(T.radius4), 1e-12)
         delta11 = max(E ** (2 * config.beta), 4.0 * 16 ** T.m * E)
-        u, K, rep = cu.lipschitz_approximation(T, delta11, ex=ex)
+        u, K, rep = cu.lipschitz_approximation(T, delta11)
         h = u.spacing
         mean = u.values.mean(axis=-2, keepdims=True)
         sep2 = np.sum((u.values - mean) ** 2, axis=(-2, -1))

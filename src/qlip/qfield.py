@@ -45,6 +45,14 @@ class GridDomain:
     def m(self) -> int:
         return len(self.center)
 
+    def axes(self, res: int):
+        return [np.linspace(c - self.radius, c + self.radius, res)
+                for c in self.center]
+
+    def nodes(self, res: int) -> np.ndarray:
+        """Node coordinates of the res^m grid, shape (res,)*m + (m,)."""
+        return np.stack(np.meshgrid(*self.axes(res), indexing="ij"), axis=-1)
+
     def to_json(self):
         return {"kind": self.kind, "center": list(self.center), "radius": self.radius}
 
@@ -106,12 +114,10 @@ class QGridFunction:
         return 2.0 * self.domain.radius / (self.res - 1)
 
     def axes(self):
-        c, r = np.asarray(self.domain.center), self.domain.radius
-        return [np.linspace(ci - r, ci + r, self.res) for ci in c]
+        return self.domain.axes(self.res)
 
     def nodes(self) -> np.ndarray:
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(grids, axis=-1)
+        return self.domain.nodes(self.res)
 
     def nearest_values(self, pts) -> np.ndarray:
         """Values at the node nearest each point of `pts` (..., m), with
@@ -146,12 +152,11 @@ class QGridFunction:
         return QGridFunction(dom, res, vals, mask)
 
 
-def from_callable(domain: GridDomain, res: int, fn, q: int, n: int) -> QGridFunction:
-    """Sample fn(point) -> (q, n) array at every node."""
-    probe = QGridFunction(domain, res, np.zeros((res,) * domain.m + (q, n)))
-    pts = probe.nodes().reshape(-1, domain.m)
-    vals = np.stack([np.asarray(fn(p), dtype=float).reshape(q, n) for p in pts])
-    return QGridFunction(domain, res, vals.reshape((res,) * domain.m + (q, n)))
+def from_callable(domain: GridDomain, res: int, fn) -> QGridFunction:
+    """Sample fn, which maps points (..., m) to values (..., q, n), in one
+    call on the node array; q and n are read off the values, which are
+    copied into an owned array (fn may return a broadcast view)."""
+    return QGridFunction(domain, res, np.array(fn(domain.nodes(res)), dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,8 @@ def _random_sheets(rng, q, n, amp=0.3):
     offs = rng.uniform(-0.6, 0.6, size=(q, n))
 
     def fn(p):
-        out = np.empty((q, n))
-        for i in range(q):
-            for j in range(n):
-                out[i, j] = offs[i, j] + amps[i, j] * math.sin(
-                    ks[i, j, 0] * p[0] + ks[i, j, 1] * p[1] + ph[i, j])
-        return out
+        x, y = p[..., 0, None, None], p[..., 1, None, None]
+        return offs + amps * np.sin(ks[..., 0] * x + ks[..., 1] * y + ph)
 
     return fn
 
@@ -57,16 +53,17 @@ def _branched_pair(rng):
     rot = complex(*np.cos([0.0, math.pi / 2 - rng.uniform(0, 2 * math.pi)]))
 
     def fn(p):
-        w = (complex(p[0] - z0[0], p[1] - z0[1]) * rot) ** 0.5 * c
-        return np.array([[w.real, w.imag], [-w.real, -w.imag]])
+        w = np.sqrt(((p[..., 0] - z0[0]) + 1j * (p[..., 1] - z0[1])) * rot) * c
+        sheet = np.stack([w.real, w.imag], axis=-1)
+        return np.stack([sheet, -sheet], axis=-2)
 
     return fn
 
 
 def _sqrt_trace(p):
-    z = complex(p[0], p[1])
-    w = np.sqrt(z)
-    return np.array([[w.real, w.imag], [-w.real, -w.imag]])
+    w = np.sqrt(p[..., 0] + 1j * p[..., 1])
+    sheet = np.stack([w.real, w.imag], axis=-1)
+    return np.stack([sheet, -sheet], axis=-2)
 
 
 def test_criterion_01_metric_suite():
@@ -135,7 +132,7 @@ def test_criterion_02_embedding_suite():
         mach = roproj.default_machinery(n, q)
         fn = (_branched_pair(rng) if kind == "branched"
               else _random_sheets(rng, q, n))
-        f = qf.from_callable(qf.square(1.0), 128, fn, q=q, n=n)
+        f = qf.from_callable(qf.square(1.0), 128, fn)
         direct = qf.dirichlet_energy(f)
         via = qf.dirichlet_energy_embedded(
             embed.xi_batch(mach.spec, f.values), f.spacing, mask=f.mask)
@@ -229,8 +226,7 @@ def test_criterion_04_almost_projection_suite():
 
 def test_criterion_05_dirichlet_minimizer():
     t0 = time.time()
-    f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=65, q=2, n=2,
-                                    starts=4, seed=0)
+    f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=65, starts=4, seed=0)
     rel = abs(rep["energy"] - 2 * math.pi) / (2 * math.pi)
     assert rel <= 0.05
     assert rep["converged"]
@@ -305,7 +301,7 @@ def test_criterion_08_bv_margins():
         q = int(rng.integers(2, 4))
         n = int(rng.integers(1, 3))
         fn = _random_sheets(rng, q, n, amp=0.25)
-        f = qf.from_callable(qf.square(1.0), 33, fn, q=q, n=n)
+        f = qf.from_callable(qf.square(1.0), 33, fn)
         T = cu.GraphCurrent(f, (0.0, 0.0), 1.0)
         for _ in range(10):
             v = rng.normal(size=n)

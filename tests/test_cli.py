@@ -332,6 +332,12 @@ _COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
       "profile_points": 25}),
     (["approx"],
      dict(_FLAT, current="flat", delta11=None, beta=0.1, strict=False)),
+    # a given delta11 is used as is: beta, which only derives it, is unread
+    (["approx", "--delta11", "0.01"],
+     dict(_FLAT, current="flat", delta11=0.01, strict=False)),
+    # a rebuilt current has no sheets to profile
+    (["gen-current", "custom-graph", "--input", "cur.json"],
+     {"current": "custom-graph", "input": "cur.json"}),
     (["rho-star-eval"],
      {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1, "samples": 200}),
     (["dirmin"],
@@ -403,6 +409,12 @@ def test_shared_current_flags(head):
                  id="excess-spike-scale-input"),
     pytest.param(["dirmin"], {"samples": 3}, ["--samples"],
                  id="dirmin-config-samples"),
+    pytest.param(["approx", "--current", "flat", "--res", "33",
+                  "--delta11", "0.01", "--beta", "0.05"], {}, ["--beta"],
+                 id="approx-delta11-beta"),
+    pytest.param(["gen-current", "custom-graph", "--input", "cur.json",
+                  "--profile-points", "5"], {}, ["--profile-points"],
+                 id="gen-current-custom-graph-profile-points"),
 ])
 def test_unread_flag_exit_3(tmp_path, capsys, argv, config, unread):
     """Any command exits 3 on a key its row does not read, given by flag or

@@ -13,7 +13,9 @@ Closed-form oracles:
   * ambient mass ratio of the branched graph: with s(rho) solving
     s^2 + s^3 = rho^2, ratio = pi (2 + 3 s) / (1 + s), increasing, to 2 pi.
 """
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -87,9 +89,9 @@ def test_maximal_uniform_density():
     A = np.array([0.3, 0.4])
 
     def fn(p):
-        return np.array([[float(A @ p)]])
+        return (p @ A)[..., None, None]
 
-    base = qf.from_callable(qf.ball(1.0), 65, fn, q=1, n=1)
+    base = qf.from_callable(qf.ball(1.0), 65, fn)
     T = cu.GraphCurrent(base, (0.0, 0.0), 1.0)
     rho0 = math.sqrt(1 + A @ A) - 1
     M, info = cu.maximal_excess(T)
@@ -195,9 +197,9 @@ def test_lipschitz_approximation_trivial_regime():
     A = np.array([0.01, 0.02])
 
     def fn(p):
-        return np.array([[float(A @ p)]])
+        return (p @ A)[..., None, None]
 
-    base = qf.from_callable(qf.ball(1.0), 65, fn, q=1, n=1)
+    base = qf.from_callable(qf.ball(1.0), 65, fn)
     T = cu.GraphCurrent(base, (0.0, 0.0), 1.0)
     u, K, rep = cu.lipschitz_approximation(T, delta11=0.1, strict=True)
     dist = np.linalg.norm(base.nodes(), axis=-1)
@@ -367,8 +369,8 @@ def test_competitor_w32_runs_and_reports():
 
 
 def test_excess_field_built_once(monkeypatch):
-    # the approximation and the competitor pass their excess field down to
-    # the maximal function instead of rebuilding it
+    # a current builds its excess field once: the approximation, the
+    # competitor and the maximal function all read the same one
     built = []
     init = cu.ExcessField.__init__
     monkeypatch.setattr(cu.ExcessField, "__init__",
@@ -378,7 +380,23 @@ def test_excess_field_built_once(monkeypatch):
     cu.lipschitz_approximation(T, delta11=0.1)
     assert len(built) == 1
     cu.build_competitor(T, beta1=0.1)
-    assert len(built) == 2
+    assert len(built) == 1
+
+
+def test_current_and_its_excess_field_are_freed_without_the_collector():
+    # the field a current keeps does not refer back to the current, so no
+    # reference cycle holds the pair's arrays until the cyclic collector runs
+    T = cu.w32_current(0.125, res=33)
+    ref = weakref.ref(T)
+    cu.lipschitz_approximation(T, delta11=0.5)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del T
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_current_json_smoke():

@@ -11,7 +11,6 @@ are pinned exactly: they were computed before the disk kernel, the masked
 kernel mean and the convolution call were each folded into one routine.
 """
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -136,13 +135,13 @@ def test_line_current_snapshot():
 
 
 def _sqrt_trace(p):
-    v = complex(p[0], p[1]) ** 0.5
-    return np.array([[v.real, v.imag], [-v.real, -v.imag]])
+    v = np.sqrt(p[..., 0] + 1j * p[..., 1])
+    sheet = np.stack([v.real, v.imag], axis=-1)
+    return np.stack([sheet, -sheet], axis=-2)
 
 
 def test_dirichlet_solver_snapshot():
-    _, rep = pb.solve_dir_minimizer(_sqrt_trace, res=17, q=2, n=2, starts=2,
-                                    seed=0)
+    _, rep = pb.solve_dir_minimizer(_sqrt_trace, res=17, starts=2, seed=0)
     want = [36.99320983952355, 9.985673648540425, 7.2434606169990685,
             7.2434606169990685]
     assert len(rep["history"]) == len(want)
@@ -161,8 +160,9 @@ def _digest(*arrays):
 
 
 def _two_sheets(p):
-    return np.array([[math.sin(2 * p[0]) + 0.5 * p[1]],
-                     [2.0 + math.cos(p[0] + p[1])]])
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([np.sin(2 * x) + 0.5 * y, 2.0 + np.cos(x + y)],
+                    axis=-1)[..., None]
 
 
 def test_maximal_excess_pinned():
@@ -176,7 +176,7 @@ def test_maximal_excess_pinned():
 
 
 def test_reverse_holder_rows_pinned():
-    f = qf.from_callable(qf.ball(1.0), 65, _two_sheets, q=2, n=1)
+    f = qf.from_callable(qf.ball(1.0), 65, _two_sheets)
     rep = pb.reverse_holder_probe(f)
     assert rep.rows == [
         {"radius": 0.125, "max_ratio": 1.0178215431153752, "centers": 1653},
@@ -184,7 +184,7 @@ def test_reverse_holder_rows_pinned():
 
 
 def test_mollify_embedded_pinned():
-    f = qf.from_callable(qf.square(1.0), 49, _two_sheets, q=2, n=1)
+    f = qf.from_callable(qf.square(1.0), 49, _two_sheets)
     emb, w = qf.mollify_embedded(f, eps=4 * f.spacing)
     assert emb.shape == (49, 49, 2)
     assert _digest(emb) == (

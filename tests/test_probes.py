@@ -21,28 +21,28 @@ from qlip.roproj import default_machinery
 
 
 def _sqrt_trace(p):
-    w = complex(p[0], p[1])
-    v = w ** 0.5
-    return np.array([[v.real, v.imag], [-v.real, -v.imag]])
+    v = np.sqrt(p[..., 0] + 1j * p[..., 1])
+    sheet = np.stack([v.real, v.imag], axis=-1)
+    return np.stack([sheet, -sheet], axis=-2)
 
 
 def test_dirmin_constant_boundary():
     f, rep = pb.solve_dir_minimizer(
-        lambda p: np.array([[0.3], [-0.4]]), res=33, q=2, n=1, starts=3)
+        lambda p: np.broadcast_to([[0.3], [-0.4]], p.shape[:-1] + (2, 1)),
+        res=33, starts=3)
     assert rep["energy"] <= 1e-18
     assert rep["converged"]
     assert np.allclose(f.values[..., 0, 0], 0.3)
 
 
 def test_dirmin_harmonic_re_z():
-    f, rep = pb.solve_dir_minimizer(
-        lambda p: np.array([[p[0]]]), res=65, q=1, n=1)
+    f, rep = pb.solve_dir_minimizer(lambda p: p[..., None, :1], res=65)
     assert abs(rep["energy"] - math.pi) <= 0.02 * math.pi
     assert rep["converged"]
 
 
 def test_dirmin_sqrt_branch():
-    f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=65, q=2, n=2)
+    f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=65)
     assert abs(rep["energy"] - 2 * math.pi) <= 0.05 * 2 * math.pi
     # the sheets collide at the grid origin: branch pinned to the center cell
     assert rep["branch_offset"] < 2 * rep["spacing"]
@@ -55,16 +55,18 @@ def test_dirmin_sqrt_branch():
 
 
 def _cube_root_trace(p):
-    w = complex(p[0], p[1]) ** (1.0 / 3.0)
-    return np.array([[(w * np.exp(2j * np.pi * k / 3)).real] for k in range(3)])
+    w = (p[..., 0] + 1j * p[..., 1]) ** (1.0 / 3.0)
+    return (w[..., None] * np.exp(2j * np.pi * np.arange(3) / 3)).real[..., None]
 
 
 @pytest.mark.parametrize("trace, q, n", [(_sqrt_trace, 2, 2),
                                          (_cube_root_trace, 3, 1)])
 def test_dirmin_energy_is_the_matched_energy(trace, q, n):
     """The sweep scores each rematch by its edge costs; that score is the
-    matched Dirichlet energy of the returned field."""
-    f, rep = pb.solve_dir_minimizer(trace, res=33, q=q, n=n, starts=3)
+    matched Dirichlet energy of the returned field, whose q and n are read
+    off the trace's values."""
+    f, rep = pb.solve_dir_minimizer(trace, res=33, starts=3)
+    assert (f.q, f.n) == (q, n)
     want = qf.dirichlet_energy(f, rep["weights"])
     assert rep["energy"] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert rep["history"][-1] == rep["energy"]
@@ -72,15 +74,15 @@ def test_dirmin_energy_is_the_matched_energy(trace, q, n):
 
 def test_dirmin_relabeling_invariance():
     def swapped(p):
-        return _sqrt_trace(p)[::-1]
+        return _sqrt_trace(p)[..., ::-1, :]
 
-    _, rep0 = pb.solve_dir_minimizer(_sqrt_trace, res=33, q=2, n=2, starts=2)
-    _, rep1 = pb.solve_dir_minimizer(swapped, res=33, q=2, n=2, starts=2)
+    _, rep0 = pb.solve_dir_minimizer(_sqrt_trace, res=33, starts=2)
+    _, rep1 = pb.solve_dir_minimizer(swapped, res=33, starts=2)
     assert abs(rep0["energy"] - rep1["energy"]) <= 1e-9
 
 
 def test_dirmin_local_optimality():
-    f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=33, q=2, n=2, starts=4)
+    f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=33, starts=4)
     worst, base = pb.local_optimality_trials(
         f, rep["pinned"], rep["weights"], trials=40, seed=5)
     assert worst >= -1e-10
@@ -95,14 +97,13 @@ def test_reverse_holder_constant():
 
 
 def test_reverse_holder_harmonic_and_branch():
-    f, _ = pb.solve_dir_minimizer(lambda p: np.array([[p[0]]]),
-                                  res=65, q=1, n=1)
+    f, _ = pb.solve_dir_minimizer(lambda p: p[..., None, :1], res=65)
     rep = pb.reverse_holder_probe(f)
     assert 0.8 <= rep.fits["C"] <= 1.2
 
-    g65, _ = pb.solve_dir_minimizer(_sqrt_trace, res=65, q=2, n=2, starts=4)
+    g65, _ = pb.solve_dir_minimizer(_sqrt_trace, res=65, starts=4)
     r65 = pb.reverse_holder_probe(g65)
-    g33, _ = pb.solve_dir_minimizer(_sqrt_trace, res=33, q=2, n=2, starts=4)
+    g33, _ = pb.solve_dir_minimizer(_sqrt_trace, res=33, starts=4)
     r33 = pb.reverse_holder_probe(g33)
     assert r65.fits["C"] <= 3.0 and r33.fits["C"] <= 3.0
     assert abs(r65.fits["C"] - r33.fits["C"]) <= 0.4 * r33.fits["C"]
@@ -110,9 +111,9 @@ def test_reverse_holder_harmonic_and_branch():
 
 def test_reverse_holder_centres_follow_the_domain():
     # the same node values on a ball moved off the origin give the same rows
-    f = qf.from_callable(qf.ball(1.0), 33,
-                         lambda p: np.array([[p[0] ** 2 + 0.5 * p[1]]]),
-                         q=1, n=1)
+    f = qf.from_callable(
+        qf.ball(1.0), 33,
+        lambda p: (p[..., 0] ** 2 + 0.5 * p[..., 1])[..., None, None])
     moved = qf.QGridFunction(qf.ball(1.0, center=(0.5, 0.0)), 33, f.values)
     assert np.array_equal(moved.mask, f.mask)
     rows = pb.reverse_holder_probe(f).rows
@@ -122,7 +123,7 @@ def test_reverse_holder_centres_follow_the_domain():
 
 def test_reverse_holder_fits_populated_rows_only():
     f = qf.from_callable(qf.square(1.0), 65,
-                         lambda p: np.array([[p[0] ** 4]]), q=1, n=1)
+                         lambda p: p[..., None, :1] ** 4)
     rep = pb.reverse_holder_probe(f)
     assert [row["radius"] for row in rep.rows] == [0.125, 0.25]
     assert all(row["centers"] > 0 for row in rep.rows)
@@ -135,7 +136,7 @@ def test_reverse_holder_fits_populated_rows_only():
 
 def test_reverse_holder_empty_row_has_no_ratio():
     f = qf.from_callable(qf.ball(1.0), 65,
-                         lambda p: np.array([[p[0] ** 4]]), q=1, n=1)
+                         lambda p: p[..., None, :1] ** 4)
     rep = pb.reverse_holder_probe(f, radii=[0.125, 0.5])
     assert rep.rows[1] == {"radius": 0.5, "max_ratio": None, "centers": 0}
     assert rep.rows[0]["centers"] > 0
@@ -179,7 +180,7 @@ def test_probe_exponents_come_from_the_config():
         config=pb.ProbeConfig(p1=1.4))
     assert rep.fits["p1"] == 1.4
     f = qf.from_callable(qf.square(1.0), 33,
-                         lambda p: np.array([[p[0] ** 4]]), q=1, n=1)
+                         lambda p: p[..., None, :1] ** 4)
     default = pb.reverse_holder_probe(f)
     rep = pb.reverse_holder_probe(f, config=pb.ProbeConfig(p11=1.2))
     assert rep.fits["p11"] == 1.2 and default.fits["p11"] == 1.5
@@ -255,11 +256,12 @@ def test_energy_split_probe():
     mach = default_machinery(2, 2)
 
     def fn(p):
-        a = 0.2 * math.sin(2.0 * p[0]) + 0.1 * p[1]
-        return np.array([[a, 0.1 * p[1]],
-                         [a + 0.5, 0.2 + 0.1 * math.cos(p[0])]])
+        x, y = p[..., 0], p[..., 1]
+        a = 0.2 * np.sin(2.0 * x) + 0.1 * y
+        return np.stack([a, 0.1 * y, a + 0.5, 0.2 + 0.1 * np.cos(x)],
+                        axis=-1).reshape(x.shape + (2, 2))
 
-    f = qf.from_callable(qf.square(1.0), 25, fn, q=2, n=2)
+    f = qf.from_callable(qf.square(1.0), 25, fn)
     emb = xi_batch(mach.spec, f.values.reshape(-1, 2, 2))
     emb = emb.reshape(25, 25, -1)
     h = f.spacing

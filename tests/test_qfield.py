@@ -30,12 +30,12 @@ def _affine_field(res=33, q=1):
     b = np.array([1.0, 0.5])
 
     def fn(p):
-        base = A @ p
+        base = p @ A.T
         if q == 1:
-            return base[None, :]
-        return np.stack([base + b, base - b])
+            return base[..., None, :]
+        return np.stack([base + b, base - b], axis=-2)
 
-    f = qf.from_callable(qf.square(1.0), res, fn, q=q, n=2)
+    f = qf.from_callable(qf.square(1.0), res, fn)
     return f, A
 
 
@@ -56,17 +56,18 @@ def test_energy_affine_two_sheets():
 
 def test_energy_line_segment():
     dom = qf.GridDomain("square", (0.0,), 1.0)
-    f = qf.from_callable(dom, 41, lambda p: p[None, :], q=1, n=1)
+    f = qf.from_callable(dom, 41, lambda p: p[..., None, :])
     got = qf.dirichlet_energy(f)
     assert abs(got - 2.0) <= 1e-12
 
 
 def _sqrt_field(res=64):
     def fn(p):
-        v = complex(p[0], p[1]) ** 0.5
-        return np.array([[v.real, v.imag], [-v.real, -v.imag]])
+        v = np.sqrt(p[..., 0] + 1j * p[..., 1])
+        sheet = np.stack([v.real, v.imag], axis=-1)
+        return np.stack([sheet, -sheet], axis=-2)
 
-    return qf.from_callable(qf.ball(1.0), res, fn, q=2, n=2)
+    return qf.from_callable(qf.ball(1.0), res, fn)
 
 
 def test_energy_sqrt_branch():
@@ -95,7 +96,7 @@ def test_energy_density_shape_and_mass():
 
 def test_lip_and_osc_pair():
     dom = qf.GridDomain("square", (0.0,), 1.0)
-    f = qf.from_callable(dom, 81, lambda p: np.array([[p[0]], [-p[0]]]), q=2, n=1)
+    f = qf.from_callable(dom, 81, lambda p: np.stack([p, -p], axis=-2))
     lip, osc = qf.lipschitz_and_osc(f)
     assert abs(lip - math.sqrt(2)) <= 1e-9
     assert abs(osc - math.sqrt(2)) <= 1e-6
@@ -110,7 +111,7 @@ def test_lip_and_osc_constant():
 
 def test_mcshane_line_is_exact():
     dom = qf.GridDomain("square", (0.5,), 0.5)
-    f = qf.from_callable(dom, 41, lambda p: p[None, :], q=1, n=1)
+    f = qf.from_callable(dom, 41, lambda p: p[..., None, :])
     keep = np.zeros(41, dtype=bool)
     keep[0] = keep[-1] = True
     g = qf.lipschitz_extend(f, keep, lip=1.0)
@@ -124,7 +125,7 @@ def test_mcshane_line_is_exact():
 def test_extension_preserves_anchors_and_lands_on_cone():
     mach = default_machinery(1, 2)
     dom = qf.GridDomain("square", (0.0,), 1.0)
-    f = qf.from_callable(dom, 33, lambda p: np.array([[p[0]], [-p[0]]]), q=2, n=1)
+    f = qf.from_callable(dom, 33, lambda p: np.stack([p, -p], axis=-2))
     keep = np.abs(f.axes()[0]) > 0.4
     g = qf.lipschitz_extend(f, keep, lip=2.0, machinery=mach)
     assert np.array_equal(g.values[keep], f.values[keep])
@@ -146,10 +147,11 @@ def test_mollify_constant_invariant():
 
 def test_mollify_energy_non_increase():
     def fn(p):
-        return np.array([[math.sin(2 * p[0]) + 0.5 * p[1]],
-                         [2.0 + math.cos(p[0] + p[1])]])
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([np.sin(2 * x) + 0.5 * y, 2.0 + np.cos(x + y)],
+                        axis=-1)[..., None]
 
-    f = qf.from_callable(qf.square(1.0), 49, fn, q=2, n=1)
+    f = qf.from_callable(qf.square(1.0), 49, fn)
     base = qf.dirichlet_energy(f)
     emb, w = qf.mollify_embedded(f, eps=4 * f.spacing)
     interior = w > 1 - 1e-9
@@ -167,10 +169,11 @@ def test_embedded_energy_matches_tuple_energy():
     mach = default_machinery(1, 2)
 
     def fn(p):
-        return np.array([[math.sin(p[0]) + 0.3 * p[1]],
-                         [2.5 + 0.2 * math.cos(2 * p[1])]])
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([np.sin(x) + 0.3 * y, 2.5 + 0.2 * np.cos(2 * y)],
+                        axis=-1)[..., None]
 
-    f = qf.from_callable(qf.square(1.0), 65, fn, q=2, n=1)
+    f = qf.from_callable(qf.square(1.0), 65, fn)
     direct = qf.dirichlet_energy(f)
     emb = xi_batch(mach.spec, f.values)
     via = qf.dirichlet_energy_embedded(emb, f.spacing, mask=f.mask)
@@ -179,8 +182,8 @@ def test_embedded_energy_matches_tuple_energy():
 
 def test_empty_region_has_zero_energy():
     mach = default_machinery(1, 2)
-    f = qf.from_callable(qf.square(1.0), 9, lambda p: np.array([[p[0]], [2.0 * p[1]]]),
-                         q=2, n=1)
+    f = qf.from_callable(qf.square(1.0), 9,
+                         lambda p: (p * [1.0, 2.0])[..., None])
     emb = xi_batch(mach.spec, f.values)
     empty = np.zeros(f.mask.shape, dtype=bool)
     zero = np.zeros(f.mask.shape)
@@ -231,6 +234,41 @@ def test_readme_example():
     exec(code, scope)
     assert round(scope["e_matched"], 3) == 6.218
     assert round(scope["e_embedded"], 3) == 6.155
+
+
+@settings(max_examples=30)
+@given(m=st.integers(1, 2), q=st.integers(1, 3), n=st.integers(1, 3),
+       res=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_from_callable_samples_every_node_in_one_call(m, q, n, res, seed):
+    """fn sees the whole node array once; its values are the per-node
+    values bit for bit, with q and n read off them, and a broadcast view is
+    stored as an owned, writable copy."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.normal(size=(3, q, n))
+    dom = qf.GridDomain(("square", "ball")[m - 1], tuple(rng.normal(size=m)),
+                        float(rng.uniform(0.5, 2.0)))
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        x, y = p[..., :1, None], p[..., -1:, None]
+        return a * x ** 2 + b * y + c
+
+    f = qf.from_callable(dom, res, fn)
+    axes = [np.linspace(ci - dom.radius, ci + dom.radius, res)
+            for ci in dom.center]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert len(calls) == 1 and calls[0].shape == (res,) * m + (m,)
+    assert np.array_equal(calls[0], nodes)
+    assert (f.q, f.n) == (q, n)
+    each = np.stack([fn(p) for p in nodes.reshape(-1, m)])
+    assert np.array_equal(f.values, each.reshape(f.values.shape))
+
+    g = qf.from_callable(dom, res,
+                         lambda p: np.broadcast_to(c, p.shape[:-1] + (q, n)))
+    assert g.values.flags.writeable and g.values.flags.owndata
+    g.values += 1.0
+    assert np.array_equal(g.values[(0,) * m], c + 1.0)
 
 
 def test_grid_json_roundtrip():
