@@ -19,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .qspace import QPoint, metric_g, random_qpoint
 
-_FEAS_TOL = 1e-7
+_FEAS_TOL = 1e-7  # least _face_depth of a sign pattern that is a face
+# _face_depth: a residual this small, or a strict row this short, is no face
+_LDP_RESIDUAL, _ROW_FLOOR = 1e-10, 1e-12
+_FACE_BUDGET = 1000  # face_lattice: most faces it builds geometry for
 _SPAN_TOL = 1e-9
 # pairs per chunk of the face kernel's span pass (and of the pair-separation
 # pass) and of its active-set enumeration: they bound the kernel temporaries
@@ -284,23 +286,42 @@ def _pattern_rows(spec, k, pattern):
     return eq, strict
 
 
-def _feasible(eq_rows, strict_rows, nq) -> bool:
+def _face_depth(eq_rows, strict_rows) -> float:
+    """The largest min_i g_i . y over unit y in null(eq_rows), g_i the strict
+    rows restricted there and scaled to unit length: > 0 exactly when the open
+    cone {P : eq_rows P = 0, strict_rows P > 0} is nonempty (inf without strict
+    rows, where P = 0 will do).
+
+    Gordan's alternative makes this a least-distance problem, min |x| subject
+    to G x >= 1, which one NNLS call solves (Lawson and Hanson 1974, ch. 23):
+    a zero residual r of min |[G^T; 1^T] u - e_last| over u >= 0 is a
+    certificate sum_i u_i g_i = 0 that the cone is empty, and otherwise
+    x = -r[:-1] / r[-1] is a witness, whose depth min(G x) / |x| is returned.
+    """
+    from scipy.optimize import nnls
+
     if not strict_rows:
-        return True  # equalities alone always admit P = 0
-    ns = len(strict_rows)
-    a_ub = np.concatenate([-np.asarray(strict_rows), np.ones((ns, 1))], axis=1)
-    b_ub = np.zeros(ns)
-    a_eq = None
-    b_eq = None
-    if eq_rows:
-        a_eq = np.concatenate([np.asarray(eq_rows), np.zeros((len(eq_rows), 1))], axis=1)
-        b_eq = np.zeros(len(eq_rows))
-    c = np.zeros(nq + 1)
-    c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * nq + [(0.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    return bool(res.status == 0 and -res.fun > _FEAS_TOL)
+        return np.inf
+    g = np.asarray(strict_rows)
+    if eq_rows:  # restrict to null(eq_rows), rank cut as in _face_geometry
+        _u, s, vt = np.linalg.svd(np.asarray(eq_rows))
+        g = g @ vt[np.sum(s > 1e-12 * s[0]):].T
+    norms = np.linalg.norm(g, axis=1)
+    if g.shape[1] == 0 or norms.min() <= _ROW_FLOOR:
+        return 0.0
+    g = g / norms[:, None]
+    lhs = np.vstack([g.T, np.ones(len(g))])
+    rhs = np.zeros(len(lhs))
+    rhs[-1] = 1.0
+    r = lhs @ nnls(lhs, rhs)[0] - rhs
+    if np.linalg.norm(r) <= _LDP_RESIDUAL:
+        return 0.0
+    x = -r[:-1] / r[-1]
+    return max(0.0, float((g @ x).min() / np.linalg.norm(x)))
+
+
+def _feasible(eq_rows, strict_rows) -> bool:
+    return _face_depth(eq_rows, strict_rows) > _FEAS_TOL
 
 
 def _permute_pattern(full_pattern, perm):
@@ -622,9 +643,10 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     rows_cache = [[_pattern_rows(spec, k, p) for p in patterns] for k in range(dims.h)]
 
     # a common relabeling maps feasible patterns to feasible patterns, so
-    # block 0 needs one representative per relabeling orbit
-    block0 = [pi for pi, p in enumerate(patterns)
-              if _canonical_pattern((p,), dims.q) == (p,)]
+    # block 0 needs one representative per relabeling orbit: the least
+    # relabeling of a block sorts its levels
+    block0 = [pi for pi, (levels, _z, _nl) in enumerate(patterns)
+              if list(levels) == sorted(levels)]
     found = set()
 
     def dfs(k, chosen, eq_rows, strict_rows):
@@ -634,10 +656,14 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
         for pi in block0 if k == 0 else range(len(patterns)):
             pat = patterns[pi]
             e, s = rows_cache[k][pi]
-            if _feasible(eq_rows + e, strict_rows + s, dims.nq):
+            if _feasible(eq_rows + e, strict_rows + s):
                 dfs(k + 1, chosen + [pat], eq_rows + e, strict_rows + s)
 
     dfs(0, [], [], [])
+    if len(found) > _FACE_BUDGET:
+        raise ValueError(
+            f"the (n, q) = ({dims.n}, {dims.q}) cone has {len(found)} faces, over "
+            f"the budget of {_FACE_BUDGET} that the lattice build supports")
 
     faces = []
     for i, pattern in enumerate(sorted(found)):

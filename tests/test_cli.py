@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from qlip import cli
+from qlip import cli, embed, roproj
 from qlip import probes as pb
 from qlip import qfield as qf
 
@@ -154,6 +154,16 @@ def test_rho_star_eval(tmp_path):
     lines = (out / "rho-star.csv").read_text().strip().split("\n")
     assert lines[0].startswith("sigma,")
     assert len(lines) == 5
+
+
+def test_rho_star_eval_over_face_budget_exit_3(tmp_path, monkeypatch, capsys):
+    # a lattice over the face budget is an unsupported regime, not a crash
+    monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
+    monkeypatch.setattr(roproj, "_MACHINERY_CACHE", {})
+    monkeypatch.setattr(embed, "_FACE_BUDGET", 19)
+    assert cli.main(["rho-star-eval", "--n", "1", "--q", "3", "--samples", "2",
+                     "--out", str(tmp_path / "run")]) == 3
+    assert "(1, 3) cone has 20 faces, over the budget of 19" in capsys.readouterr().err
 
 
 def test_dirmin_sqrt_branch_cli(tmp_path):

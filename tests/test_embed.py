@@ -1,5 +1,6 @@
 """Embedding and face lattice: isometry defect, inverse, lattice structure."""
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
+from qlip import embed
 from qlip.embed import (NotOnImageError, _label_slots, build_embedding,
                         face_lattice, face_of_point, xi, xi_batch, xi_inverse)
 from qlip.qspace import QPoint, metric_g, random_qpoint
@@ -225,6 +227,91 @@ def test_face_count_line_three():
     assert {k: len(lat.faces_of_dim(k)) for k in range(4)} == {0: 1, 1: 6, 2: 9, 3: 4}
     assert lat.max_dim == 3
     assert lat.tilde_c == 0.25
+
+
+def test_face_count_line_four_and_five():
+    lat = face_lattice(spec14())
+    assert len(lat.faces) == 48
+    assert {k: len(lat.faces_of_dim(k)) for k in range(5)} == {
+        0: 1, 1: 8, 2: 18, 3: 16, 4: 5}
+    assert lat.tilde_c == 0.25
+    lat = face_lattice(spec15())
+    assert len(lat.faces) == 112
+    assert {k: len(lat.faces_of_dim(k)) for k in range(6)} == {
+        0: 1, 1: 10, 2: 30, 3: 40, 4: 25, 5: 6}
+    assert lat.tilde_c == 0.125
+
+
+def test_face_depth_hand_values():
+    # the chamber 0 < x1 < x2 opens 45 degrees: its depth is sin(22.5 deg)
+    assert embed._face_depth([], [np.array([1.0, 0.0]), np.array([-1.0, 1.0])]) == (
+        pytest.approx(np.sin(np.pi / 8), abs=1e-12))
+    # on the line x1 = x2 the row (1, 0) restricts to a unit row
+    assert embed._face_depth([np.array([1.0, -1.0])], [np.array([1.0, 0.0])]) == (
+        pytest.approx(1.0, abs=1e-12))
+    # opposite rows, a row vanishing on the equality space, a point space
+    assert embed._face_depth([], [np.array([1.0, 0.0]), np.array([-2.0, 0.0])]) == 0.0
+    assert embed._face_depth([np.array([1.0, 0.0])], [np.array([1.0, 0.0])]) == 0.0
+    assert embed._face_depth([np.eye(2)[0], np.eye(2)[1]], [np.array([1.0, 1.0])]) == 0.0
+    assert embed._face_depth([np.array([1.0, 0.0])], []) == np.inf
+
+
+def lp_slack(eq_rows, strict_rows):
+    """The oracle for the face test: the largest t <= 1 with strict_rows P >= t
+    and eq_rows P = 0 over the box |P_i| <= 1, by one LP."""
+    if not strict_rows:
+        return 1.0
+    strict = np.asarray(strict_rows)
+    m, nq = strict.shape
+    a_eq = b_eq = None
+    if eq_rows:
+        a_eq = np.concatenate([np.asarray(eq_rows), np.zeros((len(eq_rows), 1))], axis=1)
+        b_eq = np.zeros(len(eq_rows))
+    c = np.zeros(nq + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.concatenate([-strict, np.ones((m, 1))], axis=1),
+                  b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(-1, 1)] * nq + [(0, 1)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_face_test_agrees_with_lp_oracle(monkeypatch):
+    # every decision of cold (1, 2), (1, 3) and (1, 4) builds, where every
+    # pattern tried is a face, and every third block after one pair of (2, 2)
+    # chambers, where most are not, matches the LP, with a wide margin
+    decide, calls = embed._feasible, []
+
+    def record(eq_rows, strict_rows):
+        calls.append((eq_rows, strict_rows, decide(eq_rows, strict_rows)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
+    monkeypatch.setattr(embed, "_feasible", record)
+    for spec in (spec12(), spec13(), spec14()):
+        face_lattice(spec)
+    assert len(calls) == 8 + 20 + 48
+    spec, chamber = spec22(), ((0, 1), 2, 3)
+    for b, c in itertools.product(embed._block_patterns(2), repeat=2):
+        rows = [embed._pattern_rows(spec, k, p) for k, p in enumerate((chamber, b, c))]
+        record(sum([e for e, _ in rows], []), sum([s for _, s in rows], []))
+    faces = 0
+    for eq_rows, strict_rows, decision in calls:
+        slack = lp_slack(eq_rows, strict_rows)
+        assert decision == (slack > embed._FEAS_TOL)
+        if decision:
+            faces += 1
+            assert embed._face_depth(eq_rows, strict_rows) >= 0.1
+        else:
+            assert slack <= 1e-12
+    assert (faces, len(calls) - faces) == (76 + 49, 120)
+
+
+def test_lattice_over_budget_raises(monkeypatch):
+    monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
+    monkeypatch.setattr(embed, "_FACE_BUDGET", 47)
+    with pytest.raises(ValueError, match=r"\(1, 4\) cone has 48 faces, over the budget of 47"):
+        face_lattice(spec14())
 
 
 def test_lattice_snapshot_plane_two():
