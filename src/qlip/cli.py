@@ -246,9 +246,11 @@ def _make_current(cfg: dict, sink: _Sink) -> cu.GraphCurrent:
     if "base" not in blob:
         raise ConfigError("input does not look like a serialized current")
     try:
-        return cu.current_from_json(blob)
+        T = cu.current_from_json(blob)
+        T.excess  # built here so an unsupported q fails as bad input
     except (KeyError, ValueError) as exc:
         raise ConfigError("cannot rebuild current: %s" % exc)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
                 s_list=cfg["s_list"],
                 factory=lambda radius4: cu.w32_current(lam, res=res,
                                                        radius4=radius4),
-                res=res, config=pc)
+                config=pc)
         elif name == "reverse-holder":
             if "input" in cfg:
                 raw = sink.note_input(cfg["input"])

@@ -541,9 +541,10 @@ def _diameter(cloud: np.ndarray) -> float:
     return float(d.max())
 
 
-def mass_ratio_profile(T: GraphCurrent, radii, z0=None):
+def mass_ratio_profile(T: GraphCurrent, radii):
     """rho -> rho^{-m} ||T||(B_rho(p)) on ambient balls around p = (center,
-    z0) of the flat ambient space; needs analytic sheets.
+    z0) of the flat ambient space, z0 the mean of the sheets' values over the
+    center; needs analytic sheets.
 
     Each sheet is assumed to leave the ball at most once along each ray from
     the center, as the radial quadrature of its mass assumes: the exit t* of
@@ -559,9 +560,7 @@ def mass_ratio_profile(T: GraphCurrent, radii, z0=None):
     radii = np.array(sorted(float(r) for r in radii))
     if radii[-1] > T.radius4:
         raise ValueError("radius exceeds the cylinder")
-    if z0 is None:
-        z0 = T.values_at(T.center[None])[0].mean(axis=0)
-    z0 = np.asarray(z0, dtype=float)
+    z0 = T.values_at(T.center[None])[0].mean(axis=0)
     n_theta, n_rad = _PROFILE_NODES
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)

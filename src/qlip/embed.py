@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .qspace import QPoint, metric_g, random_qpoint
 
@@ -34,6 +33,7 @@ _PROJECT_CHUNK = 256
 _APERTURE_START, _APERTURE_SAMPLES = 0.5, 200  # calibration: first try, points
 _FACE_TOL = 1e-7  # face_of_point: distance slack, relative to 1 + |v|
 _EMBED_SEED = 0  # build_embedding: seed of the n >= 3 frames and the certificate
+_CERTIFICATE_PAIRS = 2000  # build_embedding: sampled pairs of the certificate
 
 
 class NotOnImageError(ValueError):
@@ -159,8 +159,6 @@ def _certificate(dims: Dimensions, directions, scale, pairs) -> InjectivityCerti
         else:
             a = rng.normal(size=(dims.q, dims.n))
             b = rng.normal(size=(dims.q, dims.n)) * rng.choice([0.1, 1.0, 10.0])
-        if _same_multiset(a, b):
-            continue
         g = metric_g(QPoint(a), QPoint(b))
         if g == 0.0:
             continue
@@ -171,21 +169,18 @@ def _certificate(dims: Dimensions, directions, scale, pairs) -> InjectivityCerti
                                   min_gap_ratio=float(min_ratio), seed=_EMBED_SEED)
 
 
-def _same_multiset(a, b) -> bool:
-    return bool(np.array_equal(QPoint(a).points, QPoint(b).points))
-
-
 _EMBED_CACHE: dict = {}
 
 
-def build_embedding(n: int, q: int, certificate_pairs: int = 10_000) -> EmbeddingSpec:
+def build_embedding(n: int, q: int) -> EmbeddingSpec:
     """Choose a tight direction frame passing the randomized injectivity test.
 
     Starts from the smallest frame (n = 1: the identity; n = 2: three
     equiangular directions; n >= 3: two stacked orthonormal bases) and grows
-    it until no sampled pair of distinct tuples collides.
+    it until none of _CERTIFICATE_PAIRS sampled pairs of distinct tuples
+    collides.
     """
-    cache_key = (n, q, certificate_pairs)
+    cache_key = (n, q)
     if cache_key in _EMBED_CACHE:
         return _EMBED_CACHE[cache_key]
     if n == 1:
@@ -199,7 +194,7 @@ def build_embedding(n: int, q: int, certificate_pairs: int = 10_000) -> Embeddin
         dims = Dimensions(n, q, h)  # rejects n, q < 1
         directions = _frame(n, h)
         scale = float(np.sqrt(n / h))
-        cert = _certificate(dims, directions, scale, certificate_pairs)
+        cert = _certificate(dims, directions, scale, _CERTIFICATE_PAIRS)
         last = EmbeddingSpec(dims=dims, directions=directions, scale=scale, certificate=cert)
         if cert.passed:
             _EMBED_CACHE[cache_key] = last
@@ -218,39 +213,12 @@ def build_embedding(n: int, q: int, certificate_pairs: int = 10_000) -> Embeddin
 # A face is an orbit of full patterns (one per block) under a common relabeling.
 
 
-def _ordered_partitions(items: tuple):
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    rest = items[1:]
-    for sub in _ordered_partitions(rest):
-        # insert `first` into an existing group or as a new singleton group
-        for i, grp in enumerate(sub):
-            yield sub[:i] + (grp + (first,),) + sub[i + 1 :]
-        for i in range(len(sub) + 1):
-            yield sub[:i] + ((first,),) + sub[i:]
-
-
 def _block_patterns(q: int):
-    """All weak orders on q labels plus the zero symbol, encoded by levels."""
-    items = tuple(range(q)) + ("z",)
-    out = []
-    seen = set()
-    for parts in _ordered_partitions(items):
-        levels = [0] * q
-        zlevel = -1
-        for lvl, grp in enumerate(parts):
-            for g in grp:
-                if g == "z":
-                    zlevel = lvl
-                else:
-                    levels[g] = lvl
-        enc = (tuple(levels), zlevel, len(parts))
-        if enc not in seen:
-            seen.add(enc)
-            out.append(enc)
-    return out
+    """All weak orders on q labels plus the zero symbol, encoded by levels:
+    the level tuples whose used levels are exactly 0..L-1."""
+    return [(lv[:q], lv[q], max(lv) + 1)
+            for lv in itertools.product(range(q + 1), repeat=q + 1)
+            if len(set(lv)) == max(lv) + 1]
 
 
 def _row(spec, k, j, nq):
@@ -286,6 +254,13 @@ def _pattern_rows(spec, k, pattern):
     return eq, strict
 
 
+def _null_basis(rows) -> np.ndarray:
+    """Orthonormal columns spanning null(rows), singular values up to 1e-12
+    times the largest counting as zero."""
+    _u, s, vt = np.linalg.svd(np.asarray(rows))
+    return vt[np.sum(s > 1e-12 * s[0]):].T
+
+
 def _face_depth(eq_rows, strict_rows) -> float:
     """The largest min_i g_i . y over unit y in null(eq_rows), g_i the strict
     rows restricted there and scaled to unit length: > 0 exactly when the open
@@ -303,9 +278,8 @@ def _face_depth(eq_rows, strict_rows) -> float:
     if not strict_rows:
         return np.inf
     g = np.asarray(strict_rows)
-    if eq_rows:  # restrict to null(eq_rows), rank cut as in _face_geometry
-        _u, s, vt = np.linalg.svd(np.asarray(eq_rows))
-        g = g @ vt[np.sum(s > 1e-12 * s[0]):].T
+    if eq_rows:
+        g = g @ _null_basis(eq_rows)
     norms = np.linalg.norm(g, axis=1)
     if g.shape[1] == 0 or norms.min() <= _ROW_FLOOR:
         return 0.0
@@ -524,10 +498,7 @@ def _face_geometry(spec, pattern):
         e, s = _pattern_rows(spec, k, blk)
         eq_rows += e
         strict_rows += s
-    if eq_rows:
-        b = null_space(np.asarray(eq_rows), rcond=1e-12)
-    else:
-        b = np.eye(nq)
+    b = _null_basis(eq_rows) if eq_rows else np.eye(nq)
     dim = b.shape[1]
 
     # placement: label j's value in block k sits at its slot there
@@ -585,13 +556,12 @@ class FaceLattice:
 
     # -- distances ---------------------------------------------------------
 
-    def closure_distance(self, v, face, with_point=False):
-        """Distance from v to the closure of face (and the nearest point).
+    def closure_distance(self, v, face):
+        """Distance from v to the closure of face, and the nearest point.
         One-row view for the tests; perfbench/tracer.py binds it."""
         v, faces = np.asarray(v, dtype=float), self.faces_of_dim(face.dim)
         p = faces.project(v[None], np.array([faces.index(face)]))[0]
-        d = float(np.linalg.norm(v - p))
-        return (d, p) if with_point else d
+        return float(np.linalg.norm(v - p)), p
 
     def skeleton_distance(self, v, k: int) -> float:
         """One-row view for the tests; perfbench/tracer.py binds it."""

@@ -26,6 +26,7 @@ from .qspace import QPoint, separation_diameter
 
 _MAX_SWEEPS, _SWEEP_TOL = 40, 1e-10  # Dirichlet minimizer, per start
 _WEAK_TRIALS = 10  # random weak small sets of the excess probe
+_BUMP_TRIALS, _BUMP_SEED = 100, 7  # local_optimality_trials: bumps, their seed
 
 
 @dataclass
@@ -198,14 +199,14 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
 
 
 def local_optimality_trials(f: qf.QGridFunction, pinned: np.ndarray,
-                            weights: np.ndarray, trials: int = 100,
-                            seed: int = 1):
-    """Random one-node bumps of size 0.3 h; returns the worst energy decrease."""
-    rng = np.random.default_rng(seed)
+                            weights: np.ndarray):
+    """_BUMP_TRIALS random one-node bumps of size 0.3 h; returns the worst
+    energy decrease and the energy."""
+    rng = np.random.default_rng(_BUMP_SEED)
     base = qf.dirichlet_energy(f, weights)
     inner = np.argwhere(~pinned & f.mask)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_BUMP_TRIALS):
         ij = tuple(inner[rng.integers(len(inner))])
         g = f.copy()
         g.values[ij] += rng.normal(scale=0.3 * f.spacing, size=g.values[ij].shape)
@@ -217,9 +218,10 @@ def local_optimality_trials(f: qf.QGridFunction, pinned: np.ndarray,
 # Estimate probes
 
 
-def reverse_holder_probe(u: qf.QGridFunction, radii=None, radius: float = 1.0,
+def reverse_holder_probe(u: qf.QGridFunction, radius: float = 1.0,
                          config: ProbeConfig = None) -> ProbeReport:
-    """Ratio of the B_r quadratic mean of |Du| to the B_2r config.p11-mean.
+    """Ratio of the B_r quadratic mean of |Du| to the B_2r config.p11-mean,
+    for the radii r among 4h, 8h, 16h with 2r + h <= radius.
 
     A row's centres are the masked nodes within radius - 2r - h of the
     domain's centre; a row without any reports max_ratio None.  C is the
@@ -229,15 +231,11 @@ def reverse_holder_probe(u: qf.QGridFunction, radii=None, radius: float = 1.0,
     config.validate(u.m)
     p11 = config.p11
     h = u.spacing
-    if radii is None:
-        # a radius needs 2r + h <= radius to keep any centre below
-        radii = [r for r in (4 * h, 8 * h, 16 * h) if 2 * r + h <= radius]
-        if not radii:
-            raise ValueError(f"grid too coarse for the default radii 4h, 8h, "
-                             f"16h: h = {h:.4g}, and even 4h needs 2r + h <= "
-                             f"radius = {radius:.4g}")
-    if max(radii) * 2 > radius:
-        raise ValueError("radii exceed the domain")
+    radii = [r for r in (4 * h, 8 * h, 16 * h) if 2 * r + h <= radius]
+    if not radii:
+        raise ValueError(f"grid too coarse for the radii 4h, 8h, 16h: "
+                         f"h = {h:.4g}, and even 4h needs 2r + h <= "
+                         f"radius = {radius:.4g}")
     dens = qf.energy_density(u)
     dist = np.linalg.norm(u.nodes() - np.asarray(u.domain.center), axis=-1)
 
@@ -266,19 +264,18 @@ def reverse_holder_probe(u: qf.QGridFunction, radii=None, radius: float = 1.0,
                        passed=cfit <= config.holder_slack)
 
 
-def gradient_lp_probe(scales=None, res: int = 65, factory=None,
+def gradient_lp_probe(scales=None, res: int = 65,
                       config: ProbeConfig = None) -> ProbeReport:
-    """Planar low-density integral of d^p1 on B_2 against E^{p1-1}(E + A^2)."""
+    """Planar low-density integral of d^p1 on B_2 against E^{p1-1}(E + A^2),
+    on the w32 currents of the given scales over B_4."""
     config = config or ProbeConfig()
     config.validate()
     p1 = config.p1
     if scales is None:
         scales = config.scales
-    if factory is None:
-        factory = lambda lam: cu.w32_current(lam, res=res, radius4=4.0)
     rows = []
     for lam in scales:
-        T = factory(lam)
+        T = cu.w32_current(lam, res=res, radius4=4.0)
         ex = T.excess
         h = T.base.spacing
         w2 = qf.disk_weights(T.base, T.center, T.radius4 / 2.0)
@@ -357,18 +354,16 @@ def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None) -> ProbeReport
                        passed=passed, notes=notes)
 
 
-def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
+def harmonic_approx_probe(scales=None, res: int = 65,
                           config: ProbeConfig = None) -> ProbeReport:
     """Distance from the approximation to its own Dirichlet minimizer,
-    normalized by E r^m, along an excess sweep."""
+    normalized by E r^m, along an excess sweep of w32 currents over B_1."""
     config = config or ProbeConfig()
     if scales is None:
         scales = config.scales[:3]
-    if factory is None:
-        factory = lambda lam: cu.w32_current(lam, res=res, radius4=1.0)
     rows = []
     for lam in scales:
-        T = factory(lam)
+        T = cu.w32_current(lam, res=res, radius4=1.0)
         E = max(T.excess.excess_ratio(T.radius4), 1e-12)
         delta11 = max(E ** (2 * config.beta), 1.25 * 16 ** T.m * E)
         u, K, rep = cu.lipschitz_approximation(T, delta11)
@@ -405,14 +400,15 @@ def harmonic_approx_probe(scales=None, factory=None, res: int = 65,
                        passed=worst <= config.harmonic_tol)
 
 
-def persistence_probe(s_list=(0.05, 0.1, 0.2), factory=None, res: int = 129,
+def persistence_probe(s_list=(0.05, 0.1, 0.2), factory=None,
                       config: ProbeConfig = None) -> ProbeReport:
     """Second moment of the separation from the mean sheet near the current's
-    centre (a full-density point), re-windowed so every ball is resolved."""
+    centre (a full-density point), re-windowed so every ball is resolved:
+    factory(4 s) builds the current for ball radius s (default: w32 at scale
+    1 and its default res 129)."""
     config = config or ProbeConfig()
     if factory is None:
-        factory = lambda radius4: cu.w32_current(1.0, res=res,
-                                                 radius4=radius4)
+        factory = lambda radius4: cu.w32_current(1.0, radius4=radius4)
     rows = []
     for s in s_list:
         T = factory(4.0 * s)

@@ -25,6 +25,7 @@ from .qspace import QPoint, metric_g
 
 _DISK_SUB = 4  # disk_weights: samples per axis of a rim cell
 _LIP_STENCIL = 2  # lipschitz_and_osc: largest node offset per axis
+_BANK_MAX_Q = 6  # largest q whose q! permutations the bank enumerates
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,14 @@ class GridDomain:
         return GridDomain(obj["kind"], tuple(obj["center"]), float(obj["radius"]))
 
 
-def square(radius: float = 1.0, center=(0.0, 0.0)) -> GridDomain:
-    return GridDomain("square", tuple(float(c) for c in center), float(radius))
+def square(radius: float = 1.0) -> GridDomain:
+    """The square [-radius, radius]^2."""
+    return GridDomain("square", (0.0, 0.0), float(radius))
 
 
-def ball(radius: float = 1.0, center=(0.0, 0.0)) -> GridDomain:
-    return GridDomain("ball", tuple(float(c) for c in center), float(radius))
+def ball(radius: float = 1.0) -> GridDomain:
+    """The disk of the given radius about the origin."""
+    return GridDomain("ball", (0.0, 0.0), float(radius))
 
 
 class QGridFunction:
@@ -165,7 +168,11 @@ def from_callable(domain: GridDomain, res: int, fn) -> QGridFunction:
 
 @functools.lru_cache(maxsize=None)
 def _perm_bank(q: int) -> np.ndarray:
-    """All permutations of range(q), one per row (read-only, shared)."""
+    """All permutations of range(q), one per row (read-only, shared); q
+    above _BANK_MAX_Q raises ValueError before any is built."""
+    if q > _BANK_MAX_Q:
+        raise ValueError(f"q = {q}: grid-backed matchings enumerate all q! "
+                         f"permutations, so they support q <= {_BANK_MAX_Q}")
     bank = np.array(list(itertools.permutations(range(q))))
     bank.flags.writeable = False
     return bank
@@ -186,7 +193,7 @@ def _align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def matched_diff_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared matching metric between aligned arrays of tuples (..., q, n)."""
-    if a.shape[-2] <= 6:
+    if a.shape[-2] <= _BANK_MAX_Q:
         return _perm_costs(a, b).min(axis=0)
     flat_a = a.reshape(-1, *a.shape[-2:])
     flat_b = b.reshape(-1, *b.shape[-2:])
@@ -373,17 +380,16 @@ def lipschitz_and_osc(f: QGridFunction):
 # extension, mollification, retraction
 
 
-def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float,
-                     machinery=None) -> QGridFunction:
+def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float) -> QGridFunction:
     """McShane inf-convolution per embedded coordinate off `keep`, followed by
-    retraction of values that left the cone; nodes in `keep` are preserved
-    bitwise."""
+    retraction of values that left the cone with the default machinery;
+    nodes in `keep` are preserved bitwise."""
+    from .roproj import default_machinery
+
     keep = np.asarray(keep, dtype=bool)
     if not np.any(keep):
         raise ValueError("empty anchor set")
-    if machinery is None:
-        from .roproj import default_machinery
-        machinery = default_machinery(f.n, f.q)
+    machinery = default_machinery(f.n, f.q)
     spec, lat = machinery.spec, machinery.lattice
     emb = xi_batch(spec, f.values)
     pts = f.nodes()
@@ -413,16 +419,14 @@ def _bump_kernel(m: int, h: float, eps: float) -> np.ndarray:
     return kern / kern.sum()
 
 
-def mollify_embedded(f: QGridFunction, eps: float, machinery=None):
-    """Mask-aware convolution of the embedded field with a smooth bump.
+def mollify_embedded(f: QGridFunction, eps: float, machinery):
+    """Mask-aware convolution of the field embedded by `machinery`'s spec
+    with a smooth bump.
 
     Returns (embedded array, weight array); the ratio is normalized so the
     kernel integrates to one over the valid region.  Values are meaningful
     where the weight is positive; the output generally leaves the cone.
     """
-    if machinery is None:
-        from .roproj import default_machinery
-        machinery = default_machinery(f.n, f.q)
     emb = xi_batch(machinery.spec, f.values)
     return masked_kernel_mean(emb, f.mask, _bump_kernel(f.m, f.spacing, eps), 1e-10)
 

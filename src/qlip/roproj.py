@@ -96,17 +96,10 @@ class ConstantLadder:
         return float(self.log10_c[k + 1])
 
     @staticmethod
-    def paper(nq: int, delta: float = None, log10_delta: float = None) -> "ConstantLadder":
-        if (delta is None) == (log10_delta is None):
-            raise LadderError("give exactly one of delta, log10_delta")
-        if delta is not None:
-            if not 0.0 < delta < 1.0:
-                raise LadderError("delta must lie in (0, 1)")
-            log10_delta = math.log10(delta)
-        else:
-            if log10_delta >= 0:
-                raise LadderError("log10_delta must be negative")
-            delta = 10.0 ** log10_delta if log10_delta > -300 else 0.0
+    def paper(nq: int, log10_delta: float) -> "ConstantLadder":
+        if log10_delta >= 0:
+            raise LadderError("log10_delta must be negative")
+        delta = 10.0 ** log10_delta if log10_delta > -300 else 0.0
         log10_c = np.array([log10_delta * 8.0 ** (k - nq) for k in range(-1, nq)])
         with np.errstate(under="ignore"):
             c = 10.0 ** log10_c
@@ -424,7 +417,7 @@ def default_machinery(n: int, q: int, c0: float = 0.1, delta: float = 0.1):
     """Embedding + lattice + explicit ladder + projection machine, cached."""
     key = (n, q, c0, delta)
     if key not in _MACHINERY_CACHE:
-        spec = build_embedding(n, q, certificate_pairs=2000)
+        spec = build_embedding(n, q)
         lattice = face_lattice(spec)
         ladder = ConstantLadder.explicit(lattice.max_dim, c0=c0, delta=delta)
         _MACHINERY_CACHE[key] = AlmostProjection(spec, lattice, ladder)

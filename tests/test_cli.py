@@ -111,6 +111,20 @@ def test_custom_graph_roundtrip(tmp_path):
                      str(tmp_path / "nope.json"), "--out", str(missing)]) == 3
 
 
+def test_custom_graph_above_bank_limit_exit_3(tmp_path, capsys):
+    # a grid-backed q = 8 current would match its cells over all 8!
+    # permutations; it is refused as input, and no bank is built
+    flat = tmp_path / "flat"
+    assert cli.main(["gen-current", "flat", "--q", "8", "--res", "9",
+                     "--out", str(flat)]) == 0
+    banks = qf._perm_bank.cache_info().currsize
+    assert cli.main(["gen-current", "custom-graph", "--input",
+                     str(flat / "current.json"),
+                     "--out", str(tmp_path / "rebuilt")]) == 3
+    assert "q = 8" in capsys.readouterr().err
+    assert qf._perm_bank.cache_info().currsize == banks
+
+
 def test_approx_flat_full_ball(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["approx", "--current", "flat", "--out", str(out)]) == 0

@@ -263,14 +263,13 @@ def test_height_values():
     assert cu.height(cu.flat_current(q=2, n=2, res=129)) == 0.0
 
 
-def _mass_ratio_reference(T, radii, z0=None, n_theta=64, n_rad=24):
+def _mass_ratio_reference(T, radii, n_theta=64, n_rad=24):
     """The unbatched profile: one scalar brentq root and one quadrature
     call per (radius, direction, sheet)."""
     gt, gw = np.polynomial.legendre.leggauss(n_rad)
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    if z0 is None:
-        z0 = T.values_at(T.center[None])[0].mean(axis=0)
+    z0 = T.values_at(T.center[None])[0].mean(axis=0)
     tmax = T.radius4 * 0.999
 
     def sheet_dist(t, u, j):
@@ -300,18 +299,19 @@ def _mass_ratio_reference(T, radii, z0=None, n_theta=64, n_rad=24):
     return out
 
 
-@pytest.mark.parametrize("T, radii, z0", [
-    (cu.w32_current(0.125, res=129), np.linspace(0.98 / 25, 0.98, 25), None),
-    # sheet 0 lies wholly inside the balls of radius >= tmax, sheet 1
-    # wholly outside those of radius < 0.5
+@pytest.mark.parametrize("T, radii", [
+    (cu.w32_current(0.125, res=129), np.linspace(0.98 / 25, 0.98, 25)),
+    # about the sheets' mean 0, sheet 0 lies wholly inside the balls of
+    # radius >= tmax, sheets 1 and 2 wholly outside those of radius < 0.5
+    (cu.flat_current(q=3, n=2, heights=[[0, 0], [0.3, 0.4], [-0.3, -0.4]],
+                     res=33),
+     [0.1, 0.3, 0.6, 0.9, 0.9995, 1.0]),
     (cu.flat_current(q=2, n=2, heights=[[0, 0], [0.3, 0.4]], res=33),
-     [0.1, 0.3, 0.6, 0.9, 0.9995, 1.0], (0.0, 0.0)),
-    (cu.flat_current(q=2, n=2, heights=[[0, 0], [0.3, 0.4]], res=33),
-     [0.1, 0.25, 0.3, 0.9], None),
+     [0.1, 0.25, 0.3, 0.9]),
 ])
-def test_mass_ratio_profile_matches_scalar_roots(T, radii, z0):
-    prof, worst = cu.mass_ratio_profile(T, radii, z0=z0)
-    want = _mass_ratio_reference(T, radii, z0=z0)
+def test_mass_ratio_profile_matches_scalar_roots(T, radii):
+    prof, worst = cu.mass_ratio_profile(T, radii)
+    want = _mass_ratio_reference(T, radii)
     assert [rho for rho, _ in prof] == sorted(float(r) for r in radii)
     for (_, got), exp in zip(prof, want):
         assert got == pytest.approx(exp, rel=1e-12, abs=0.0)

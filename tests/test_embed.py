@@ -17,15 +17,15 @@ from qlip.qspace import QPoint, metric_g, random_qpoint
 
 
 def spec12():
-    return build_embedding(1, 2, certificate_pairs=400)
+    return build_embedding(1, 2)
 
 
 def spec13():
-    return build_embedding(1, 3, certificate_pairs=400)
+    return build_embedding(1, 3)
 
 
 def spec22():
-    return build_embedding(2, 2, certificate_pairs=2000)
+    return build_embedding(2, 2)
 
 
 def test_line_embedding_is_isometry():
@@ -96,7 +96,7 @@ def test_gradient_identity():
     # Frobenius norm as the raw one; this pins the sqrt(n/h) normalization
     rng = np.random.default_rng(8)
     for m, n, q in ((2, 1, 2), (2, 2, 2), (3, 3, 2)):
-        spec = build_embedding(n, q, certificate_pairs=200)
+        spec = build_embedding(n, q)
         for _ in range(10):
             a = rng.normal(size=(q, n, m))
             b = rng.normal(size=(q, n))
@@ -123,11 +123,11 @@ def test_xi_batch_agrees():
 
 
 def spec14():
-    return build_embedding(1, 4, certificate_pairs=400)
+    return build_embedding(1, 4)
 
 
 def spec15():
-    return build_embedding(1, 5, certificate_pairs=400)
+    return build_embedding(1, 5)
 
 
 def tuples(rng, spec, count, exponent, repeat, zero):
@@ -456,5 +456,5 @@ def test_line_face_projection_example():
     chamber = next(f for f in lat.faces if f.pattern == (((1, 2), 0, 3),))
     # the chamber 0 < x1 < x2 has closure {0 <= x1 <= x2}; projecting
     # (1.0, 0.5) pools the inversion to 0.75 and keeps the zero constraint slack
-    _, p = lat.closure_distance(np.array([1.0, 0.5]), chamber, with_point=True)
+    _, p = lat.closure_distance(np.array([1.0, 0.5]), chamber)
     assert np.allclose(p, [0.75, 0.75])

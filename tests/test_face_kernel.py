@@ -8,17 +8,12 @@ from qlip import embed
 from qlip.coneproj import project_polyhedral_cone
 from qlip.embed import build_embedding, face_lattice, xi_batch
 
-LATTICES = {
-    "12": ((1, 2), 400),
-    "13": ((1, 3), 400),
-    "22": ((2, 2), 2000),
-}
+LATTICES = {"12": (1, 2), "13": (1, 3), "22": (2, 2)}
 KINDS = ("random", "image", "boundary", "scaled")
 
 
 def lattice(key):
-    (n, q), pairs = LATTICES[key]
-    return face_lattice(build_embedding(n, q, certificate_pairs=pairs))
+    return face_lattice(build_embedding(*LATTICES[key]))
 
 
 def oracle_distance(face, v):
@@ -74,7 +69,7 @@ def test_closure_distance_matches_oracle(key, seed):
     for v in np.concatenate([points(lat, kind, rng, 2) for kind in KINDS]):
         tol = 1e-12 * (1.0 + np.linalg.norm(v))
         for f in lat.faces:
-            d, p = lat.closure_distance(v, f, with_point=True)
+            d, p = lat.closure_distance(v, f)
             assert abs(d - oracle_distance(f, v)) <= tol
             assert abs(np.linalg.norm(v - p) - d) <= tol
 

@@ -185,7 +185,7 @@ def test_reverse_holder_rows_pinned():
 
 def test_mollify_embedded_pinned():
     f = qf.from_callable(qf.square(1.0), 49, _two_sheets)
-    emb, w = qf.mollify_embedded(f, eps=4 * f.spacing)
+    emb, w = qf.mollify_embedded(f, 4 * f.spacing, default_machinery(1, 2))
     assert emb.shape == (49, 49, 2)
     assert _digest(emb) == (
         "75fa26240378c4276ac9160d8c9a8ee313649a2c9e6edc3c1b5710bbd92d954f")

@@ -83,8 +83,7 @@ def test_dirmin_relabeling_invariance():
 
 def test_dirmin_local_optimality():
     f, rep = pb.solve_dir_minimizer(_sqrt_trace, res=33, starts=4)
-    worst, base = pb.local_optimality_trials(
-        f, rep["pinned"], rep["weights"], trials=40, seed=5)
+    worst, base = pb.local_optimality_trials(f, rep["pinned"], rep["weights"])
     assert worst >= -1e-10
     assert abs(base - rep["energy"]) <= 1e-12
 
@@ -114,7 +113,8 @@ def test_reverse_holder_centres_follow_the_domain():
     f = qf.from_callable(
         qf.ball(1.0), 33,
         lambda p: (p[..., 0] ** 2 + 0.5 * p[..., 1])[..., None, None])
-    moved = qf.QGridFunction(qf.ball(1.0, center=(0.5, 0.0)), 33, f.values)
+    moved = qf.QGridFunction(qf.GridDomain("ball", (0.5, 0.0), 1.0), 33,
+                             f.values)
     assert np.array_equal(moved.mask, f.mask)
     rows = pb.reverse_holder_probe(f).rows
     assert [row["centers"] for row in rows] == [149]
@@ -129,31 +129,37 @@ def test_reverse_holder_fits_populated_rows_only():
     assert all(row["centers"] > 0 for row in rep.rows)
     assert rep.fits["C"] == max(row["max_ratio"] for row in rep.rows)
     assert 0.9 < rep.fits["C"] < 0.95
-    # a radius whose 2r-balls all leave the domain keeps no centre
+    # res 20 has no node at the centre, and its one radius 4h = 8/19 keeps
+    # only the nodes within 1 - 9h = 1/19 of it, less than the nearest
+    # node's h / sqrt(2): no row has a centre
+    no_centre = qf.from_callable(qf.square(1.0), 20,
+                                 lambda p: p[..., None, :1] ** 4)
     with pytest.raises(ValueError, match="centre"):
-        pb.reverse_holder_probe(f, radii=[0.5])
+        pb.reverse_holder_probe(no_centre)
 
 
 def test_reverse_holder_empty_row_has_no_ratio():
-    f = qf.from_callable(qf.ball(1.0), 65,
+    # res 36: h = 2/35, so r = 4h keeps centres, r = 8h keeps only nodes
+    # within 1 - 17h = h / 2 of the centre, where there is none (the nearest
+    # is h / sqrt(2) away), and 16h has 2r + h > 1
+    f = qf.from_callable(qf.ball(1.0), 36,
                          lambda p: p[..., None, :1] ** 4)
-    rep = pb.reverse_holder_probe(f, radii=[0.125, 0.5])
-    assert rep.rows[1] == {"radius": 0.5, "max_ratio": None, "centers": 0}
-    assert rep.rows[0]["centers"] > 0
+    rep = pb.reverse_holder_probe(f)
+    h = f.spacing
+    assert rep.rows[1] == {"radius": 8 * h, "max_ratio": None, "centers": 0}
+    assert rep.rows[0]["radius"] == 4 * h and rep.rows[0]["centers"] > 0
+    assert len(rep.rows) == 2
     assert rep.fits["C"] == rep.rows[0]["max_ratio"]
 
 
 def test_reverse_holder_rejects_big_radius():
-    f = constant_field(qf.square(1.0), 33, QPoint([[0.0]]))
-    with pytest.raises(ValueError):
-        pb.reverse_holder_probe(f, radii=[0.8], radius=1.0)
-    # with h = 1/8 even the smallest default radius 4h = 1/2 has
-    # 2r + h > 1, so the grid, not a radius, is named as the cause
+    # with h = 1/8 even the smallest radius 4h = 1/2 has 2r + h > 1, so the
+    # grid, not a radius, is named as the cause
     coarse = constant_field(qf.square(1.0), 17, QPoint([[0.0]]))
     with pytest.raises(ValueError) as err:
         pb.reverse_holder_probe(coarse)
-    assert str(err.value) == ("grid too coarse for the default radii 4h, 8h, "
-                              "16h: h = 0.125, and even 4h needs 2r + h <= "
+    assert str(err.value) == ("grid too coarse for the radii 4h, 8h, 16h: "
+                              "h = 0.125, and even 4h needs 2r + h <= "
                               "radius = 1")
 
 
@@ -166,18 +172,15 @@ def test_gradient_lp_probe_w32():
 
 
 def test_gradient_lp_probe_flat_vacuous():
-    rep = pb.gradient_lp_probe(
-        scales=(0.1, 0.2, 0.3, 0.4),
-        factory=lambda lam: cu.flat_current(q=2, n=1, res=33, radius4=4.0))
+    # the w32 current of scale 0 is a flat double plane
+    rep = pb.gradient_lp_probe(scales=(0.0,), res=33)
     assert rep.passed
     assert all(row["ratio"] == 1.0 for row in rep.rows)
 
 
 def test_probe_exponents_come_from_the_config():
-    rep = pb.gradient_lp_probe(
-        scales=(0.1, 0.2, 0.3, 0.4),
-        factory=lambda lam: cu.flat_current(q=2, n=1, res=33, radius4=4.0),
-        config=pb.ProbeConfig(p1=1.4))
+    rep = pb.gradient_lp_probe(scales=(0.0,), res=33,
+                               config=pb.ProbeConfig(p1=1.4))
     assert rep.fits["p1"] == 1.4
     f = qf.from_callable(qf.square(1.0), 33,
                          lambda p: p[..., None, :1] ** 4)
@@ -210,9 +213,8 @@ def test_excess_probes_spike_negative_control():
 
 
 def test_harmonic_probe_flat_zero():
-    rep = pb.harmonic_approx_probe(
-        scales=(0.1, 0.2),
-        factory=lambda lam: cu.flat_current(q=2, n=1, res=49, radius4=1.0))
+    # the w32 current of scale 0 is a flat double plane
+    rep = pb.harmonic_approx_probe(scales=(0.0,), res=49)
     assert rep.passed
     for row in rep.rows:
         assert row["g2_norm"] <= 1e-12

@@ -127,7 +127,7 @@ def test_extension_preserves_anchors_and_lands_on_cone():
     dom = qf.GridDomain("square", (0.0,), 1.0)
     f = qf.from_callable(dom, 33, lambda p: np.stack([p, -p], axis=-2))
     keep = np.abs(f.axes()[0]) > 0.4
-    g = qf.lipschitz_extend(f, keep, lip=2.0, machinery=mach)
+    g = qf.lipschitz_extend(f, keep, lip=2.0)
     assert np.array_equal(g.values[keep], f.values[keep])
     emb = xi_batch(mach.spec, g.values)
     _, resid = mach.lattice.nearest_point_batch(emb)
@@ -139,7 +139,7 @@ def test_extension_preserves_anchors_and_lands_on_cone():
 def test_mollify_constant_invariant():
     mach = default_machinery(1, 2)
     f = constant_field(qf.square(1.0), 33, QPoint([[0.2], [0.9]]))
-    emb, w = qf.mollify_embedded(f, eps=3 * f.spacing)
+    emb, w = qf.mollify_embedded(f, 3 * f.spacing, mach)
     target = xi_batch(mach.spec, f.values[0, 0][None])[0]
     good = w > 0.5
     assert np.abs(emb[good] - target).max() <= 1e-12
@@ -153,7 +153,7 @@ def test_mollify_energy_non_increase():
 
     f = qf.from_callable(qf.square(1.0), 49, fn)
     base = qf.dirichlet_energy(f)
-    emb, w = qf.mollify_embedded(f, eps=4 * f.spacing)
+    emb, w = qf.mollify_embedded(f, 4 * f.spacing, default_machinery(1, 2))
     interior = w > 1 - 1e-9
     got = qf.dirichlet_energy_embedded(emb, f.spacing, weights=interior.astype(float))
     assert got <= base * (1 + 1e-9)
@@ -162,7 +162,7 @@ def test_mollify_energy_non_increase():
 def test_mollify_rejects_small_radius():
     f = constant_field(qf.square(1.0), 17, QPoint([[0.0], [1.0]]))
     with pytest.raises(ValueError):
-        qf.mollify_embedded(f, eps=0.5 * f.spacing)
+        qf.mollify_embedded(f, 0.5 * f.spacing, default_machinery(1, 2))
 
 
 def test_embedded_energy_matches_tuple_energy():
@@ -214,8 +214,7 @@ def test_energy_identity_on_parallel_affine_sheets(n, q, m, res, seed):
     f = qf.QGridFunction(dom, res, (nodes @ A.T)[..., None, :] + offsets)
     w = rng.uniform(0.0, 1.0, size=f.mask.shape)
     w[rng.uniform(size=w.shape) < 0.3] = 0.0
-    # the certificate size default_machinery uses, so its specs are shared
-    emb = xi_batch(build_embedding(n, q, certificate_pairs=2000), f.values)
+    emb = xi_batch(build_embedding(n, q), f.values)
 
     direct = qf.dirichlet_energy(f, w)
     via = qf.dirichlet_energy_embedded(emb, f.spacing, f.mask, w)
@@ -332,3 +331,14 @@ def test_large_q_fallback_matches_brute_force(seed, tie):
     want = np.array([metric_g(QPoint(s), QPoint(t), method="brute") ** 2
                      for s, t in zip(a, b)])
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
+
+
+def test_perm_bank_refuses_q_above_its_limit():
+    # the bank stops at q = 6, before enumerating 7! rows; the q = 7
+    # matched energy takes the Hungarian fallback instead
+    a, b = _tuple_pairs(0, 2, 7, 1, False)
+    with pytest.raises(ValueError, match="q = 7"):
+        qf._align(a, b)
+    with pytest.raises(ValueError, match="q <= 6"):
+        qf._perm_bank(7)
+    assert qf.matched_diff_sq(a, b).shape == (2,)

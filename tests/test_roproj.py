@@ -60,7 +60,7 @@ def test_ladder_explicit_values():
 
 
 def test_ladder_paper_mode():
-    lad = ConstantLadder.paper(2, delta=1e-100)
+    lad = ConstantLadder.paper(2, log10_delta=-100.0)
     assert lad.ck(0) == pytest.approx(10 ** (-100 / 64), rel=1e-12)
     assert lad.ck(1) == pytest.approx(10 ** (-100 / 8), rel=1e-12)
     assert lad.ck(1) == pytest.approx(lad.ck(0) ** 8, rel=1e-10)
@@ -79,9 +79,9 @@ def test_ladder_errors():
     with pytest.raises(LadderError):
         ConstantLadder.explicit(2, c0=0.2)  # >= 1/8
     with pytest.raises(LadderError):
-        ConstantLadder.paper(2, delta=0.9)  # c0 too large
+        ConstantLadder.paper(2, log10_delta=-0.05)  # c0 too large
     with pytest.raises(LadderError):
-        ConstantLadder.paper(2)
+        ConstantLadder.paper(2, log10_delta=0.0)
 
 
 def test_margin_validation():
@@ -246,12 +246,12 @@ def test_project_face_closure_examples():
     lat = default_machinery(1, 2).lattice
     top = next(f for f in lat.faces if f.pattern == (((1, 2), 0, 3),))
     ray = next(f for f in lat.faces if f.pattern == (((1, 1), 0, 2),))
-    _, p = lat.closure_distance(np.array([1.0, 0.5]), top, with_point=True)
+    _, p = lat.closure_distance(np.array([1.0, 0.5]), top)
     assert np.allclose(p, [0.75, 0.75])
-    _, p = lat.closure_distance(np.array([-1.0, -1.0]), ray, with_point=True)
+    _, p = lat.closure_distance(np.array([-1.0, -1.0]), ray)
     assert np.allclose(p, [0.0, 0.0], atol=1e-12)
     inside = np.array([0.2, 0.7])
-    d, p = lat.closure_distance(inside, top, with_point=True)
+    d, p = lat.closure_distance(inside, top)
     assert d == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(p, inside)
 
