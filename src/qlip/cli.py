@@ -7,6 +7,10 @@ hashes of any input files and the sha256 of every artifact.  Identical
 (command, config, seed) reruns produce hash-identical artifacts; the
 manifest differs only in its wall-clock field.
 
+Each flag is declared once, in ``_FLAGS``; a command's parser takes the
+keys that its rows of ``_READS`` read, and ``--config`` names a JSON file of
+the same keys, each holding a value its flag could parse to.
+
 Exit codes: 0 success, 1 probe verdict failure (report still written),
 2 unknown command or bad usage, 3 malformed configuration or input.
 """
@@ -83,22 +87,6 @@ class _Sink:
 # configuration
 
 
-# Options of every command that builds a current (gen-current, approx,
-# probe): flag and argparse keywords.
-_CURRENT_OPTIONS = (
-    ("--scale", {"type": float}),
-    ("--res", {"type": int}),
-    ("--radius4", {"type": float}),
-    ("--q", {"type": int}),
-    ("--n", {"type": int}),
-    ("--heights", {"help": "JSON (q, n) height rows"}),
-    ("--spike-center", {"nargs": 2, "type": float}),
-    ("--spike-radius", {"type": float}),
-    ("--spike-excess", {"type": float}),
-    ("--input", {"help": "current JSON for custom-graph; field JSON for "
-                         "probe reverse-holder"}),
-)
-
 # The keys each run reads, with their defaults: one row per command, per
 # probe and per current kind.  A row "<row> --<key>" replaces <row> when that
 # key is given (reverse-holder and approx have one row per input mode).
@@ -140,7 +128,8 @@ _READS = {
     "current custom-graph": {"input": None},
 }
 _CURRENT_ROWS = ("gen-current", "approx", "probe excess")
-_CURRENT_KEYS = {flag[2:].replace("-", "_") for flag, _ in _CURRENT_OPTIONS}
+_CURRENT_KEYS = {key for row in _READS if row.startswith("current ")
+                 for key in _READS[row]}
 
 
 def _names(prefix: str) -> list:
@@ -169,10 +158,16 @@ def _load_config_file(path: str, inputs: dict) -> dict:
 
 def _merge_config(args) -> tuple:
     """The run's row of _READS: its defaults < config file < flags.  A null
-    in the config file, like an absent flag, leaves the default."""
+    in the config file, like an absent flag, leaves the default; any other
+    config value must be one its flag could parse to."""
     inputs = {}
     given = _load_config_file(args.config, inputs) if args.config else {}
     given = {key: val for key, val in given.items() if val is not None}
+    for key, val in given.items():
+        if key in _FLAGS and not (_fits(_FLAGS[key], val) or key == "heights"
+                                  and isinstance(val, list)):
+            raise ConfigError("config key %s: --%s cannot take %s" % (
+                key, key.replace("_", "-"), json.dumps(val)))
     given.update((key, val) for key, val in vars(args).items()
                  if val is not None and key not in ("cmd", "config"))
     row, reads = args.cmd, dict(_READS["*"])
@@ -187,8 +182,6 @@ def _merge_config(args) -> tuple:
     label = row
     if base in _CURRENT_ROWS:
         kind = given.get("current", reads.get("current"))
-        if kind not in _names("current"):
-            raise ConfigError("unknown current kind %r" % (kind,))
         own = _READS["current " + kind]
         reads = dict(own, **{key: val for key, val in reads.items()
                              if key not in _CURRENT_KEYS or key in own})
@@ -208,9 +201,23 @@ def _merge_config(args) -> tuple:
     for key in ("scales", "s_list", "spike_center"):
         if key in cfg:
             cfg[key] = tuple(float(v) for v in cfg[key])
-    if "boundary" in cfg and cfg["boundary"] not in _TRACES:
-        raise ConfigError("unknown boundary %r" % cfg["boundary"])
     return cfg, inputs
+
+
+def _fits(kw: dict, val) -> bool:
+    """Whether a JSON value is one that the flag with argparse keywords kw
+    could parse to: a list of its nargs length, one of its choices, a bool
+    for a switch, else of its type (a number for float, never a bool)."""
+    if "nargs" in kw:
+        return (isinstance(val, list) and len(val) > 0
+                and kw["nargs"] in ("+", len(val))
+                and all(_fits({"type": kw["type"]}, v) for v in val))
+    if "choices" in kw:
+        return val in kw["choices"]
+    if "action" in kw or isinstance(val, bool):
+        return "action" in kw and isinstance(val, bool)
+    typ = kw.get("type", str)
+    return isinstance(val, (int, float) if typ is float else typ)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,7 @@ def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
         "spikes": len(T.spikes),
     }
     if T.sheet_values is not None:
-        k = max(int(cfg["profile_points"]), 2)
+        k = max(cfg["profile_points"], 2)
         radii = np.linspace(0.98 * r1 / k, 0.98 * r1, k)
         profile, drop = cu.mass_ratio_profile(T, radii)
         metrics["profile"] = [[rho, val] for rho, val in profile]
@@ -296,7 +303,7 @@ def _cmd_approx(cfg: dict, sink: _Sink) -> int:
         delta11 = max(max(E, 0.0) ** (2 * beta), 1.25 * 16 ** T.m * E, 1e-4)
     try:
         u, K, rep = cu.lipschitz_approximation(T, float(delta11),
-                                               strict=bool(cfg["strict"]))
+                                               strict=cfg["strict"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     dist = np.linalg.norm(T.base.nodes() - T.center, axis=-1)
@@ -311,14 +318,14 @@ def _cmd_approx(cfg: dict, sink: _Sink) -> int:
 
 
 def _cmd_rho_star_eval(cfg: dict, sink: _Sink) -> int:
-    n, q = int(cfg["n"]), int(cfg["q"])
+    n, q = cfg["n"], cfg["q"]
     try:
         mach = default_machinery(n, q, c0=float(cfg["c0"]),
                                  delta=float(cfg["delta"]))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    rng = np.random.default_rng(int(cfg["seed"]))
-    k = max(int(cfg["samples"]), 1)
+    rng = np.random.default_rng(cfg["seed"])
+    k = max(cfg["samples"], 1)
     tuples = np.stack([random_qpoint(rng, q, n).points for _ in range(k)])
     on_cone = xi_batch(mach.spec, tuples)
     delta = mach.ladder.delta
@@ -369,12 +376,12 @@ def _cmd_dirmin(cfg: dict, sink: _Sink) -> int:
     trace, reference = _TRACES[cfg["boundary"]]
     try:
         f, rep = pb.solve_dir_minimizer(
-            trace, res=int(cfg["res"]), radius=float(cfg["radius"]),
-            starts=int(cfg["starts"]), seed=int(cfg["seed"]))
+            trace, res=cfg["res"], radius=float(cfg["radius"]),
+            starts=cfg["starts"], seed=cfg["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     blob = {"schema": SCHEMA, "boundary": cfg["boundary"], "q": f.q, "n": f.n,
-            "res": int(cfg["res"]), "reference_energy": reference}
+            "res": cfg["res"], "reference_energy": reference}
     for key in ("energy", "history", "start_energies", "converged",
                 "center_separation", "branch_offset", "spacing"):
         blob[key] = rep[key]
@@ -386,7 +393,7 @@ def _cmd_dirmin(cfg: dict, sink: _Sink) -> int:
 
 
 def _probe_config(cfg: dict) -> pb.ProbeConfig:
-    pc = pb.ProbeConfig(seed=int(cfg["seed"]), **{
+    pc = pb.ProbeConfig(seed=cfg["seed"], **{
         key: float(cfg[key]) for key in ("p1", "p11") if key in cfg})
     try:
         pc.validate()
@@ -422,12 +429,12 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
     try:
         if name == "gradient-lp":
             report = pb.gradient_lp_probe(scales=cfg["scales"],
-                                          res=int(cfg["res"]), config=pc)
+                                          res=cfg["res"], config=pc)
         elif name == "persistence":
             if cfg["current"] != "w32":
                 raise ConfigError(
                     "persistence probe runs on the branched benchmark only")
-            res = int(cfg["res"])
+            res = cfg["res"]
             lam = float(cfg["scale"])
             report = pb.persistence_probe(
                 s_list=cfg["s_list"],
@@ -445,20 +452,20 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
                 radius = u.domain.radius
             else:
                 u, _rep = pb.solve_dir_minimizer(
-                    _TRACES[cfg["boundary"]][0], res=int(cfg["res"]),
-                    starts=int(cfg["starts"]), seed=int(cfg["seed"]))
+                    _TRACES[cfg["boundary"]][0], res=cfg["res"],
+                    starts=cfg["starts"], seed=cfg["seed"])
                 radius = 1.0
             report = pb.reverse_holder_probe(u, radius=radius, config=pc)
         elif name == "excess":
             report = pb.excess_probes(_make_current(cfg, sink), config=pc)
         elif name == "harmonic":
             report = pb.harmonic_approx_probe(
-                scales=cfg["scales"], res=int(cfg["res"]), config=pc)
+                scales=cfg["scales"], res=cfg["res"], config=pc)
         else:  # energy-split
             # n = 2 exercises the off-cone bucket but builds a much larger
             # embedding; the default stays with the cheap machinery
-            mach = default_machinery(int(cfg["n"]), int(cfg["q"]))
-            fields = _split_fields(mach, int(cfg["res"]))
+            mach = default_machinery(cfg["n"], cfg["q"])
+            fields = _split_fields(mach, cfg["res"])
             report = pb.energy_split_probe(mach, fields, config=pc)
     except ConfigError:
         raise
@@ -548,13 +555,17 @@ def _cmd_report(cfg: dict, sink: _Sink) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen-current": _cmd_gen_current,
-    "approx": _cmd_approx,
-    "rho-star-eval": _cmd_rho_star_eval,
-    "dirmin": _cmd_dirmin,
-    "probe": _cmd_probe,
-    "report": _cmd_report,
+_COMMANDS = {
+    # command: (handler, help text, positional key or None)
+    "gen-current": (_cmd_gen_current,
+                    "build a benchmark current and its metrics", "current"),
+    "approx": (_cmd_approx, "run the Lipschitz approximation pipeline", None),
+    "rho-star-eval": (_cmd_rho_star_eval,
+                      "sample the retraction onto the embedded cone", None),
+    "dirmin": (_cmd_dirmin, "minimize the matched Dirichlet energy", None),
+    "probe": (_cmd_probe, "run one empirical estimate", "probe"),
+    "report": (_cmd_report,
+               "aggregate artifacts into a summary and .dat", None),
 }
 
 
@@ -562,65 +573,61 @@ _HANDLERS = {
 # argument parsing
 
 
-def _add_current_options(parser) -> None:
-    for flag, kw in _CURRENT_OPTIONS:
-        parser.add_argument(flag, **kw)
+# Every flag once: key -> argparse keywords.  A subparser declares, in this
+# order, the keys its command's rows of _READS read (see build_parser).
+_FLAGS = {
+    "out": {"help": "artifact directory (default qlip-out)"},
+    "seed": {"type": int},
+    "config": {"help": "JSON config file"},
+    "current": {"choices": _names("current")},
+    "scale": {"type": float},
+    "res": {"type": int},
+    "radius4": {"type": float},
+    "q": {"type": int},
+    "n": {"type": int},
+    "heights": {"help": "JSON (q, n) height rows"},
+    "spike_center": {"nargs": 2, "type": float},
+    "spike_radius": {"type": float},
+    "spike_excess": {"type": float},
+    "input": {"help": "current JSON for custom-graph; field JSON for "
+                      "probe reverse-holder"},
+    "profile_points": {"type": int},
+    "delta11": {"type": float},
+    "beta": {"type": float},
+    "strict": {"action": "store_true", "default": None},
+    "c0": {"type": float},
+    "delta": {"type": float},
+    "samples": {"type": int},
+    "scales": {"nargs": "+", "type": float},
+    "s_list": {"nargs": "+", "type": float},
+    "p1": {"type": float},
+    "p11": {"type": float},
+    "boundary": {"choices": sorted(_TRACES)},
+    "starts": {"type": int},
+    "radius": {"type": float},
+    "dir": {"help": "directory to scan (default --out)"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="artifact directory (default qlip-out)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--config", help="JSON config file")
-
+    """One subparser per command, with the flags of the keys that its rows
+    of _READS read: the "*" row, every row whose first word is the command,
+    and every current kind's keys when one of those rows builds a current."""
     ap = argparse.ArgumentParser(
         prog="qlip", description="Q-valued graph current toolbox")
     sub = ap.add_subparsers(dest="cmd", required=True, metavar="command")
-
-    g = sub.add_parser("gen-current", parents=[common],
-                       help="build a benchmark current and its metrics")
-    g.add_argument("current", choices=_names("current"))
-    _add_current_options(g)
-    g.add_argument("--profile-points", type=int)
-
-    a = sub.add_parser("approx", parents=[common],
-                       help="run the Lipschitz approximation pipeline")
-    a.add_argument("--current", choices=_names("current"))
-    _add_current_options(a)
-    a.add_argument("--delta11", type=float)
-    a.add_argument("--beta", type=float)
-    a.add_argument("--strict", action="store_true", default=None)
-
-    r = sub.add_parser("rho-star-eval", parents=[common],
-                       help="sample the retraction onto the embedded cone")
-    r.add_argument("--n", type=int)
-    r.add_argument("--q", type=int)
-    r.add_argument("--c0", type=float)
-    r.add_argument("--delta", type=float)
-    r.add_argument("--samples", type=int)
-
-    d = sub.add_parser("dirmin", parents=[common],
-                       help="minimize the matched Dirichlet energy")
-    d.add_argument("--boundary", choices=sorted(_TRACES))
-    d.add_argument("--res", type=int)
-    d.add_argument("--starts", type=int)
-    d.add_argument("--radius", type=float)
-
-    p = sub.add_parser("probe", parents=[common],
-                       help="run one empirical estimate")
-    p.add_argument("probe", choices=_names("probe"))
-    p.add_argument("--current", choices=_names("current"))
-    _add_current_options(p)
-    p.add_argument("--scales", nargs="+", type=float)
-    p.add_argument("--s-list", nargs="+", type=float)
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p11", type=float)
-    p.add_argument("--boundary", choices=sorted(_TRACES))
-    p.add_argument("--starts", type=int)
-
-    rp = sub.add_parser("report", parents=[common],
-                        help="aggregate artifacts into a summary and .dat")
-    rp.add_argument("--dir", help="directory to scan (default --out)")
+    for cmd, (_, text, positional) in _COMMANDS.items():
+        rows = [row for row in _READS if row.split()[0] in ("*", cmd)]
+        keys = {"config"}.union(*map(_READS.get, rows))
+        if set(rows) & set(_CURRENT_ROWS):
+            keys |= _CURRENT_KEYS
+        parser = sub.add_parser(cmd, help=text)
+        if positional:
+            parser.add_argument(positional, choices=_names(positional))
+        for key in _FLAGS:
+            if key in keys:
+                parser.add_argument("--" + key.replace("_", "-"),
+                                    **_FLAGS[key])
     return ap
 
 
@@ -638,7 +645,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         sink = _Sink(out)
         sink.inputs.update(inputs)
-        status = _HANDLERS[args.cmd](cfg, sink)
+        status = _COMMANDS[args.cmd][0](cfg, sink)
     except ConfigError as exc:
         print("qlip: %s" % exc, file=sys.stderr)
         return 3

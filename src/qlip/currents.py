@@ -32,6 +32,7 @@ _POLAR_NODES = (96, 32)  # excess disk quadrature: directions, Gauss radii
 _PROFILE_NODES = (64, 24)  # mass-ratio ray quadrature: directions, Gauss radii
 _SHORT_MAP_BOX, _SHORT_MAP_SAMPLES = 4.0, 300  # short-map spot check
 _COMPETITOR_SIGMAS = 10  # competitor: candidate blend radii in [1.25 r, 2 r]
+_COMPETITOR_INVERSE_TOL = 1e-4  # competitor: xi_inverse of its retracted values
 
 
 @dataclass(frozen=True)
@@ -663,7 +664,8 @@ def build_competitor(T: GraphCurrent, beta1: float):
         gprime[ann2] = qf.retract_embedded((1 - t) * lo + t * emb[ann2],
                                            machinery)
     gvals = u.values.copy()
-    gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside], tol=1e-4)
+    gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside],
+                              tol=_COMPETITOR_INVERSE_TOL)
     g = qf.QGridFunction(f.domain, f.res, gvals, u.mask)
 
     wsig = qf.disk_weights(f, T.center, sigma)

@@ -26,6 +26,7 @@ from .qspace import QPoint, metric_g
 _DISK_SUB = 4  # disk_weights: samples per axis of a rim cell
 _LIP_STENCIL = 2  # lipschitz_and_osc: largest node offset per axis
 _BANK_MAX_Q = 6  # largest q whose q! permutations the bank enumerates
+_EXTEND_INVERSE_TOL = 1e-5  # lipschitz_extend: xi_inverse of its retractions
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float) -> QGridFun
     dists = np.linalg.norm(qpts[:, None, :] - anchors[None, :, :], axis=-1)
     ext = np.min(avals[None, :, :] + lip * dists[:, :, None], axis=1)
     out.values[tuple(todo.T)] = xi_inverse(
-        lat, retract_embedded(ext, machinery), tol=1e-5)
+        lat, retract_embedded(ext, machinery), tol=_EXTEND_INVERSE_TOL)
     return out
 
 

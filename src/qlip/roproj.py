@@ -32,6 +32,7 @@ from .embed import (EmbeddingSpec, FaceLattice, NotOnImageError,
                     build_embedding, face_lattice, xi_batch, xi_inverse)
 
 _LOG8 = math.log(8.0)
+_ANCHOR_INVERSE_TOL = 1e-5  # Kirszbraun gap: xi_inverse of the nearest point
 
 
 class LadderError(ValueError):
@@ -309,7 +310,7 @@ class AlmostProjection:
                          np.full(len(x), 1e-9)], axis=0)
         stencil = np.concatenate([s * np.eye(q * n) for s in (
             1.0, -1.0, math.sqrt(8.0), -math.sqrt(8.0), 8.0, -8.0)])
-        t0 = xi_inverse(lat, near, tol=1e-5).reshape(len(x), 1, q * n)
+        t0 = xi_inverse(lat, near, tol=_ANCHOR_INVERSE_TOL).reshape(len(x), 1, q * n)
         around = xi_batch(spec, (t0 + base_s[:, None, None] * stencil)
                           .reshape(len(x), -1, q, n))
         far = near.copy()

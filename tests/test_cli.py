@@ -54,6 +54,73 @@ def test_malformed_config_exit_3(tmp_path):
                      str(tmp_path / "absent.json"), "--out", out]) == 3
 
 
+def test_flag_table_matches_the_reads_table(capsys):
+    """Each flag is read by some row of _READS (--config by every run), each
+    key a row reads is a flag or a command's positional, and every command's
+    parser builds."""
+    read = set().union(*cli._READS.values())
+    positional = {pos for _, _, pos in cli._COMMANDS.values() if pos}
+    assert set(cli._FLAGS) - read == {"config"}
+    assert read - set(cli._FLAGS) <= positional
+    for cmd in ("gen-current", "approx", "rho-star-eval", "dirmin", "probe",
+                "report"):
+        assert cli.main([cmd, "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qlip " + cmd)
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["rho-star-eval", "--samples", "2"], {"n": "x"},
+                 id="int-flag-string"),
+    pytest.param(["dirmin", "--starts", "1"], {"res": [1, 2]},
+                 id="int-flag-list"),
+    pytest.param(["probe", "harmonic"], {"scales": 0.5},
+                 id="nargs-flag-number"),
+    pytest.param(["approx"], {"strict": "no"}, id="switch-string"),
+    pytest.param(["rho-star-eval", "--samples", "2"], {"seed": 1.9},
+                 id="seed-float"),
+])
+def test_config_value_its_flag_cannot_take_exit_3(tmp_path, capsys, argv,
+                                                  config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(path),
+                            "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert all("config key %s:" % key in err for key in config)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, config, fits", [
+    (["approx"], {"strict": True, "beta": 0, "res": 33}, True),
+    (["approx"], {"strict": 1}, False),
+    (["approx"], {"beta": True}, False),
+    (["approx"], {"current": "spike", "spike_center": [0, 0.5]}, True),
+    (["approx"], {"current": "spike", "spike_center": [0.1]}, False),
+    (["approx"], {"current": "spike", "spike_center": ["0.1", "0.2"]}, False),
+    (["approx"], {"current": "cone"}, False),
+    (["approx"], {"heights": [[0.2], [-0.2]]}, True),
+    (["approx"], {"heights": "[[0.2], [-0.2]]"}, True),
+    (["approx"], {"heights": 0.2}, False),
+    (["probe", "harmonic"], {"scales": [0.25]}, True),
+    (["probe", "harmonic"], {"scales": []}, False),
+    (["dirmin"], {"boundary": "linear", "out": "d"}, True),
+    (["dirmin"], {"boundary": "cubic"}, False),
+    (["dirmin"], {"out": 3}, False),
+])
+def test_config_value_fits_its_flag(tmp_path, argv, config, fits):
+    """A config value passes as it is when its flag could parse to it."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    args = cli.build_parser().parse_args(argv + ["--config", str(path)])
+    if not fits:
+        with pytest.raises(cli.ConfigError, match="config key"):
+            cli._merge_config(args)
+        return
+    cfg, _ = cli._merge_config(args)
+    kept = {key: cfg[key] for key in config if key != "heights"}
+    assert json.loads(json.dumps(kept)) == {key: config[key] for key in kept}
+
+
 def test_gen_current_w32_scale(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["gen-current", "w32", "--scale", "0.125",

@@ -24,6 +24,8 @@ SEED = 1
 COMMANDS = {
     "rho-star": ["rho-star-eval", "--n", "2", "--q", "2", "--samples", "10"],
     "rho-star-13": ["rho-star-eval", "--n", "1", "--q", "3", "--samples", "10"],
+    "rho-star-13-40": ["rho-star-eval", "--n", "1", "--q", "3",
+                       "--samples", "40"],
     "approx": ["approx", "--current", "spike"],
     "reverse-holder": ["probe", "reverse-holder", "--res", "33"],
     "dirmin": ["dirmin", "--res", "33", "--starts", "2"],
