@@ -29,7 +29,6 @@ from . import currents as cu
 from . import probes as pb
 from . import qfield as qf
 from .embed import xi_batch
-from .qspace import random_qpoint
 from .roproj import default_machinery
 
 SCHEMA = 1
@@ -326,8 +325,7 @@ def _cmd_rho_star_eval(cfg: dict, sink: _Sink) -> int:
         raise ConfigError(str(exc))
     rng = np.random.default_rng(cfg["seed"])
     k = max(cfg["samples"], 1)
-    tuples = np.stack([random_qpoint(rng, q, n).points for _ in range(k)])
-    on_cone = xi_batch(mach.spec, tuples)
+    on_cone = xi_batch(mach.spec, rng.normal(size=(k, q, n)))
     delta = mach.ladder.delta
     tube = delta ** (n * q + 1)
     rows = []

@@ -26,6 +26,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import qfield as qf
 from .embed import xi_batch, xi_inverse
+from .qspace import _align
 
 _OMEGA = {1: 2.0, 2: math.pi}  # unit-ball measure per base dimension
 _POLAR_NODES = (96, 32)  # excess disk quadrature: directions, Gauss radii
@@ -176,7 +177,7 @@ def _cell_jacobians(f: qf.QGridFunction):
     cols = []
     for ax in range(f.m):
         b = f.values[low[:ax] + (slice(1, f.res),) + low[ax + 1:]]
-        cols.append((qf._align(a, b) - a) / f.spacing)
+        cols.append((_align(a, b) - a) / f.spacing)
     return np.stack(cols, axis=-1), _cell_valid(f.mask)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qspace import QPoint, metric_g, random_qpoint
+from .qspace import QPoint, matched_diff_sq, random_qpoint
 
 _FEAS_TOL = 1e-7  # least _face_depth of a sign pattern that is a face
 # _face_depth: a residual this small, or a strict row this short, is no face
@@ -148,25 +148,21 @@ def _sorted_projections(pts, directions, scale) -> np.ndarray:
 def _certificate(dims: Dimensions, directions, scale, pairs) -> InjectivityCertificate:
     rng = np.random.default_rng(_EMBED_SEED)
     hard = pairs // 2
-    min_ratio = np.inf
-    for i in range(pairs):
+    a, b = np.empty((2, pairs, dims.q, dims.n))
+    for i in range(pairs):  # the seeded draws in order, then one batched pass
+        a[i] = rng.normal(size=a.shape[1:])
         if i < hard and dims.n > 1:
             # adversarial pairs: identical per-axis multisets, distinct tuples
-            a = rng.normal(size=(dims.q, dims.n))
-            b = a.copy()
             for c in range(dims.n):
-                b[:, c] = rng.permutation(b[:, c])
+                b[i, :, c] = rng.permutation(a[i, :, c])
         else:
-            a = rng.normal(size=(dims.q, dims.n))
-            b = rng.normal(size=(dims.q, dims.n)) * rng.choice([0.1, 1.0, 10.0])
-        g = metric_g(QPoint(a), QPoint(b))
-        if g == 0.0:
-            continue
-        gap = np.linalg.norm(_sorted_projections(a, directions, scale)
-                             - _sorted_projections(b, directions, scale))
-        min_ratio = min(min_ratio, gap / g)
-    return InjectivityCertificate(pairs=pairs, hard_pairs=hard,
-                                  min_gap_ratio=float(min_ratio), seed=_EMBED_SEED)
+            b[i] = rng.normal(size=a.shape[1:]) * rng.choice([0.1, 1.0, 10.0])
+    g = np.sqrt(matched_diff_sq(a, b))
+    gap = np.linalg.norm(_sorted_projections(a, directions, scale)
+                         - _sorted_projections(b, directions, scale), axis=-1)
+    ratio = gap[g > 0.0] / g[g > 0.0]
+    return InjectivityCertificate(pairs=pairs, hard_pairs=hard, seed=_EMBED_SEED,
+                                  min_gap_ratio=float(ratio.min(initial=np.inf)))
 
 
 _EMBED_CACHE: dict = {}

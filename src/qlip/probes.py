@@ -22,7 +22,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import qfield as qf
 from . import currents as cu
-from .qspace import QPoint, separation_diameter
+from .qspace import QPoint, _perm_bank, least_pairing, separation_diameter
 
 _MAX_SWEEPS, _SWEEP_TOL = 40, 1e-10  # Dirichlet minimizer, per start
 _WEAK_TRIALS = 10  # random weak small sets of the excess probe
@@ -141,16 +141,14 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     weights = qf.disk_weights(f, (0.0, 0.0), radius)
     a, b, w = (np.concatenate(col)
                for col in zip(*qf.grid_edges(f.mask, weights, h)))
-    perms = qf._perm_bank(q)
+    perms = _perm_bank(q)
     rng = np.random.default_rng(seed)
 
     best = None
     start_energies = []
     for start in range(max(1, starts)):
-        if start == 0:
-            eperm = np.zeros(len(a), dtype=np.int64)
-        else:
-            eperm = rng.integers(len(perms), size=len(a))
+        eperm = (rng.integers(len(perms), size=len(a)) if start
+                 else np.zeros(len(a), dtype=np.int64))
         vals = f.values.reshape(-1, q, n).copy()
         history = []
         prev = math.inf
@@ -160,9 +158,8 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
                                           perms[eperm])
             # rematch each edge to its cheapest permutation; the matched
             # cost of the new values is then the energy
-            cost = qf._perm_costs(vals[a], vals[b])
-            eperm = np.argmin(cost, axis=0)
-            energy = float(w @ cost.min(axis=0))
+            cost, eperm = least_pairing(vals[a], vals[b])
+            energy = float(w @ cost)
             history.append(energy)
             if prev - energy < _SWEEP_TOL:
                 converged = True

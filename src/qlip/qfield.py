@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed import xi_batch, xi_inverse
-from .qspace import QPoint, metric_g
+from .qspace import matched_diff_sq
 
 _DISK_SUB = 4  # disk_weights: samples per axis of a rim cell
 _LIP_STENCIL = 2  # lipschitz_and_osc: largest node offset per axis
-_BANK_MAX_Q = 6  # largest q whose q! permutations the bank enumerates
 _EXTEND_INVERSE_TOL = 1e-5  # lipschitz_extend: xi_inverse of its retractions
 
 
@@ -165,42 +164,6 @@ def from_callable(domain: GridDomain, res: int, fn) -> QGridFunction:
 
 # ---------------------------------------------------------------------------
 # energy
-
-
-@functools.lru_cache(maxsize=None)
-def _perm_bank(q: int) -> np.ndarray:
-    """All permutations of range(q), one per row (read-only, shared); q
-    above _BANK_MAX_Q raises ValueError before any is built."""
-    if q > _BANK_MAX_Q:
-        raise ValueError(f"q = {q}: grid-backed matchings enumerate all q! "
-                         f"permutations, so they support q <= {_BANK_MAX_Q}")
-    bank = np.array(list(itertools.permutations(range(q))))
-    bank.flags.writeable = False
-    return bank
-
-
-def _perm_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairing cost of every permutation in the bank: entry k of the
-    (q!, ...) stack is |a - b[..., bank[k], :]|^2 for tuples (..., q, n)."""
-    return np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1))
-                     for p in _perm_bank(a.shape[-2])])
-
-
-def _align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b with each tuple reordered into its cheapest pairing with a."""
-    best = _perm_bank(a.shape[-2])[np.argmin(_perm_costs(a, b), axis=0)]
-    return np.take_along_axis(b, best[..., None], axis=-2)
-
-
-def matched_diff_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared matching metric between aligned arrays of tuples (..., q, n)."""
-    if a.shape[-2] <= _BANK_MAX_Q:
-        return _perm_costs(a, b).min(axis=0)
-    flat_a = a.reshape(-1, *a.shape[-2:])
-    flat_b = b.reshape(-1, *b.shape[-2:])
-    out = np.array([metric_g(QPoint(x), QPoint(y)) ** 2
-                    for x, y in zip(flat_a, flat_b)])
-    return out.reshape(a.shape[:-2])
 
 
 def grid_edges(mask: np.ndarray, weights: np.ndarray = None, h: float = 1.0):

@@ -4,15 +4,18 @@ A value is a multiset of Q points (repetitions allowed), stored canonically as
 a lexicographically sorted (Q, n) array so equal multisets compare bitwise.
 The matching metric G pairs the two tuples by the permutation minimizing the
 sum of squared distances; W1 uses linear costs and always dominates G.
+Arrays of tuples (..., Q, n) are matched in one pass over a bank of all Q!
+permutations for Q <= _BANK_MAX_Q, and per tuple by `metric_g` above it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _BRUTE_MAX_Q = 8
+_BANK_MAX_Q = 6  # largest q whose q! permutations the bank enumerates
 
 
 def _canonical(points: np.ndarray) -> np.ndarray:
@@ -76,6 +79,8 @@ def _min_assignment(cost: np.ndarray, method: str):
     """Least total cost of a perfect matching of the square cost matrix."""
     q = len(cost)
     if method == "hungarian":
+        from scipy.optimize import linear_sum_assignment  # loaded on first use
+
         rows, cols = linear_sum_assignment(cost)
         return cost[rows, cols].sum()
     if method == "brute":
@@ -91,6 +96,48 @@ def metric_g(s: QPoint, t: QPoint, method: str = "hungarian") -> float:
     return float(np.sqrt(_min_assignment(_pairwise_sq(s.points, t.points), method)))
 
 
+@functools.lru_cache(maxsize=None)
+def _perm_bank(q: int) -> np.ndarray:
+    """All permutations of range(q), one per row (read-only, shared); q
+    above _BANK_MAX_Q raises ValueError before any is built."""
+    if q > _BANK_MAX_Q:
+        raise ValueError(f"q = {q}: grid-backed matchings enumerate all q! "
+                         f"permutations, so they support q <= {_BANK_MAX_Q}")
+    bank = np.array(list(itertools.permutations(range(q))))
+    bank.flags.writeable = False
+    return bank
+
+
+def _perm_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairing cost of every permutation in the bank: entry k of the
+    (q!, ...) stack is |a - b[..., bank[k], :]|^2 for tuples (..., q, n)."""
+    return np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1))
+                     for p in _perm_bank(a.shape[-2])])
+
+
+def least_pairing(a: np.ndarray, b: np.ndarray):
+    """(cost, row) over tuples (..., q, n): each pair's least pairing cost,
+    which is its squared matching metric, and the first bank row attaining it."""
+    costs = _perm_costs(a, b)
+    row = np.argmin(costs, axis=0)
+    return np.take_along_axis(costs, row[None], axis=0)[0], row
+
+
+def _align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b with each tuple reordered into its cheapest pairing with a."""
+    best = _perm_bank(a.shape[-2])[least_pairing(a, b)[1]]
+    return np.take_along_axis(b, best[..., None], axis=-2)
+
+
+def matched_diff_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared matching metric between aligned arrays of tuples (..., q, n)."""
+    if a.shape[-2] <= _BANK_MAX_Q:
+        return least_pairing(a, b)[0]
+    pairs = zip(a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:]))
+    return np.array([metric_g(QPoint(x), QPoint(y)) ** 2
+                     for x, y in pairs]).reshape(a.shape[:-2])
+
+
 def wasserstein1(s: QPoint, t: QPoint) -> float:
     """Linear-cost matching distance; dominates metric_g."""
     _check_compatible(s, t)
@@ -103,14 +150,9 @@ def separation_diameter(t: QPoint) -> tuple[float, float]:
 
     Separation is +inf when all Q points coincide.
     """
-    pts = t.points
-    d = np.sqrt(_pairwise_sq(pts, pts))
-    iu = np.triu_indices(t.q, k=1)
-    gaps = d[iu]
-    diameter = float(gaps.max()) if gaps.size else 0.0
+    gaps = np.sqrt(_pairwise_sq(t.points, t.points))[np.triu_indices(t.q, k=1)]
     distinct = gaps[gaps > 0.0]
-    separation = float(distinct.min()) if distinct.size else float("inf")
-    return separation, diameter
+    return float(distinct.min(initial=np.inf)), float(gaps.max(initial=0.0))
 
 
 def random_qpoint(rng: np.random.Generator, q: int, n: int,

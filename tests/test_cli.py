@@ -20,6 +20,7 @@ import pytest
 from qlip import cli, embed, roproj
 from qlip import probes as pb
 from qlip import qfield as qf
+from qlip import qspace as qs
 
 
 def _read(path):
@@ -184,12 +185,12 @@ def test_custom_graph_above_bank_limit_exit_3(tmp_path, capsys):
     flat = tmp_path / "flat"
     assert cli.main(["gen-current", "flat", "--q", "8", "--res", "9",
                      "--out", str(flat)]) == 0
-    banks = qf._perm_bank.cache_info().currsize
+    banks = qs._perm_bank.cache_info().currsize
     assert cli.main(["gen-current", "custom-graph", "--input",
                      str(flat / "current.json"),
                      "--out", str(tmp_path / "rebuilt")]) == 3
     assert "q = 8" in capsys.readouterr().err
-    assert qf._perm_bank.cache_info().currsize == banks
+    assert qs._perm_bank.cache_info().currsize == banks
 
 
 def test_approx_flat_full_ball(tmp_path):
@@ -556,7 +557,9 @@ def test_entry_point_smoke():
 
 def test_import_leaves_signal_and_ndimage_unloaded():
     """scipy.signal and scipy.ndimage load only when a convolution or a
-    running maximum first runs, not on `import qlip.cli`."""
+    running maximum first runs, not on `import qlip.cli`; scipy.optimize
+    loads only when a Hungarian matching first runs, not on
+    `import qlip.qspace`."""
     import os
 
     import qlip
@@ -564,9 +567,11 @@ def test_import_leaves_signal_and_ndimage_unloaded():
     root = os.path.dirname(os.path.dirname(os.path.abspath(qlip.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, qlip.cli; print(sorted(m for m in "
-            "('scipy.signal', 'scipy.ndimage') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for module, lazy in (("qlip.cli", ("scipy.signal", "scipy.ndimage")),
+                         ("qlip.qspace", ("scipy.optimize",))):
+        code = (f"import sys, {module}; print(sorted(m for m in {lazy!r} "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module

@@ -67,6 +67,20 @@ def test_embedding_is_short_and_injective():
     assert worst > 1e-6
 
 
+@pytest.mark.parametrize("n, q, h, ratio", [
+    (1, 2, 1, 1.0),
+    (2, 2, 3, 0.5773502691896069),
+    (1, 3, 1, 0.9999999999999998),
+    (2, 3, 3, 0.5022161785314823),
+])
+def test_embedding_certificate_pinned(n, q, h, ratio):
+    # the frame size and the seeded certificate's least gap ratio
+    spec = build_embedding(n, q)
+    assert spec.dims.h == h
+    assert spec.certificate.passed
+    assert abs(spec.certificate.min_gap_ratio - ratio) <= 1e-12
+
+
 SPECS = {"12": spec12, "13": spec13, "22": spec22}
 
 

@@ -23,6 +23,7 @@ from qlip.qspace import QPoint, metric_g
 from qlip.embed import build_embedding, xi_batch
 from qlip.roproj import default_machinery
 from qlip import qfield as qf
+from qlip import qspace as qs
 
 
 def _affine_field(res=33, q=1):
@@ -310,15 +311,21 @@ def _tuple_pairs(seed, count, q, n, tie):
 @given(q=st.integers(1, 6), n=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1), tie=st.booleans())
 def test_perm_bank_matching_is_metric_g(q, n, seed, tie):
-    a, b = _tuple_pairs(seed, 4, q, n, tie)
-    costs = qf._perm_costs(a, b)
-    assert costs.shape == (math.factorial(q), 4)
+    a, b = (x.reshape(3, 4, q, n) for x in _tuple_pairs(seed, 12, q, n, tie))
+    costs = qs._perm_costs(a, b)
+    assert costs.shape == (math.factorial(q), 3, 4)
     best = costs.min(axis=0)
     want = np.array([metric_g(QPoint(s), QPoint(t)) ** 2
-                     for s, t in zip(a, b)])
+                     for s, t in zip(a.reshape(-1, q, n), b.reshape(-1, q, n))
+                     ]).reshape(3, 4)
     assert np.all(np.abs(best - want) <= 1e-12 * (1.0 + want))
     assert np.array_equal(qf.matched_diff_sq(a, b), best)
-    aligned = qf._align(a, b)
+    cost, row = qs.least_pairing(a, b)
+    assert np.array_equal(cost, best)
+    assert np.array_equal(row, np.argmin(costs, axis=0))  # the first minimum
+    aligned = qs._align(a, b)
+    assert np.array_equal(aligned, np.take_along_axis(
+        b, qs._perm_bank(q)[row][..., None], axis=-2))
     assert np.array_equal(np.sum((a - aligned) ** 2, axis=(-2, -1)), best)
     assert np.array_equal(np.sort(aligned, axis=-2), np.sort(b, axis=-2))
 
@@ -338,7 +345,7 @@ def test_perm_bank_refuses_q_above_its_limit():
     # matched energy takes the Hungarian fallback instead
     a, b = _tuple_pairs(0, 2, 7, 1, False)
     with pytest.raises(ValueError, match="q = 7"):
-        qf._align(a, b)
+        qs._align(a, b)
     with pytest.raises(ValueError, match="q <= 6"):
-        qf._perm_bank(7)
+        qs._perm_bank(7)
     assert qf.matched_diff_sq(a, b).shape == (2,)
