@@ -4,9 +4,8 @@ fields, and the excess/maximal-function pipeline for graph currents.
 
 Modules
 -------
-qspace    metric space of unordered Q-tuples (matching metric, W1,
-          separation and diameter) and the batched matching kernel over
-          its q! permutation bank
+qspace    metric space of unordered Q-tuples (matching metric, W1) and
+          the batched matching kernel over its q! permutation bank
 coneproj  small convex solvers: isotonic projections, cone projections,
           constrained Chebyshev-type extension values
 embed     direction frames, the embedding xi, the face lattice of its image

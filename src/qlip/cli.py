@@ -277,7 +277,9 @@ def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
         "spikes": len(T.spikes),
     }
     if T.sheet_values is not None:
-        k = max(cfg["profile_points"], 2)
+        k = cfg["profile_points"]
+        if k < 2:
+            raise ConfigError("a mass-ratio profile needs profile_points >= 2")
         radii = np.linspace(0.98 * r1 / k, 0.98 * r1, k)
         profile, drop = cu.mass_ratio_profile(T, radii)
         metrics["profile"] = [[rho, val] for rho, val in profile]
@@ -323,8 +325,10 @@ def _cmd_rho_star_eval(cfg: dict, sink: _Sink) -> int:
                                  delta=float(cfg["delta"]))
     except ValueError as exc:
         raise ConfigError(str(exc))
+    k = cfg["samples"]
+    if k < 1:
+        raise ConfigError("an evaluation needs samples >= 1")
     rng = np.random.default_rng(cfg["seed"])
-    k = max(cfg["samples"], 1)
     on_cone = xi_batch(mach.spec, rng.normal(size=(k, q, n)))
     delta = mach.ladder.delta
     tube = delta ** (n * q + 1)
@@ -363,25 +367,29 @@ def _sqrt_rows(p):
 
 
 _TRACES = {
-    # boundary data -> (points (..., 2) -> values (..., q, n), disk energy)
-    "sqrt-branch": (_sqrt_rows, 2.0 * math.pi),
-    "linear": (lambda p: p[..., None, :1], math.pi),
-    "const": (lambda p: np.broadcast_to([[0.3], [-0.4]], p.shape[:-1] + (2, 1)), 0.0),
+    # boundary data -> (points (..., 2) -> values (..., q, n), unit-disk energy
+    # E(1), degree a of homogeneity); the disk of radius R has energy E(1) R^(2a)
+    "sqrt-branch": (_sqrt_rows, 2.0 * math.pi, 0.5),
+    "linear": (lambda p: p[..., None, :1], math.pi, 1.0),
+    "const": (lambda p: np.broadcast_to([[0.3], [-0.4]], p.shape[:-1] + (2, 1)),
+              0.0, 0.0),
 }
 
 
 def _cmd_dirmin(cfg: dict, sink: _Sink) -> int:
-    trace, reference = _TRACES[cfg["boundary"]]
+    trace, unit_energy, degree = _TRACES[cfg["boundary"]]
+    radius = float(cfg["radius"])
+    reference = unit_energy * radius ** (2.0 * degree)
     try:
         f, rep = pb.solve_dir_minimizer(
-            trace, res=cfg["res"], radius=float(cfg["radius"]),
+            trace, res=cfg["res"], radius=radius,
             starts=cfg["starts"], seed=cfg["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     blob = {"schema": SCHEMA, "boundary": cfg["boundary"], "q": f.q, "n": f.n,
             "res": cfg["res"], "reference_energy": reference}
     for key in ("energy", "history", "start_energies", "converged",
-                "center_separation", "branch_offset", "spacing"):
+                "center_diameter", "branch_offset", "spacing"):
         blob[key] = rep[key]
     if reference:
         blob["energy_gap_rel"] = abs(rep["energy"] - reference) / reference

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 _CONE_TOL = 1e-11  # oracle: slack of the in-cone test, relative to 1 + |z|
 
@@ -83,6 +82,8 @@ def project_polyhedral_cone(point, G):
     non-optimal multipliers with a zero reported residual.  Kept as the
     tests' oracle for the face kernel; perfbench/tracer.py binds it by name.
     """
+    from scipy.optimize import lsq_linear
+
     z = np.asarray(point, dtype=float)
     G = np.asarray(G, dtype=float)
     if G.size == 0:
@@ -164,40 +165,33 @@ def kirszbraun_value(x, anchors, values, lip: float):
     the map at x without raising the constant against the anchors; otherwise
     the returned y is the least-violation value.  Returns (y, level).
 
-    No workload reaches the bisection: on every `rho_star` gap row of the
-    CLI jobs the pair lower bound meets the nearest-point anchor's upper
-    bound, and one ball test returns that anchor's value.
+    The search starts at the anchor value of least level, which attains the
+    bracket's upper end; the bisection only narrows a bracket still open.  On
+    every `rho_star` gap row of the CLI jobs the pair lower bound already
+    meets that anchor's level, so no ball test runs.
     """
     A = np.asarray(anchors, dtype=float)
     V = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     r = lip * np.linalg.norm(A - x, axis=1)
-    if len(V) == 1:
-        return V[0].copy(), float(-r[0])
-
     dV = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-    lo = float(np.max((dV - r[:, None] - r[None, :]) / 2.0))
-    hi_candidates = np.max(dV - r[None, :], axis=1)
-    hi = float(np.min(hi_candidates))
-    lo = min(lo, hi)
+    upper = np.max(dV - r[None, :], axis=1)  # the level at y = v_i
+    best = int(np.argmin(upper))
+    y, hi = V[best].copy(), float(upper[best])
+    lo = min(float(np.max((dV - r[:, None] - r[None, :]) / 2.0)), hi)
     scale = 1.0 + float(np.max(r)) + float(np.max(np.abs(V)))
-    y_best = None
     for _ in range(80):
         if hi - lo <= _KIRSZBRAUN_TOL * scale:
             break
         mid = 0.5 * (lo + hi)
         rho = np.maximum(mid + r, 0.0)
-        y, gap = ball_intersection_point(V, rho * rho)
+        y_mid, gap = ball_intersection_point(V, rho * rho)
         if gap <= (_KIRSZBRAUN_TOL * scale) ** 2:
-            hi = mid
-            y_best = y
+            y, hi = y_mid, mid
         else:
             lo = mid
-    if y_best is None:
-        rho = np.maximum(hi + r, 0.0)
-        y_best, _ = ball_intersection_point(V, rho * rho)
-    level = float(np.max(np.linalg.norm(V - y_best, axis=1) - r))
-    return y_best, level
+    level = float(np.max(np.linalg.norm(V - y, axis=1) - r))
+    return y, level
 
 
 def offset_enclosing_center(centers, offsets, weight: float = 1.0):

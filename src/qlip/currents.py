@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize.elementwise import find_root
-from scipy.spatial import ConvexHull, QhullError
 
 from . import qfield as qf
 from .embed import xi_batch, xi_inverse
@@ -526,6 +524,8 @@ def _diameter(cloud: np.ndarray) -> float:
     """Largest distance between two points of a (k, n) cloud, taken over its
     convex hull; a flat cloud is first written in coordinates of its affine
     hull, where the hull is full-dimensional (or a segment)."""
+    from scipy.spatial import ConvexHull, QhullError
+
     if cloud.shape[1] == 1:
         return float(cloud.max() - cloud.min())
     try:
@@ -557,6 +557,8 @@ def mass_ratio_profile(T: GraphCurrent, radii):
     nothing.
 
     Returns (profile list of (rho, value), max downward violation)."""
+    from scipy.optimize.elementwise import find_root
+
     if T.sheet_jacobians is None or T.sheet_values is None:
         raise ValueError("profile needs analytic sheet callables")
     radii = np.array(sorted(float(r) for r in radii))
@@ -649,21 +651,19 @@ def build_competitor(T: GraphCurrent, beta1: float):
     core = (dist <= r1) & u.mask
     ann1 = (dist > r1) & (dist <= r2) & u.mask
     ann2 = (dist > r2) & (dist <= r3) & u.mask
-    inside = core | ann1 | ann2
+    ring = ann1 | ann2
+    inside = core | ring
 
+    # R(moll) on core and ann1, R(emb) on both annuli; then each annulus
+    # blends lo -> hi on its own ramp t: R(moll) -> R(emb), R(emb) -> emb
     gprime = emb.copy()
-    if core.any():
-        gprime[core] = qf.retract_embedded(emb_moll[core], machinery)
-    if ann1.any():
-        t = ((dist[ann1] - r1) / (r2 - r1))[:, None]
-        lo = qf.retract_embedded(emb_moll[ann1], machinery)
-        hi = qf.retract_embedded(emb[ann1], machinery)
-        gprime[ann1] = qf.retract_embedded((1 - t) * lo + t * hi, machinery)
-    if ann2.any():
-        t = ((dist[ann2] - r2) / (r3 - r2))[:, None]
-        lo = qf.retract_embedded(emb[ann2], machinery)
-        gprime[ann2] = qf.retract_embedded((1 - t) * lo + t * emb[ann2],
-                                           machinery)
+    gprime[core | ann1] = qf.retract_embedded(emb_moll[core | ann1], machinery)
+    remb = emb.copy()
+    remb[ring] = qf.retract_embedded(emb[ring], machinery)
+    lo = np.where(ann1[..., None], gprime, remb)[ring]
+    hi = np.where(ann1[..., None], remb, emb)[ring]
+    t = np.where(ann1, (dist - r1) / (r2 - r1), (dist - r2) / (r3 - r2))[ring, None]
+    gprime[ring] = qf.retract_embedded((1 - t) * lo + t * hi, machinery)
     gvals = u.values.copy()
     gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside],
                               tol=_COMPETITOR_INVERSE_TOL)

@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from . import qfield as qf
 from . import currents as cu
-from .qspace import QPoint, _perm_bank, least_pairing, separation_diameter
+from .qspace import _perm_bank, least_pairing
 
 _MAX_SWEEPS, _SWEEP_TOL = 40, 1e-10  # Dirichlet minimizer, per start
 _WEAK_TRIALS = 10  # random weak small sets of the excess probe
@@ -91,6 +89,14 @@ def _loglog_slope(x, y):
 # Dirichlet minimization on the covering graph
 
 
+def spsolve(A, b):
+    """scipy's sparse direct solve, imported on the first call; a module-level
+    name, so perfbench/tracer.py can bind it."""
+    from scipy.sparse.linalg import spsolve as solve
+
+    return solve(A, b)
+
+
 def _solve_given_matchings(vals, pinned, a, b, w, pmat):
     """Minimize the frozen-matching quadratic form; one sparse solve.
 
@@ -99,6 +105,8 @@ def _solve_given_matchings(vals, pinned, a, b, w, pmat):
     energy is |B x|^2 weighted by w and its Laplacian is L = B^T diag(w) B
     over the (node, sheet) unknowns.  Split into free (f) and pinned (p)
     columns, the free values solve L_ff x_f = -L_fp x_p."""
+    from scipy import sparse
+
     npts, q, n = vals.shape
     free = np.repeat(~pinned, q)
     if not free.any():
@@ -131,6 +139,8 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     """
     if res < 2:
         raise ValueError("a grid needs res >= 2 nodes per axis")
+    if starts < 1:
+        raise ValueError("a minimization needs starts >= 1")
     if half is None:
         half = radius + 3.0 * 2.0 * radius / (res - 1)
     dom = qf.square(half)
@@ -146,7 +156,7 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
 
     best = None
     start_energies = []
-    for start in range(max(1, starts)):
+    for start in range(starts):
         eperm = (rng.integers(len(perms), size=len(a)) if start
                  else np.zeros(len(a), dtype=np.int64))
         vals = f.values.reshape(-1, q, n).copy()
@@ -173,20 +183,17 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     out = f.copy()
     out.values = vals.reshape(f.values.shape)
     dist = np.linalg.norm(nodes, axis=-1)
-    center_idx = np.argmin(dist)
-    _, sep = separation_diameter(QPoint(vals[center_idx]))
-    # sheet collision point: the node where the tuple is most collapsed;
-    # a branching minimizer pins it near the true branch point
+    # sheet collision point: the free node where the tuple is most
+    # collapsed; a branching minimizer pins it near the true branch point
     gaps = vals[:, :, None, :] - vals[:, None, :, :]
     diams = np.sqrt((gaps ** 2).sum(-1)).max(axis=(1, 2))
-    diams[pinned_flat] = np.inf
-    tight = int(np.argmin(diams))
+    tight = int(np.argmin(np.where(pinned_flat, np.inf, diams)))
     report = {
         "energy": float(energy),
         "history": [float(e) for e in history],
         "start_energies": [float(e) for e in start_energies],
         "converged": bool(converged),
-        "center_separation": float(sep),
+        "center_diameter": float(diams[np.argmin(dist)]),
         "branch_offset": float(dist[tight]),
         "spacing": float(h),
         "pinned": pinned_flat.reshape(f.values.shape[:2]),

@@ -145,16 +145,6 @@ def wasserstein1(s: QPoint, t: QPoint) -> float:
                                  "hungarian"))
 
 
-def separation_diameter(t: QPoint) -> tuple[float, float]:
-    """(separation, diameter): min gap between distinct values, max gap overall.
-
-    Separation is +inf when all Q points coincide.
-    """
-    gaps = np.sqrt(_pairwise_sq(t.points, t.points))[np.triu_indices(t.q, k=1)]
-    distinct = gaps[gaps > 0.0]
-    return float(distinct.min(initial=np.inf)), float(gaps.max(initial=0.0))
-
-
 def random_qpoint(rng: np.random.Generator, q: int, n: int,
                   cluster: float = 0.0) -> QPoint:
     """Random standard normal tuple; cluster > 0 shrinks points toward a

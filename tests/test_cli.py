@@ -267,6 +267,21 @@ def test_dirmin_sqrt_branch_cli(tmp_path):
     assert rep["passed"] and rep["fits"]["C"] <= 5.0
 
 
+@pytest.mark.parametrize("boundary, reference", [
+    pytest.param("sqrt-branch", math.pi, id="sqrt-branch"),
+    pytest.param("linear", math.pi / 4.0, id="linear")])
+def test_dirmin_reference_scales_with_radius(tmp_path, boundary, reference):
+    # the traces are homogeneous of degrees 1/2 and 1, so the disk of radius
+    # R = 1/2 has energy E(1) R^(2a): 2 pi R and pi R^2
+    out = tmp_path / "run"
+    assert cli.main(["dirmin", "--boundary", boundary, "--radius", "0.5",
+                     "--res", "33", "--starts", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+    blob = _read(out / "dirmin.json")
+    assert blob["reference_energy"] == pytest.approx(reference)
+    assert blob["energy_gap_rel"] <= 0.05
+
+
 def test_probe_persistence_cli(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["probe", "persistence", "--current", "w32",
@@ -353,12 +368,24 @@ def test_probe_bad_exponent_exit_3(tmp_path):
                      "--out", str(out)]) == 3
 
 
+_FLOORS = {"--res": "res >= 2", "--samples": "samples >= 1",
+           "--profile-points": "profile_points >= 2", "--starts": "starts >= 1"}
+
+
 @pytest.mark.parametrize("argv", [["dirmin", "--res", "1"],
                                   ["gen-current", "w32", "--res", "1"],
-                                  ["probe", "energy-split", "--res", "1"]])
+                                  ["probe", "energy-split", "--res", "1"],
+                                  ["rho-star-eval", "--samples", "0"],
+                                  ["gen-current", "w32", "--res", "9",
+                                   "--profile-points", "0"],
+                                  ["dirmin", "--res", "9", "--starts", "0"],
+                                  ["probe", "reverse-holder", "--res", "9",
+                                   "--starts", "0"]])
 def test_single_node_grid_exit_3(tmp_path, capsys, argv):
+    """A grid of one node, and any count below its floor, exits 3 and names
+    the floor; none is clamped up to it."""
     assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 3
-    assert "res >= 2" in capsys.readouterr().err
+    assert _FLOORS[argv[-2]] in capsys.readouterr().err
 
 
 def test_rerun_hash_identical(tmp_path):
@@ -556,10 +583,12 @@ def test_entry_point_smoke():
 
 
 def test_import_leaves_signal_and_ndimage_unloaded():
-    """scipy.signal and scipy.ndimage load only when a convolution or a
-    running maximum first runs, not on `import qlip.cli`; scipy.optimize
-    loads only when a Hungarian matching first runs, not on
-    `import qlip.qspace`."""
+    """`import qlip.cli` loads no scipy module that a command loads on first
+    use: scipy.signal and scipy.ndimage (a convolution, a running maximum),
+    scipy.optimize (a Hungarian matching, an NNLS face test, a root
+    bracket), scipy.sparse (a Dirichlet solve), scipy.spatial (a hull
+    diameter) and scipy.linalg; `import qlip.qspace` leaves scipy.optimize
+    unloaded."""
     import os
 
     import qlip
@@ -567,7 +596,9 @@ def test_import_leaves_signal_and_ndimage_unloaded():
     root = os.path.dirname(os.path.dirname(os.path.abspath(qlip.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    for module, lazy in (("qlip.cli", ("scipy.signal", "scipy.ndimage")),
+    for module, lazy in (("qlip.cli", ("scipy.signal", "scipy.ndimage",
+                                       "scipy.optimize", "scipy.linalg",
+                                       "scipy.sparse", "scipy.spatial")),
                          ("qlip.qspace", ("scipy.optimize",))):
         code = (f"import sys, {module}; print(sorted(m for m in {lazy!r} "
                 "if m in sys.modules))")

@@ -152,6 +152,21 @@ def test_kirszbraun_extends_lipschitz_data():
         assert gaps.max() <= 1e-6
 
 
+def test_kirszbraun_closed_bracket_returns_the_anchor(monkeypatch):
+    # x sits on an anchor of 1-Lipschitz data: the pair bound (0) meets that
+    # anchor's level (0), so the value is the anchor's, with no ball test
+    rng = np.random.default_rng(5)
+    anchors = rng.normal(size=(6, 2))
+    values = anchors @ np.array([[0.6, 0.2], [-0.1, 0.5], [0.3, 0.3]]).T
+
+    def no_ball_test(*args):
+        raise AssertionError("a closed bracket needs no ball test")
+
+    monkeypatch.setattr(coneproj, "ball_intersection_point", no_ball_test)
+    y, level = kirszbraun_value(anchors[2], anchors, values, lip=1.0)
+    assert np.array_equal(y, values[2]) and level == 0.0
+
+
 def test_offset_enclosing_center():
     centers = np.array([[0.0], [2.0]])
     p, val = offset_enclosing_center(centers, np.array([0.0, 0.0]), weight=1.0)

@@ -14,6 +14,7 @@ Closed-form oracles:
     s^2 + s^3 = rho^2, ratio = pi (2 + 3 s) / (1 + s), increasing, to 2 pi.
 """
 import gc
+import hashlib
 import math
 import weakref
 
@@ -366,6 +367,24 @@ def test_competitor_w32_runs_and_reports():
     r1, r2, r3 = rep["radii"]
     assert 0 < r1 < r2 < r3 <= 2 * T.r + 1e-12
     assert rep["eps"] <= rep["s"] + 1e-15
+
+
+@pytest.mark.parametrize("k, digest, gap_rebuilt", [
+    pytest.param(
+        3, "a1d03022e10a89b82db3fc99ca431717ecc01540be936fca7e8e7398c01003fa",
+        0.10844999000283165, id="k3"),
+    pytest.param(
+        5, "e4cd60c76528cdb5d3e4b9e14f191294239139615fbe140d438cc1b5d2a2997e",
+        0.027112497500707912, id="k5"),
+])
+def test_competitor_w32_pinned(k, digest, gap_rebuilt):
+    # the cone benchmark's competitor currents, pinned bitwise: the chosen
+    # field's values, the rebuilt field's energy gap and the choice
+    T = cu.w32_current(2.0 ** -k, res=65, radius4=1.0)
+    g, rep = cu.build_competitor(T, beta1=0.1)
+    got = hashlib.sha256(np.ascontiguousarray(g.values).tobytes()).hexdigest()
+    assert (got, rep["gap_rebuilt"], rep["choice"]) == (digest, gap_rebuilt,
+                                                         "kept")
 
 
 def test_excess_field_built_once(monkeypatch):

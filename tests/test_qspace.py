@@ -1,9 +1,8 @@
-"""Unordered tuple space: metric, separation, canonical form."""
+"""Unordered tuple space: metric and canonical form."""
 import numpy as np
 import pytest
 
-from qlip.qspace import (QPoint, metric_g, random_qpoint, separation_diameter,
-                         wasserstein1)
+from qlip.qspace import QPoint, metric_g, random_qpoint, wasserstein1
 
 
 def test_canonical_order_and_equality():
@@ -75,11 +74,3 @@ def test_wasserstein1_bounds():
         assert g <= w1 + 1e-12
         assert w1 <= np.sqrt(q) * g + 1e-12
 
-
-def test_separation_and_diameter():
-    s = QPoint([[0.0], [0.0], [3.0], [7.0]])
-    sep, diam = separation_diameter(s)
-    assert sep == pytest.approx(3.0)  # smallest gap between distinct values
-    assert diam == pytest.approx(7.0)
-    sep0, diam0 = separation_diameter(QPoint(np.tile(np.zeros(2), (3, 1))))
-    assert sep0 == np.inf and diam0 == 0.0
