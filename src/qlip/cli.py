@@ -104,7 +104,7 @@ _READS = {
     "approx --delta11": {"current": "flat", "delta11": None, "strict": False},
     "rho-star-eval": {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1,
                       "samples": 200},
-    "dirmin": {"boundary": "sqrt-branch", "res": 33, "starts": 4,
+    "dirmin": {"boundary": "sqrt-branch", "res": 33, "starts": 1,
                "radius": 1.0},
     "report": {"dir": None},
     "probe gradient-lp": {"scales": pb.ProbeConfig.scales, "res": 65,
@@ -112,7 +112,7 @@ _READS = {
     "probe persistence": {"current": "w32", "scale": 1.0, "res": 129,
                           "s_list": (0.05, 0.1, 0.2)},
     "probe reverse-holder": {"boundary": "sqrt-branch", "res": 49,
-                             "starts": 4, "p11": pb.ProbeConfig.p11},
+                             "p11": pb.ProbeConfig.p11},
     "probe reverse-holder --input": {"input": None,
                                      "p11": pb.ProbeConfig.p11},
     "probe excess": {"current": "w32", "scale": 2.0 ** -6, "res": 97},
@@ -457,9 +457,8 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
                     raise ConfigError("cannot load field: %s" % exc)
                 radius = u.domain.radius
             else:
-                u, _rep = pb.solve_dir_minimizer(
-                    _TRACES[cfg["boundary"]][0], res=cfg["res"],
-                    starts=cfg["starts"], seed=cfg["seed"])
+                u, _rep = pb.solve_dir_minimizer(_TRACES[cfg["boundary"]][0],
+                                                 res=cfg["res"])
                 radius = 1.0
             report = pb.reverse_holder_probe(u, radius=radius, config=pc)
         elif name == "excess":

@@ -4,7 +4,7 @@ The minimizer alternates two exact steps: with per-edge sheet matchings
 frozen, the energy is a quadratic form on the covering graph and one sparse
 solve gives its global minimum; with values frozen, re-matching each edge
 independently is optimal.  Both steps are non-increasing, so the scheme
-terminates; multi-start guards against bad matching basins.
+terminates; it starts from the cheapest matching of the sampled trace.
 
 Probes evaluate integral inequalities on constructed currents and report
 lhs/rhs tables with fitted constants.  Constants are always outputs of the
@@ -22,7 +22,7 @@ from . import qfield as qf
 from . import currents as cu
 from .qspace import _perm_bank, least_pairing
 
-_MAX_SWEEPS, _SWEEP_TOL = 40, 1e-10  # Dirichlet minimizer, per start
+_MAX_SWEEPS, _SWEEP_TOL = 40, 1e-10  # Dirichlet sweeps per start; least drop
 _WEAK_TRIALS = 10  # random weak small sets of the excess probe
 _BUMP_TRIALS, _BUMP_SEED = 100, 7  # local_optimality_trials: bumps, their seed
 
@@ -127,7 +127,7 @@ def _solve_given_matchings(vals, pinned, a, b, w, pmat):
 
 
 def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
-                        starts: int = 8, seed: int = 0, half: float = None):
+                        starts: int = 1, seed: int = 0, half: float = None):
     """Minimize the matched discrete energy over the disk with pinned trace.
 
     `trace` maps points (..., 2) to values (..., q, n), which set q and n;
@@ -135,7 +135,8 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     condition.  Returns (field, report); the reported energy uses the disk
     coverage weights, so it approximates the energy over the round disk.
     `half` overrides the grid half-width when the caller needs node alignment
-    with another grid.
+    with another grid.  Start 0 matches each edge to its cheapest permutation
+    on the sampled values; starts 1, 2, ... draw random matchings from `seed`.
     """
     if res < 2:
         raise ValueError("a grid needs res >= 2 nodes per axis")
@@ -147,7 +148,8 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     f = qf.from_callable(dom, res, trace)
     q, n, h = f.q, f.n, f.spacing
     nodes = f.nodes().reshape(-1, 2)
-    pinned_flat = np.linalg.norm(nodes, axis=-1) >= radius
+    dist = np.linalg.norm(nodes, axis=-1)
+    pinned_flat = dist >= radius
     weights = qf.disk_weights(f, (0.0, 0.0), radius)
     a, b, w = (np.concatenate(col)
                for col in zip(*qf.grid_edges(f.mask, weights, h)))
@@ -157,9 +159,9 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     best = None
     start_energies = []
     for start in range(starts):
-        eperm = (rng.integers(len(perms), size=len(a)) if start
-                 else np.zeros(len(a), dtype=np.int64))
         vals = f.values.reshape(-1, q, n).copy()
+        eperm = (rng.integers(len(perms), size=len(a)) if start
+                 else least_pairing(vals[a], vals[b])[1])
         history = []
         prev = math.inf
         converged = False
@@ -175,14 +177,13 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
                 converged = True
                 break
             prev = energy
-        if best is None or history[-1] < best[0] - 1e-15:
+        if best is None or history[-1] < best[0] - _SWEEP_TOL:
             best = (history[-1], vals.copy(), history, converged)
         start_energies.append(history[-1])
 
     energy, vals, history, converged = best
     out = f.copy()
     out.values = vals.reshape(f.values.shape)
-    dist = np.linalg.norm(nodes, axis=-1)
     # sheet collision point: the free node where the tuple is most
     # collapsed; a branching minimizer pins it near the true branch point
     gaps = vals[:, :, None, :] - vals[:, None, :, :]
@@ -378,7 +379,7 @@ def harmonic_approx_probe(scales=None, res: int = 65,
         half = (math.ceil(r / hu) + 2) * hu
         res_w = int(round(2 * half / hu)) + 1
         w, wrep = solve_dir_minimizer(u.nearest_values, res=res_w, radius=r,
-                                      starts=8, seed=config.seed, half=half)
+                                      half=half)
         usamp = qf.from_callable(w.domain, w.res, u.nearest_values)
         wd = wrep["weights"]
         h = w.spacing

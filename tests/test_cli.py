@@ -319,22 +319,24 @@ def test_probe_manifest_records_what_ran(tmp_path):
     default = list(pb.ProbeConfig().scales)
     runs = (("gradient-lp", [], "gradient-lp", {"scales": default, "p1": 1.25}),
             ("harmonic", [], "harmonic", {"scales": default[:3]}),
-            ("reverse-holder", ["--starts", "2"], "reverse-holder",
-             {"starts": 2, "p11": 1.5}))
+            ("reverse-holder", ["--p11", "1.4"], "reverse-holder",
+             {"p11": 1.4}))
     for probe, extra, stem, want in runs:
         out = tmp_path / probe
         assert cli.main(["probe", probe, "--res", "33", "--seed", "1",
                          "--out", str(out)] + extra) in (0, 1)
         cfg = _read(out / "manifest.json")["config"]
         assert {k: cfg[k] for k in want} == want
+        assert "starts" not in cfg
         if "scales" in want:
             rows = _read(out / ("probe-%s.json" % stem))["report"]["rows"]
             assert [row["scale"] for row in rows] == want["scales"]
 
 
 @pytest.mark.parametrize("argv, config", [
-    pytest.param(["harmonic", "--starts", "2"], {}, id="harmonic---starts"),
-    pytest.param(["excess", "--starts", "2"], {}, id="excess---starts"),
+    pytest.param(["harmonic", "--p11", "1.4"], {}, id="harmonic---p11"),
+    pytest.param(["excess", "--boundary", "linear"], {},
+                 id="excess---boundary"),
     pytest.param(["gradient-lp", "--radius4", "2"], {},
                  id="gradient-lp---radius4"),
     pytest.param(["reverse-holder", "--radius4", "2"], {},
@@ -362,6 +364,15 @@ def test_probe_flag_of_another_probe_exit_3(tmp_path, capsys, argv, config):
     assert all(flag in err for flag in flags)
 
 
+@pytest.mark.parametrize("probe", cli._names("probe"))
+def test_no_probe_reads_starts(tmp_path, probe):
+    """No probe's minimizer takes random starts, so --starts is no probe's
+    flag: argparse rejects it (exit 2)."""
+    assert cli.main(["probe", probe, "--starts", "2",
+                     "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_probe_bad_exponent_exit_3(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["probe", "gradient-lp", "--p1", "1.9",
@@ -379,8 +390,7 @@ _FLOORS = {"--res": "res >= 2", "--samples": "samples >= 1",
                                   ["gen-current", "w32", "--res", "9",
                                    "--profile-points", "0"],
                                   ["dirmin", "--res", "9", "--starts", "0"],
-                                  ["probe", "reverse-holder", "--res", "9",
-                                   "--starts", "0"]])
+                                  ["probe", "reverse-holder", "--res", "1"]])
 def test_single_node_grid_exit_3(tmp_path, capsys, argv):
     """A grid of one node, and any count below its floor, exits 3 and names
     the floor; none is clamped up to it."""
@@ -460,7 +470,7 @@ _COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
     (["rho-star-eval"],
      {"n": 1, "q": 2, "c0": 0.1, "delta": 0.1, "samples": 200}),
     (["dirmin"],
-     {"boundary": "sqrt-branch", "res": 33, "starts": 4, "radius": 1.0}),
+     {"boundary": "sqrt-branch", "res": 33, "starts": 1, "radius": 1.0}),
     (["probe", "excess"],
      {"probe": "excess", "current": "w32", "scale": 2.0 ** -6, "res": 97,
       "radius4": 1.0}),
@@ -470,7 +480,7 @@ _COMMON_DEFAULTS = {"out": "qlip-out", "seed": 0}
      dict(_FLAT, probe="excess", current="flat", res=97)),
     (["probe", "reverse-holder"],
      {"probe": "reverse-holder", "boundary": "sqrt-branch", "res": 49,
-      "starts": 4, "p11": 1.5}),
+      "p11": 1.5}),
     (["probe", "reverse-holder", "--input", "f.json"],
      {"probe": "reverse-holder", "input": "f.json", "p11": 1.5}),
 ])
@@ -516,8 +526,8 @@ def test_shared_current_flags(head):
                   "--scale", "3", "--radius4", "0.5"], {},
                  ["--scale", "--radius4"], id="gen-current-custom-graph"),
     pytest.param(["probe", "reverse-holder", "--input", "field.json",
-                  "--starts", "7", "--boundary", "linear", "--res", "99"], {},
-                 ["--starts", "--boundary", "--res"],
+                  "--boundary", "linear", "--res", "99"], {},
+                 ["--boundary", "--res"],
                  id="reverse-holder-input"),
     pytest.param(["gen-current", "spike", "--scale", "0.5"], {}, ["--scale"],
                  id="gen-current-spike-scale"),
