@@ -211,10 +211,26 @@ def build_embedding(n: int, q: int) -> EmbeddingSpec:
 
 def _block_patterns(q: int):
     """All weak orders on q labels plus the zero symbol, encoded by levels:
-    the level tuples whose used levels are exactly 0..L-1."""
-    return [(lv[:q], lv[q], max(lv) + 1)
-            for lv in itertools.product(range(q + 1), repeat=q + 1)
-            if len(set(lv)) == max(lv) + 1]
+    the level tuples whose used levels are exactly 0..L-1, in lexicographic
+    order.  A prefix grows only while the levels below its top that it
+    skips fit in the slots left."""
+    out = []
+
+    def grow(prefix, used, top, count):
+        left = q + 1 - len(prefix)
+        for lvl in range(q + 1):
+            ntop = max(top, lvl)
+            ncount = count + (not used >> lvl & 1)
+            if ntop + 1 - ncount >= left:  # skips more levels than slots left
+                if lvl > top:
+                    break
+            elif left == 1:
+                out.append((prefix, lvl, ntop + 1))
+            else:
+                grow(prefix + (lvl,), used | 1 << lvl, ntop, ncount)
+
+    grow((), 0, -1, 0)
+    return out
 
 
 def _row(spec, k, j, nq):

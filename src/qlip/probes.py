@@ -1,10 +1,13 @@
 """Discrete Dirichlet minimization and the empirical estimate probes.
 
 The minimizer alternates two exact steps: with per-edge sheet matchings
-frozen, the energy is a quadratic form on the covering graph and one sparse
-solve gives its global minimum; with values frozen, re-matching each edge
-independently is optimal.  Both steps are non-increasing, so the scheme
-terminates; it starts from the cheapest matching of the sampled trace.
+frozen, the energy is a quadratic form and one sparse solve gives its global
+minimum; with values frozen, re-matching each edge independently is optimal.
+Both steps are non-increasing, so the scheme terminates; it starts from the
+cheapest matching of the sampled trace.  A sheet permutation fixes a tuple's
+mean, so the energy splits into the mean's, a harmonic function solved once
+per call, and the sum-zero part's, on q - 1 coordinates per node, which is
+all that each sweep solves.
 
 Probes evaluate integral inequalities on constructed currents and report
 lhs/rhs tables with fitted constants.  Constants are always outputs of the
@@ -86,7 +89,7 @@ def _loglog_slope(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet minimization on the covering graph
+# Dirichlet minimization: the harmonic mean and the sum-zero sheets
 
 
 def spsolve(A, b):
@@ -97,33 +100,60 @@ def spsolve(A, b):
     return solve(A, b)
 
 
-def _solve_given_matchings(vals, pinned, a, b, w, pmat):
+def _sheet_basis(q: int):
+    """(basis, rots) of a node's q sheets.  basis is orthonormal (q, q): row
+    0 is the mean direction (1, ..., 1)/sqrt(q), and row i >= 1 the Helmert
+    row (1, ..., 1, -i, 0, ..., 0)/sqrt(i (i + 1)), so rows 1.. (H) span
+    the sum-zero tuples.  Every sheet permutation P fixes (1, ..., 1), so
+    it acts on the sum-zero coordinates alone, by rots[r] = H P_r H^T for
+    bank row r; rots is built from the integer rows, so the identity gives
+    exactly I."""
+    g = np.tril(np.ones((q, q)), -1)
+    g[0] = 1.0
+    g[np.arange(1, q), np.arange(1, q)] = -np.arange(1, q)
+    sq = (g ** 2).sum(axis=1)
+    hz = g[1:]
+    rots = hz @ hz.T[_perm_bank(q)] / np.sqrt(np.outer(sq[1:], sq[1:]))
+    return g / np.sqrt(sq)[:, None], rots
+
+
+def _solve_given_matchings(vals, pinned, a, b, w, rot):
     """Minimize the frozen-matching quadratic form; one sparse solve.
 
-    Row (e, j) of the signed incidence matrix B of the covering graph joins
-    sheet j at node a[e] (+1) to sheet pmat[e, j] at node b[e] (-1), so the
+    vals holds k coordinates of n values per node, (npts, k, n).  Row (e, i)
+    of the incidence matrix B is x(a[e])_i - (rot[e] x(b[e]))_i, so the
     energy is |B x|^2 weighted by w and its Laplacian is L = B^T diag(w) B
-    over the (node, sheet) unknowns.  Split into free (f) and pinned (p)
-    columns, the free values solve L_ff x_f = -L_fp x_p."""
+    over the (node, coordinate) unknowns.  Split into free (f) and pinned
+    (p) columns, the free values solve L_ff x_f = -L_fp x_p."""
     from scipy import sparse
 
-    npts, q, n = vals.shape
-    free = np.repeat(~pinned, q)
+    npts, k, n = vals.shape
+    free = np.repeat(~pinned, k)
     if not free.any():
         return vals
-    rows = np.arange(len(a) * q)
-    heads = (a[:, None] * q + np.arange(q)).ravel()
-    tails = (b[:, None] * q + pmat).ravel()
+    rows = np.arange(len(a) * k)
+    comp = np.arange(k)
+    heads = (a[:, None] * k + comp).ravel()
+    tails = np.broadcast_to(b[:, None, None] * k + comp, rot.shape).ravel()
     inc = sparse.csr_matrix(
-        (np.repeat([1.0, -1.0], len(rows)),
-         (np.tile(rows, 2), np.concatenate([heads, tails]))),
-        shape=(len(rows), npts * q))
-    lap = (inc.T @ sparse.diags(np.repeat(w, q)) @ inc).tocsr()[free]
+        (np.concatenate([np.ones(len(rows)), -rot.ravel()]),
+         (np.concatenate([rows, np.repeat(rows, k)]),
+          np.concatenate([heads, tails]))),
+        shape=(len(rows), npts * k))
+    lap = (inc.T @ sparse.diags(np.repeat(w, k)) @ inc).tocsr()[free]
     flat = vals.reshape(-1, n)
     sol = spsolve(lap[:, free].tocsc(), -(lap[:, ~free] @ flat[~free]))
     out = flat.copy()
     out[free] = np.reshape(sol, (-1, n))
     return out.reshape(vals.shape)
+
+
+def _from_sheet_coords(vals, free, basis, coords):
+    """vals with each free node's tuple rebuilt from its basis coordinates
+    (npts, q, n); pinned nodes keep their values bit for bit."""
+    out = vals.copy()
+    out[free] = np.einsum("ji,pjn->pin", basis, coords[free])
+    return out
 
 
 def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
@@ -137,6 +167,12 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     `half` overrides the grid half-width when the caller needs node alignment
     with another grid.  Start 0 matches each edge to its cheapest permutation
     on the sampled values; starts 1, 2, ... draw random matchings from `seed`.
+
+    In the `_sheet_basis` coordinates the matched energy splits into the
+    mean's graph energy, which no matching changes, and the sum-zero part's,
+    whose edges carry the rotation of their permutation.  So the mean is
+    solved once, as a harmonic function, and each sweep solves only the
+    q - 1 sum-zero coordinates (none for q = 1).
     """
     if res < 2:
         raise ValueError("a grid needs res >= 2 nodes per axis")
@@ -153,21 +189,25 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     weights = qf.disk_weights(f, (0.0, 0.0), radius)
     a, b, w = (np.concatenate(col)
                for col in zip(*qf.grid_edges(f.mask, weights, h)))
-    perms = _perm_bank(q)
+    basis, rots = _sheet_basis(q)
     rng = np.random.default_rng(seed)
+    trace_vals = f.values.reshape(-1, q, n)
+    coords = np.einsum("ij,pjn->pin", basis, trace_vals)
+    coords[:, :1] = _solve_given_matchings(coords[:, :1], pinned_flat, a, b,
+                                           w, np.ones((len(a), 1, 1)))
 
     best = None
     start_energies = []
     for start in range(starts):
-        vals = f.values.reshape(-1, q, n).copy()
-        eperm = (rng.integers(len(perms), size=len(a)) if start
-                 else least_pairing(vals[a], vals[b])[1])
+        eperm = (rng.integers(len(rots), size=len(a)) if start
+                 else least_pairing(trace_vals[a], trace_vals[b])[1])
         history = []
         prev = math.inf
         converged = False
         for sweep in range(_MAX_SWEEPS):
-            vals = _solve_given_matchings(vals, pinned_flat, a, b, w,
-                                          perms[eperm])
+            coords[:, 1:] = _solve_given_matchings(
+                coords[:, 1:], pinned_flat, a, b, w, rots[eperm])
+            vals = _from_sheet_coords(trace_vals, ~pinned_flat, basis, coords)
             # rematch each edge to its cheapest permutation; the matched
             # cost of the new values is then the energy
             cost, eperm = least_pairing(vals[a], vals[b])
@@ -178,7 +218,7 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
                 break
             prev = energy
         if best is None or history[-1] < best[0] - _SWEEP_TOL:
-            best = (history[-1], vals.copy(), history, converged)
+            best = (history[-1], vals, history, converged)
         start_energies.append(history[-1])
 
     energy, vals, history, converged = best

@@ -321,6 +321,16 @@ def test_face_test_agrees_with_lp_oracle(monkeypatch):
     assert (faces, len(calls) - faces) == (76 + 49, 120)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_block_patterns_are_the_product_filter(q):
+    """The pruned recursion lists exactly the level tuples whose used levels
+    are 0..L-1, in the product's lexicographic order."""
+    want = [(lv[:q], lv[q], max(lv) + 1)
+            for lv in itertools.product(range(q + 1), repeat=q + 1)
+            if len(set(lv)) == max(lv) + 1]
+    assert embed._block_patterns(q) == want
+
+
 def test_lattice_over_budget_raises(monkeypatch):
     monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
     monkeypatch.setattr(embed, "_FACE_BUDGET", 47)

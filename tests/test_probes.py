@@ -118,6 +118,91 @@ def test_dirmin_local_optimality():
     assert abs(base - rep["energy"]) <= 1e-12
 
 
+def _covering_graph_solve(vals, pinned, a, b, w, pmat):
+    """Reference: the frozen-matching solve over all q·N (node, sheet)
+    unknowns.  Row (e, j) of the covering graph's signed incidence matrix
+    joins sheet j at node a[e] (+1) to sheet pmat[e, j] at node b[e] (-1)."""
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    npts, q, n = vals.shape
+    free = np.repeat(~pinned, q)
+    rows = np.arange(len(a) * q)
+    heads = (a[:, None] * q + np.arange(q)).ravel()
+    tails = (b[:, None] * q + pmat).ravel()
+    inc = sparse.csr_matrix(
+        (np.repeat([1.0, -1.0], len(rows)),
+         (np.tile(rows, 2), np.concatenate([heads, tails]))),
+        shape=(len(rows), npts * q))
+    lap = (inc.T @ sparse.diags(np.repeat(w, q)) @ inc).tocsr()[free]
+    flat = vals.reshape(-1, n)
+    sol = spsolve(lap[:, free].tocsc(), -(lap[:, ~free] @ flat[~free]))
+    out = flat.copy()
+    out[free] = np.reshape(sol, (-1, n))
+    return out.reshape(vals.shape)
+
+
+@pytest.mark.parametrize("q, n", [(1, 1), (2, 2), (3, 2)])
+def test_split_solve_matches_the_covering_graph(q, n):
+    """The mean solve plus the sum-zero solve under random matchings give
+    the covering-graph solution on a res-17 disk."""
+    rng = np.random.default_rng(10 * q + n)
+    f = qf.from_callable(qf.square(1.375), 17,
+                         lambda p: rng.normal(size=p.shape[:-1] + (q, n)))
+    vals = f.values.reshape(-1, q, n)
+    pinned = np.linalg.norm(f.nodes().reshape(-1, 2), axis=-1) >= 1.0
+    weights = qf.disk_weights(f, (0.0, 0.0), 1.0)
+    a, b, w = (np.concatenate(col)
+               for col in zip(*qf.grid_edges(f.mask, weights, f.spacing)))
+    eperm = rng.integers(math.factorial(q), size=len(a))
+    want = _covering_graph_solve(vals, pinned, a, b, w,
+                                 pb._perm_bank(q)[eperm])
+
+    basis, rots = pb._sheet_basis(q)
+    coords = np.einsum("ij,pjn->pin", basis, vals)
+    coords[:, :1] = pb._solve_given_matchings(
+        coords[:, :1], pinned, a, b, w, np.ones((len(a), 1, 1)))
+    coords[:, 1:] = pb._solve_given_matchings(
+        coords[:, 1:], pinned, a, b, w, rots[eperm])
+    got = pb._from_sheet_coords(vals, ~pinned, basis, coords)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert np.array_equal(got[pinned], vals[pinned])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_sheet_basis_splits_off_the_mean(q):
+    basis, rots = pb._sheet_basis(q)
+    assert np.allclose(basis @ basis.T, np.eye(q), atol=1e-15)
+    assert np.allclose(basis[0], 1.0 / math.sqrt(q))
+    perms = pb._perm_bank(q)
+    hz = basis[1:]
+    for perm, rot in zip(perms, rots):
+        # P u has sum-zero coordinates R z when u has z
+        pmat = np.eye(q)[perm]
+        assert np.allclose(rot, hz @ pmat @ hz.T, atol=1e-15)
+    assert np.array_equal(rots[0], np.eye(q - 1))  # bank row 0: identity
+
+
+def _offset_sqrt_trace(p):
+    shift = np.stack([p[..., 0] ** 2 - 0.5 * p[..., 1], p[..., 0] * p[..., 1]],
+                     axis=-1)
+    return _sqrt_trace(p) + shift[..., None, :]
+
+
+def test_dirmin_mean_is_the_harmonic_extension_of_the_trace_mean():
+    """The average of the minimizer is the scalar harmonic extension of the
+    trace's average, and no start changes it."""
+    f1, _ = pb.solve_dir_minimizer(_offset_sqrt_trace, res=33)
+    scalar, _ = pb.solve_dir_minimizer(
+        lambda p: _offset_sqrt_trace(p).mean(axis=-2, keepdims=True), res=33)
+    mean = f1.values.mean(axis=-2)
+    want = scalar.values[..., 0, :]
+    assert np.all(np.abs(mean - want) <= 1e-12 * (1.0 + np.abs(want)))
+    f4, _ = pb.solve_dir_minimizer(_offset_sqrt_trace, res=33, starts=4,
+                                   seed=3)
+    assert np.array_equal(f4.values.mean(axis=-2), mean)
+
+
 def test_reverse_holder_constant():
     f = constant_field(qf.square(1.2), 49, QPoint([[0.1, 0.2]]))
     rep = pb.reverse_holder_probe(f, radius=1.2)
