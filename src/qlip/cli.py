@@ -73,13 +73,25 @@ class _Sink:
     def write_json(self, name: str, obj) -> Path:
         return self.write(name, _dumps(obj))
 
-    def note_input(self, path) -> bytes:
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as exc:
-            raise ConfigError("cannot read input file %s: %s" % (path, exc))
-        self.inputs[str(path)] = hashlib.sha256(raw).hexdigest()
-        return raw
+
+def _read_json(path, what: str, inputs: dict, decode):
+    """decode(the JSON value of the file at path), with the file's sha256
+    noted in inputs.  A file that cannot be read or parsed, or whose value
+    decode rejects with KeyError, TypeError or ValueError, is a ConfigError
+    (exit 3)."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc))
+    inputs[str(path)] = hashlib.sha256(raw).hexdigest()
+    try:
+        return decode(json.loads(raw.decode()))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError("%s %s is not valid JSON: %s" % (what, path, exc))
+    except KeyError as exc:
+        raise ConfigError("%s %s lacks the key %s" % (what, path, exc))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("cannot load %s %s: %s" % (what, path, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +149,13 @@ def _names(prefix: str) -> list:
                               if row.startswith(prefix + " ")))
 
 
-def _load_config_file(path: str, inputs: dict) -> dict:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc))
-    inputs[str(path)] = hashlib.sha256(raw).hexdigest()
-    try:
-        obj = json.loads(raw.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
+def _config_keys(obj) -> dict:
+    """A config file's keys: its JSON object, schema checked and dropped."""
     if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    if obj.get("schema", SCHEMA) != SCHEMA:
-        raise ConfigError("unsupported config schema %r" % obj.get("schema"))
-    obj.pop("schema", None)
+        raise ValueError("its root must be a JSON object")
+    schema = obj.pop("schema", SCHEMA)
+    if schema != SCHEMA:
+        raise ValueError("unsupported schema %r" % schema)
     return obj
 
 
@@ -160,7 +164,8 @@ def _merge_config(args) -> tuple:
     in the config file, like an absent flag, leaves the default; any other
     config value must be one its flag could parse to."""
     inputs = {}
-    given = _load_config_file(args.config, inputs) if args.config else {}
+    given = (_read_json(args.config, "config", inputs, _config_keys)
+             if args.config else {})
     given = {key: val for key, val in given.items() if val is not None}
     for key, val in given.items():
         if key in _FLAGS and not (_fits(_FLAGS[key], val) or key == "heights"
@@ -242,20 +247,17 @@ def _make_current(cfg: dict, sink: _Sink) -> cu.GraphCurrent:
         raise ConfigError(str(exc))
     if not cfg["input"]:
         raise ConfigError("custom-graph needs --input <current JSON>")
-    raw = sink.note_input(cfg["input"])
-    try:
-        blob = json.loads(raw.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError("input is not valid JSON: %s" % exc)
+    return _read_json(cfg["input"], "input", sink.inputs, _current_blob)
+
+
+def _current_blob(blob) -> cu.GraphCurrent:
+    """The current of a current JSON, bare or as gen-current wrote it."""
     if "current" in blob:
         blob = blob["current"]
     if "base" not in blob:
-        raise ConfigError("input does not look like a serialized current")
-    try:
-        T = cu.current_from_json(blob)
-        T.excess  # built here so an unsupported q fails as bad input
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("cannot rebuild current: %s" % exc)
+        raise ValueError("it does not look like a serialized current")
+    T = cu.current_from_json(blob)
+    T.excess  # built here so an unsupported q fails as bad input
     return T
 
 
@@ -449,12 +451,8 @@ def _cmd_probe(cfg: dict, sink: _Sink) -> int:
                 config=pc)
         elif name == "reverse-holder":
             if "input" in cfg:
-                raw = sink.note_input(cfg["input"])
-                try:
-                    u = qf.QGridFunction.from_json(json.loads(raw.decode()))
-                except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                        ValueError) as exc:
-                    raise ConfigError("cannot load field: %s" % exc)
+                u = _read_json(cfg["input"], "input", sink.inputs,
+                               qf.QGridFunction.from_json)
                 radius = u.domain.radius
             else:
                 u, _rep = pb.solve_dir_minimizer(_TRACES[cfg["boundary"]][0],

@@ -31,7 +31,6 @@ _POLAR_NODES = (96, 32)  # excess disk quadrature: directions, Gauss radii
 _PROFILE_NODES = (64, 24)  # mass-ratio ray quadrature: directions, Gauss radii
 _SHORT_MAP_BOX, _SHORT_MAP_SAMPLES = 4.0, 300  # short-map spot check
 _COMPETITOR_SIGMAS = 10  # competitor: candidate blend radii in [1.25 r, 2 r]
-_COMPETITOR_INVERSE_TOL = 1e-4  # competitor: xi_inverse of its retracted values
 
 
 @dataclass(frozen=True)
@@ -665,8 +664,7 @@ def build_competitor(T: GraphCurrent, beta1: float):
     t = np.where(ann1, (dist - r1) / (r2 - r1), (dist - r2) / (r3 - r2))[ring, None]
     gprime[ring] = qf.retract_embedded((1 - t) * lo + t * hi, machinery)
     gvals = u.values.copy()
-    gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside],
-                              tol=_COMPETITOR_INVERSE_TOL)
+    gvals[inside] = xi_inverse(machinery.lattice, sqrtE * gprime[inside])
     g = qf.QGridFunction(f.domain, f.res, gvals, u.mask)
 
     wsig = qf.disk_weights(f, T.center, sigma)

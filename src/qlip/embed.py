@@ -31,7 +31,7 @@ _SPAN_TOL = 1e-9
 _SPAN_PAIRS = 1 << 14
 _PROJECT_CHUNK = 256
 _APERTURE_START, _APERTURE_SAMPLES = 0.5, 200  # calibration: first try, points
-_FACE_TOL = 1e-7  # face_of_point: distance slack, relative to 1 + |v|
+_ON_CONE_TOL = 1e-7  # on-cone slack of a decoded or retracted point, relative to 1 + |v|
 _EMBED_SEED = 0  # build_embedding: seed of the n >= 3 frames and the certificate
 _CERTIFICATE_PAIRS = 2000  # build_embedding: sampled pairs of the certificate
 
@@ -634,6 +634,11 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
     def dfs(k, chosen, eq_rows, strict_rows):
         if k == dims.h:
             found.add(_canonical_pattern(tuple(chosen), dims.q))
+            if len(found) > _FACE_BUDGET:
+                raise ValueError(
+                    f"the (n, q) = ({dims.n}, {dims.q}) cone has more than "
+                    f"{_FACE_BUDGET} faces, the budget that the lattice build "
+                    "supports")
             return
         for pi in block0 if k == 0 else range(len(patterns)):
             pat = patterns[pi]
@@ -642,10 +647,6 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
                 dfs(k + 1, chosen + [pat], eq_rows + e, strict_rows + s)
 
     dfs(0, [], [], [])
-    if len(found) > _FACE_BUDGET:
-        raise ValueError(
-            f"the (n, q) = ({dims.n}, {dims.q}) cone has {len(found)} faces, over "
-            f"the budget of {_FACE_BUDGET} that the lattice build supports")
 
     faces = []
     for i, pattern in enumerate(sorted(found)):
@@ -754,12 +755,12 @@ def _calibrate_aperture(lattice) -> float:
 
 
 def face_of_point(lattice: FaceLattice, v: np.ndarray) -> FaceRecord:
-    """The lowest-dimensional face whose closure lies within _FACE_TOL *
+    """The lowest-dimensional face whose closure lies within _ON_CONE_TOL *
     (1 + |v|) of v; for a point of the cone, the face containing it.  Raises
     NotOnImageError when even the top faces are farther than that.  Kept as
     the tests' oracle: every face is recovered from a point of it."""
     v = np.asarray(v, dtype=float)[None]
-    tol_abs = _FACE_TOL * (1.0 + float(np.linalg.norm(v)))
+    tol_abs = _ON_CONE_TOL * (1.0 + float(np.linalg.norm(v)))
     for k in range(lattice.max_dim + 1):
         faces = lattice.faces_of_dim(k)
         _, d, which = faces.nearest(v)
@@ -770,7 +771,7 @@ def face_of_point(lattice: FaceLattice, v: np.ndarray) -> FaceRecord:
         f"tolerance {tol_abs:.3e})", residual=float(d[0]))
 
 
-def xi_inverse(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+def xi_inverse(lattice: FaceLattice, v: np.ndarray) -> np.ndarray:
     """The tuples embedded at the rows of v (..., N), as (..., q, n) arrays in
     QPoint's lexicographic row order.
 
@@ -778,7 +779,7 @@ def xi_inverse(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> np.nda
     face's pattern fixes which sorted entry of each block belongs to which
     label; one least-squares solve over every (row, label) then recovers the
     points.  Raises NotOnImageError when a row is farther than
-    tol * (1 + |v|) from the cone.
+    _ON_CONE_TOL * (1 + |v|) from the cone.
     """
     spec = lattice.spec
     q, n, h, big_n = spec.dims.q, spec.dims.n, spec.dims.h, spec.dims.big_n
@@ -791,12 +792,12 @@ def xi_inverse(lattice: FaceLattice, v: np.ndarray, tol: float = 1e-7) -> np.nda
         raise ValueError(f"{int(bad.sum())} row(s) are not finite")
     top = lattice.top_faces
     _, dist, which = top.nearest(rows)
-    off = dist > tol * (1.0 + np.linalg.norm(rows, axis=1))
+    off = dist > _ON_CONE_TOL * (1.0 + np.linalg.norm(rows, axis=1))
     if off.any():
         worst = float(dist[off].max())
         raise NotOnImageError(
             f"{int(off.sum())} of {len(rows)} row(s) are not on the embedded "
-            f"cone (worst residual {worst:.3e}, tolerance {tol:.1e} * (1 + |v|))",
+            f"cone (worst residual {worst:.3e}, tolerance {_ON_CONE_TOL:.1e} * (1 + |v|))",
             residual=worst)
     w = rows.reshape(-1, h, q) / spec.scale
     out = np.empty((len(rows), q, n))

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import xi_batch, xi_inverse
+from .embed import _ON_CONE_TOL, xi_batch, xi_inverse
 from .qspace import matched_diff_sq
 
 _DISK_SUB = 4  # disk_weights: samples per axis of a rim cell
 _LIP_STENCIL = 2  # lipschitz_and_osc: largest node offset per axis
-_EXTEND_INVERSE_TOL = 1e-5  # lipschitz_extend: xi_inverse of its retractions
 
 
 @dataclass(frozen=True)
@@ -366,8 +365,7 @@ def lipschitz_extend(f: QGridFunction, keep: np.ndarray, lip: float) -> QGridFun
     qpts = pts[tuple(np.asarray(todo).T)]
     dists = np.linalg.norm(qpts[:, None, :] - anchors[None, :, :], axis=-1)
     ext = np.min(avals[None, :, :] + lip * dists[:, :, None], axis=1)
-    out.values[tuple(todo.T)] = xi_inverse(
-        lat, retract_embedded(ext, machinery), tol=_EXTEND_INVERSE_TOL)
+    out.values[tuple(todo.T)] = xi_inverse(lat, retract_embedded(ext, machinery))
     return out
 
 
@@ -400,7 +398,7 @@ def retract_embedded(emb: np.ndarray, machinery) -> np.ndarray:
     the residual is tiny, the full almost-projection otherwise."""
     flat = emb.reshape(-1, emb.shape[-1])
     out, resid = machinery.lattice.nearest_point_batch(flat)
-    tol = machinery.on_image_tol * (1 + np.linalg.norm(flat, axis=1))
+    tol = _ON_CONE_TOL * (1 + np.linalg.norm(flat, axis=1))
     off = np.flatnonzero(resid > tol)
     if len(off):
         out[off] = machinery.rho_star_batch(flat[off])

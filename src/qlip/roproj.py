@@ -13,10 +13,10 @@ Three maps share a ladder of constants c_{-1} > c_0 > ... > c_{nQ-1}:
   computed constructively by a Lipschitz min-max interpolation from anchor
   points on the cone, then projected into the face closure.
 * rho_star: defined everywhere; points outside the neighborhood are moved
-  to its exactly nearest point first.
+  to its nearest point first, a hair inside the boundary.
 
-The ladder's "paper" mode ties every constant to powers delta^(8^(k-nQ));
-"explicit" mode keeps the 8th-power chain but decouples the desk-scale tube
+The ladder's `paper` constructor ties every constant to powers
+delta^(8^(k-nQ)); `explicit` keeps the 8th-power chain but decouples the tube
 parameter delta from the chain, so the construction can be exercised with
 visible magnitudes.
 """
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coneproj import kirszbraun_value
-from .embed import (EmbeddingSpec, FaceLattice, NotOnImageError,
+from .embed import (_ON_CONE_TOL, EmbeddingSpec, FaceLattice, NotOnImageError,
                     build_embedding, face_lattice, xi_batch, xi_inverse)
 
 _LOG8 = math.log(8.0)
-_ANCHOR_INVERSE_TOL = 1e-5  # Kirszbraun gap: xi_inverse of the nearest point
+_CLAMP_MARGIN = 1e-6  # clamp_to_neighborhood: depth inside a tube, per radius
 
 
 class LadderError(ValueError):
@@ -75,16 +75,14 @@ class ConstantLadder:
     """Constants c_{-1}, c_0, ..., c_{nq-1} with c_{k+1} = c_k^8.
 
     `c[0]` stores c_{-1}; use `ck(k)` for the natural indexing.  `delta` is
-    the tube-scale parameter of the extension; in paper mode it also
+    the tube-scale parameter of the extension; in `paper` it also
     generates the chain via c_k = delta^(8^(k-nq)).  log10_c carries the
     exact logarithms so underflowed entries (stored as 0.0) keep meaning:
     a zero c_k is a degenerate tube and that cascade level acts nowhere.
     """
 
     nq: int
-    mode: str
     delta: float
-    log10_delta: float
     c: np.ndarray
     log10_c: np.ndarray
 
@@ -104,8 +102,7 @@ class ConstantLadder:
         log10_c = np.array([log10_delta * 8.0 ** (k - nq) for k in range(-1, nq)])
         with np.errstate(under="ignore"):
             c = 10.0 ** log10_c
-        ladder = ConstantLadder(nq=nq, mode="paper", delta=delta,
-                                log10_delta=log10_delta, c=c, log10_c=log10_c)
+        ladder = ConstantLadder(nq=nq, delta=delta, c=c, log10_c=log10_c)
         if ladder.ck(0) >= 0.125:
             raise LadderError(f"c0 = {ladder.ck(0):.4g} >= 1/8: radial maps undefined")
         return ladder
@@ -119,9 +116,7 @@ class ConstantLadder:
         log10_c = np.array([math.log10(c0) * 8.0 ** k for k in range(-1, nq)])
         with np.errstate(under="ignore"):
             c = 10.0 ** log10_c
-        return ConstantLadder(nq=nq, mode="explicit", delta=delta,
-                              log10_delta=math.log10(c0) * 8.0 ** nq, c=c,
-                              log10_c=log10_c)
+        return ConstantLadder(nq=nq, delta=delta, c=c, log10_c=log10_c)
 
     def validate_margins(self, lattice: FaceLattice) -> dict:
         """Check 2 sqrt(c_k) < cbar_k * c_{k-1}^2 against the measured face
@@ -152,7 +147,6 @@ class AlmostProjection:
     """Bundle of spec + lattice + ladder evaluating the three maps."""
 
     far_scale = 1.0  # least skeleton distance of the projection region
-    on_image_tol = 1e-7  # on-cone slack, relative to 1 + |x|
 
     def __init__(self, spec: EmbeddingSpec, lattice: FaceLattice,
                  ladder: ConstantLadder):
@@ -171,7 +165,7 @@ class AlmostProjection:
         if not assume_on_image:
             _, dist = self.lattice.nearest_point_batch(pts)
             scale = 1.0 + np.linalg.norm(pts, axis=1)
-            bad = dist > self.on_image_tol * scale
+            bad = dist > _ON_CONE_TOL * scale
             if np.any(bad):
                 i = int(np.argmax(dist / scale))
                 raise NotOnImageError(
@@ -301,7 +295,8 @@ class AlmostProjection:
         base_s along each coordinate of that point's tuple t0, s = 1, sqrt(8),
         8, base_s = max(2 dq, delta^(level+1), c_min(level, nq-1) / 16, 1e-9);
         a far anchor in the projection region of its face (else the nearest
-        point again); and the nearby lower-skeleton points."""
+        point again); and the nearby lower-skeleton points.  A face closure
+        lies in the cone, so the projected value needs no snap."""
         lat, lad, spec = self.lattice, self.ladder, self.spec
         nq, q, n = lad.nq, spec.dims.q, spec.dims.n
         lip = 1.0 + 4.0 * lad.ck(-1)
@@ -310,7 +305,7 @@ class AlmostProjection:
                          np.full(len(x), 1e-9)], axis=0)
         stencil = np.concatenate([s * np.eye(q * n) for s in (
             1.0, -1.0, math.sqrt(8.0), -math.sqrt(8.0), 8.0, -8.0)])
-        t0 = xi_inverse(lat, near, tol=_ANCHOR_INVERSE_TOL).reshape(len(x), 1, q * n)
+        t0 = xi_inverse(lat, near).reshape(len(x), 1, q * n)
         around = xi_batch(spec, (t0 + base_s[:, None, None] * stencil)
                           .reshape(len(x), -1, q, n))
         far = near.copy()
@@ -343,20 +338,15 @@ class AlmostProjection:
         for k in np.unique(level):
             rows = np.flatnonzero(level == k)
             out[rows] = lat.faces_of_dim(k).project(ybest[rows], which[rows])
-        q_pt, resid = lat.nearest_point_batch(out)
-        off = resid > self.on_image_tol * (1.0 + np.linalg.norm(out, axis=1))
-        if np.any(off):
-            out[off] = self.rho_flat(q_pt[off], assume_on_image=True)
         return out
 
     # -- rho_star ------------------------------------------------------------
 
-    def clamp_to_neighborhood(self, x: np.ndarray,
-                              margin: float = 1e-6) -> np.ndarray:
+    def clamp_to_neighborhood(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the union of tubes (along the segment to the
-        realizing skeleton point), pulled `margin` inside the boundary so the
-        membership test stays stable under re-evaluation noise.  The rows of
-        a 2-D x are clamped independently.
+        realizing skeleton point), pulled _CLAMP_MARGIN of the tube radius
+        inside the boundary so the membership test stays stable under
+        re-evaluation noise.  The rows of a 2-D x are clamped independently.
 
         A face of dim k lies in the skeleton S_k, whose tube has radius
         delta^(k+1) (the top faces carry the cone's own tube), so the nearest
@@ -373,7 +363,7 @@ class AlmostProjection:
         out = pts.copy()
         move = dist - rad > 0
         out[move] = point[move] + (pts[move] - point[move]) * (
-            rad[move] * (1.0 - margin) / dist[move])[:, None]
+            rad[move] * (1.0 - _CLAMP_MARGIN) / dist[move])[:, None]
         return out[0] if single else out
 
     def rho_star(self, x: np.ndarray) -> np.ndarray:
@@ -381,8 +371,7 @@ class AlmostProjection:
 
     def rho_star_batch(self, pts: np.ndarray) -> np.ndarray:
         """rho_star of each row.  Rows outside every tube are clamped into
-        the tubes first (a second time, with a wider margin, if the clamped
-        point still grazes the boundary); then rho_sharp runs on the batch."""
+        the tubes first, once; then rho_sharp runs on the batch."""
         x = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         bad = ~np.all(np.isfinite(x), axis=1)
         if np.any(bad):
@@ -392,15 +381,7 @@ class AlmostProjection:
         rows = np.flatnonzero(loc[2] < 0)
         if len(rows):
             x[rows] = self.clamp_to_neighborhood(x[rows])
-            sub = self._locate(x[rows])
-            # boundary-grazing inputs: pull decisively into the tube
-            again = (sub[2] < 0) & ~self._on_cone(x[rows], sub[1])
-            if np.any(again):
-                x[rows[again]] = self.clamp_to_neighborhood(x[rows[again]],
-                                                            margin=1e-3)
-                for whole, part in zip(sub, self._locate(x[rows[again]])):
-                    whole[again] = part
-            for whole, part in zip(loc, sub):
+            for whole, part in zip(loc, self._locate(x[rows])):
                 whole[rows] = part
         return self._sharp(x, *loc)
 

@@ -245,7 +245,7 @@ def test_rho_star_eval_over_face_budget_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(embed, "_FACE_BUDGET", 19)
     assert cli.main(["rho-star-eval", "--n", "1", "--q", "3", "--samples", "2",
                      "--out", str(tmp_path / "run")]) == 3
-    assert "(1, 3) cone has 20 faces, over the budget of 19" in capsys.readouterr().err
+    assert "(1, 3) cone has more than 19 faces" in capsys.readouterr().err
 
 
 def test_dirmin_sqrt_branch_cli(tmp_path):
@@ -449,6 +449,44 @@ def test_report_empty_and_corrupt(tmp_path):
                      "--out", str(rep)]) == 3
     (empty / "junk.json").write_text("{broken")
     assert cli.main(["report", "--dir", str(empty), "--out", str(rep)]) == 3
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["gen-current", "custom-graph"], None, "custom-graph needs --input"),
+    (["gen-current", "custom-graph", "--input", "FILE"], "{nope",
+     "is not valid JSON"),
+    (["gen-current", "custom-graph", "--input", "FILE"], '{"res": 9}',
+     "does not look like a serialized current"),
+    (["gen-current", "custom-graph", "--input", "FILE"], '{"base": 5}',
+     "cannot load input"),
+    (["probe", "reverse-holder", "--input", "FILE"], '{"domain": 1}',
+     "cannot load input"),
+    (["probe", "reverse-holder", "--input", "FILE"], "[1]",
+     "cannot load input"),
+    (["gen-current", "flat", "--config", "FILE"], "[1]",
+     "its root must be a JSON object"),
+    (["gen-current", "flat", "--heights", "notjson"], None,
+     "heights must be JSON"),
+    (["approx", "--beta", "0.5"], None, "beta out of range"),
+    (["approx", "--current", "spike", "--delta11", "1e-6", "--strict"], None,
+     "excess too large for the threshold"),
+    (["probe", "persistence", "--current", "flat"], None,
+     "persistence probe runs on the branched benchmark only"),
+    (["report", "--dir", "DIR"], "[1, 2]", "not an object"),
+])
+def test_unusable_input_exit_3(tmp_path, capsys, argv, text, message):
+    """Each unusable input or setting exits 3 with one `qlip:` line that
+    names the fault, never with a traceback.  FILE in argv names a file of
+    the given text, DIR the directory that holds it."""
+    path = tmp_path / "dir" / "in.json"
+    if text is not None:
+        path.parent.mkdir()
+        path.write_text(text)
+    argv = [{"FILE": str(path), "DIR": str(path.parent)}.get(a, a)
+            for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qlip: ") and message in err, err
 
 
 _FLAT = {"q": 2, "n": 1, "heights": None, "res": 65, "radius4": 1.0}

@@ -25,6 +25,7 @@ from scipy.optimize import brentq
 
 from qlip import currents as cu
 from qlip import qfield as qf
+from qlip.embed import xi_inverse
 from qlip.qspace import QPoint, metric_g
 
 
@@ -385,6 +386,40 @@ def test_competitor_w32_pinned(k, digest, gap_rebuilt):
     got = hashlib.sha256(np.ascontiguousarray(g.values).tobytes()).hexdigest()
     assert (got, rep["gap_rebuilt"], rep["choice"]) == (digest, gap_rebuilt,
                                                          "kept")
+
+
+def _spike_extension():
+    # the CLI's `approx --current spike`: its Lipschitz extension decodes rows
+    T = cu.flat_current(q=2, n=1, heights=None, res=129, radius4=4.0,
+                        spikes=(cu.Spike((0.3, 0.2), 0.05, 0.008),))
+    E = T.excess.excess_ratio(T.radius4)
+    cu.lipschitz_approximation(T, max(E ** 0.2, 1.25 * 16 ** T.m * E, 1e-4))
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: cu.build_competitor(
+        cu.w32_current(2.0 ** -3, res=65, radius4=1.0), beta1=0.1), id="k3"),
+    pytest.param(lambda: cu.build_competitor(
+        cu.w32_current(2.0 ** -5, res=65, radius4=1.0), beta1=0.1), id="k5"),
+    pytest.param(_spike_extension, id="spike-extension"),
+])
+def test_decoded_rows_are_on_the_cone(monkeypatch, run):
+    """Every row that the competitor and the Lipschitz extension decode with
+    xi_inverse is on the cone within 1e-12 (1 + |v|), five orders below the
+    slack `embed._ON_CONE_TOL` that xi_inverse allows."""
+    seen = []
+
+    def recorder(lattice, v, **kwargs):
+        seen.append((lattice, v.reshape(-1, v.shape[-1])))
+        return xi_inverse(lattice, v, **kwargs)
+
+    monkeypatch.setattr(cu, "xi_inverse", recorder)
+    monkeypatch.setattr(qf, "xi_inverse", recorder)
+    run()
+    assert seen
+    for lattice, rows in seen:
+        resid = lattice.nearest_point_batch(rows)[1]
+        assert np.all(resid <= 1e-12 * (1.0 + np.linalg.norm(rows, axis=1)))
 
 
 def test_excess_field_built_once(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qlip import cli
 from qlip import currents as cu
+from qlip import qfield as qf
 from qlip.embed import NotOnImageError, xi, xi_batch
 from qlip.qspace import QPoint, random_qpoint
 from qlip.roproj import (AlmostProjection, ConstantLadder, LadderError,
@@ -415,6 +416,53 @@ def test_rho_star_gap_on_cone_and_stable(n, q, seed):
     moved = mach.rho_star_batch(gap * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, gap.shape)))
     tol = 1e-10 * (1.0 + np.linalg.norm(base, axis=1))
     assert np.all(np.linalg.norm(moved - base, axis=1) <= tol)
+
+
+# -- one clamp, and retractions on the cone --------------------------------------
+
+
+def clamp_inputs(mach, rng, count):
+    """Rows at every scale and rows that graze a tube: cone points moved off
+    the cone, each part scaled by 10^[-4, 3]; then the same rows put 1e-6 of
+    a tube radius inside or outside the tube that clamping picks for them."""
+    n, q = mach.spec.dims.n, mach.spec.dims.q
+    on = xi_batch(mach.spec, rng.normal(size=(count, q, n)))
+    noise = rng.normal(size=on.shape)
+    noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+    x = (on * 10.0 ** rng.uniform(-4.0, 3.0, size=(count, 1))
+         + noise * 10.0 ** rng.uniform(-4.0, 3.0, size=(count, 1)))
+    faces = mach.lattice.faces_up_to(mach.ladder.nq)
+    radius = mach.ladder.delta ** (faces.dims + 1.0)
+    point, dist, which = faces.nearest(x, offset=radius)
+    side = 1.0 + 1e-6 * rng.choice([-1.0, 1.0], size=count)
+    graze = point + (x - point) * (radius[which] * side / np.maximum(
+        dist, 1e-300))[:, None]
+    return np.concatenate([x, graze])
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_one_clamp_lands_in_a_tube(n, q, seed):
+    """rho_star clamps once: every clamped row is inside some tube."""
+    mach = default_machinery(n, q)
+    x = mach.clamp_to_neighborhood(clamp_inputs(mach, np.random.default_rng(seed), 128))
+    assert np.all(mach._locate(x)[2] >= 0)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_retract_embedded_lands_on_the_cone(n, q, seed):
+    """Every retracted row is on the cone within 1e-12 (1 + |v|), five orders
+    below the on-cone slack `embed._ON_CONE_TOL` that xi_inverse allows."""
+    mach = default_machinery(n, q)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rho_star_inputs(mach, rng, 16), gap_inputs(mach, rng, 32),
+                        clamp_inputs(mach, rng, 16)])
+    out = qf.retract_embedded(x, mach)
+    scale = 1.0 + np.linalg.norm(out, axis=1)
+    assert np.all(mach.residual_on_image(out) <= 1e-12 * scale)
 
 
 def test_rho_star_batch_rejects_non_finite_rows():
