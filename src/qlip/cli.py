@@ -309,12 +309,10 @@ def _cmd_approx(cfg: dict, sink: _Sink) -> int:
                                                strict=cfg["strict"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    dist = np.linalg.norm(T.base.nodes() - T.center, axis=-1)
-    ball3 = (dist <= 3 * T.r + 1e-12) & T.base.mask
     blob = {"schema": SCHEMA, "kind": cfg["current"],
             "delta11": float(delta11), "report": rep,
-            "k_count": int(K.sum()), "ball_count": int(ball3.sum()),
-            "k_fraction": float(K.sum() / ball3.sum()),
+            "k_count": int(K.sum()), "ball_count": int(u.mask.sum()),
+            "k_fraction": float(K.sum() / u.mask.sum()),
             "lip_u_over_sqrt_delta11": rep["lip_u"] / math.sqrt(delta11)}
     sink.write_json("approx.json", blob)
     return 0
@@ -332,8 +330,7 @@ def _cmd_rho_star_eval(cfg: dict, sink: _Sink) -> int:
         raise ConfigError("an evaluation needs samples >= 1")
     rng = np.random.default_rng(cfg["seed"])
     on_cone = xi_batch(mach.spec, rng.normal(size=(k, q, n)))
-    delta = mach.ladder.delta
-    tube = delta ** (n * q + 1)
+    delta, tube = mach.ladder.delta, mach.ladder.tube(mach.ladder.nq)
     rows = []
     for sigma in (0.0, 0.5 * tube, 0.5 * delta, 2.0 * delta):
         noise = rng.normal(size=on_cone.shape)
@@ -426,7 +423,7 @@ def _split_fields(mach, res: int):
     x, y = np.meshgrid(*f.axes(), indexing="ij")
     wob = np.stack([np.sin((i + 2.0) * x + i) * np.cos((i % 3 + 1.0) * y)
                     for i in range(emb.shape[-1])], axis=-1)
-    thresh = mach.ladder.delta ** (n * q + 1)
+    thresh = mach.ladder.tube(mach.ladder.nq)
     return [(emb, f.spacing, None),
             (emb + 3.0 * thresh * wob, f.spacing, None)]
 

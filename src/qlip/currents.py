@@ -612,7 +612,7 @@ def build_competitor(T: GraphCurrent, beta1: float):
 
     Exponent schedule: eps = E^a with a = (1-2 beta1)/(2m), blend width
     s = E^{a/2} (grid-floored), retraction scale c0 = E^a within [1e-3, 0.12]."""
-    from .roproj import AlmostProjection, ConstantLadder, default_machinery
+    from .roproj import default_machinery
 
     if T.m != 2:
         raise ValueError("competitor construction is planar")
@@ -625,11 +625,8 @@ def build_competitor(T: GraphCurrent, beta1: float):
     u, K, rep = lipschitz_approximation(T, delta11)
     f = T.base
     h = f.spacing
-    base_mach = default_machinery(T.n, T.q)
     c0 = min(max(E ** a, 1e-3), 0.12)
-    ladder = ConstantLadder.explicit(base_mach.ladder.nq, c0=c0,
-                                     delta=min(0.4, math.sqrt(c0)))
-    machinery = AlmostProjection(base_mach.spec, base_mach.lattice, ladder)
+    machinery = default_machinery(T.n, T.q, c0=c0, delta=min(0.4, math.sqrt(c0)))
     spec = machinery.spec
     s_abs = min(max(E ** (a / 2.0) * r, 3 * h), r / 4.0)
     eps_abs = min(max(E ** a * r, h), s_abs)

@@ -25,7 +25,7 @@ _FEAS_TOL = 1e-7  # least _face_depth of a sign pattern that is a face
 # _face_depth: a residual this small, or a strict row this short, is no face
 _LDP_RESIDUAL, _ROW_FLOOR = 1e-10, 1e-12
 _FACE_BUDGET = 1000  # face_lattice: most faces it builds geometry for
-_SPAN_TOL = 1e-9
+_SPAN_TOL = 1e-9  # face-closure slack, relative to 1 + |y|: see _closure_tol
 # pairs per chunk of the face kernel's span pass (and of the pair-separation
 # pass) and of its active-set enumeration: they bound the kernel temporaries
 _SPAN_PAIRS = 1 << 14
@@ -369,6 +369,13 @@ def _active_set_projectors(cons: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float).reshape(-1, dim, dim)
 
 
+def _closure_tol(y: np.ndarray) -> np.ndarray:
+    """Slack of the face-closure test at span coordinates y (last axis; the
+    span point itself has the same norm): a constraint margin >= -tol is
+    inside the closure, a margin > tol strictly inside."""
+    return _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=-1))
+
+
 class FaceStack(list):
     """A list of faces with their geometry zero-padded into arrays: bases
     (F, N, D), unit constraint rows (F, M, D) and active-set projectors
@@ -453,7 +460,7 @@ class FaceStack(list):
         keeps the lower bound.
         """
         for rows, (y, near, span_d, margin) in self.spans(pts):
-            tol = _SPAN_TOL * (1.0 + np.linalg.norm(y, axis=2))
+            tol = _closure_tol(y)
             inside = margin >= -tol
             dist = np.where(inside, span_d, np.hypot(span_d, np.minimum(margin + tol, 0.0)))
             args = (y, span_d, tol, dist, near)
@@ -674,8 +681,7 @@ def _face_samples(lattice, faces, count, seed):
     draws = []
     for f in faces:
         y = np.random.default_rng(seed + f.index).normal(size=(40 * count, f.dim))
-        y = y[(y @ f.cons.T).min(axis=1, initial=np.inf)
-              >= 1e-9 * (1.0 + np.linalg.norm(y, axis=1))]
+        y = y[(y @ f.cons.T).min(axis=1, initial=np.inf) > _closure_tol(y)]
         draws.append(y)
     out = [[] for _ in faces]
     for lo in range(0, 40 * count, count):
@@ -733,8 +739,8 @@ def _calibrate_aperture(lattice) -> float:
         faces = lattice.faces_of_dim(k)
         if len(faces) < 2:
             continue
-        _, base, absz, margin = faces.span(pts)
-        ok = (absz > 1e-12) & (margin >= -1e-10)  # points on a face are unambiguous
+        y, base, absz, margin = faces.span(pts)
+        ok = (absz > 1e-12) & (margin >= -_closure_tol(y))  # points on a face are unambiguous
         dlow = np.zeros(absz.shape)
         dlow[ok] = lattice.skeleton_distance_batch(base[ok], k - 1)
         fibers.append((absz, ok, dlow))

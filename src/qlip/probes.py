@@ -490,8 +490,7 @@ def energy_split_probe(machinery, fields, config: ProbeConfig = None
     Lipschitz-squared factor.
     """
     config = config or ProbeConfig()
-    thresh = machinery.ladder.delta ** (machinery.spec.dims.n
-                                        * machinery.spec.dims.q + 1)
+    thresh = machinery.ladder.tube(machinery.ladder.nq)
     near_slack = (1.0 + 4.0 * machinery.ladder.ck(-1)) ** 2 - 1.0 + 0.05
     rows = []
     ok = True

@@ -332,8 +332,6 @@ def lipschitz_and_osc(f: QGridFunction):
     valid = f.values[f.mask]
     eta = valid.mean(axis=-2)
     spread = np.sum((valid - eta[..., None, :]) ** 2, axis=(-2, -1))
-    if np.allclose(spread, 0) and np.allclose(eta, eta.reshape(-1, f.n)[0]):
-        return math.sqrt(lip_sq), 0.0
     _, worst = offset_enclosing_center(eta.reshape(-1, f.n), spread.reshape(-1),
                                        weight=float(f.q))
     return math.sqrt(lip_sq), math.sqrt(max(worst, 0.0))

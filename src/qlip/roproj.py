@@ -29,7 +29,8 @@ import numpy as np
 
 from .coneproj import kirszbraun_value
 from .embed import (_ON_CONE_TOL, EmbeddingSpec, FaceLattice, NotOnImageError,
-                    build_embedding, face_lattice, xi_batch, xi_inverse)
+                    _closure_tol, build_embedding, face_lattice, xi_batch,
+                    xi_inverse)
 
 _LOG8 = math.log(8.0)
 _CLAMP_MARGIN = 1e-6  # clamp_to_neighborhood: depth inside a tube, per radius
@@ -50,20 +51,13 @@ def phi_tau(x: np.ndarray, tau: float) -> np.ndarray:
     if not 0.0 < tau < 0.25:
         raise ValueError("tau must lie in (0, 1/4)")
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return _phi_factor(np.linalg.norm(x, axis=1), tau)[:, None] * x
-    r = float(np.linalg.norm(x))
-    return _phi_factor(np.array([r]), tau)[0] * x
-
-
-def _phi_factor(r: np.ndarray, tau: float) -> np.ndarray:
-    """Scalar multiplier of the radial collapse as a function of |x|."""
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
     root = math.sqrt(tau)
-    out = np.ones_like(r)
-    out[r <= tau] = 0.0
+    fac = np.ones_like(r)
+    fac[r <= tau] = 0.0
     mid = (r > tau) & (r < root)
-    out[mid] = root * (r[mid] - tau) / ((root - tau) * r[mid])
-    return out
+    fac[mid] = root * (r[mid] - tau) / ((root - tau) * r[mid])
+    return fac * x
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +87,11 @@ class ConstantLadder:
 
     def log10_ck(self, k: int) -> float:
         return float(self.log10_c[k + 1])
+
+    def tube(self, k):
+        """delta^(k+1): the tube radius around the k-skeleton (k = nq: the
+        cone's own tube).  An array k gives an array."""
+        return self.delta ** (k + 1)
 
     @staticmethod
     def paper(nq: int, log10_delta: float) -> "ConstantLadder":
@@ -183,8 +182,8 @@ class AlmostProjection:
             # candidate (row, face) pairs: the row's span point lies in the
             # face closure, within the wide tube
             found = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0), np.zeros((0, pts.shape[1])))]
-            for rows, (_, near, znorm, margin) in faces.spans(pts):
-                cr, cj = np.nonzero((znorm <= wide) & (margin >= -1e-10 * (1 + znorm)))
+            for rows, (y, near, znorm, margin) in faces.spans(pts):
+                cr, cj = np.nonzero((znorm <= wide) & (margin >= -_closure_tol(y)))
                 found.append((cr + rows.start, cj, znorm[cr, cj], near[cr, cj]))
             r, j, z, base = map(np.concatenate, zip(*found))
             # membership needs the base away from the lower skeleton (at
@@ -198,8 +197,7 @@ class AlmostProjection:
             r, j, z, base = r[pick], j[pick], z[pick], base[pick]
             move = z > c_k  # the rest snap onto their base
             zc = cur[r[move]] - faces.own_span(cur[r[move]], j[move])[0]
-            fac = _phi_factor(np.linalg.norm(zc, axis=1), 2.0 * c_k)
-            base[move] += fac[:, None] * zc
+            base[move] += phi_tau(zc, 2.0 * c_k)
             cur[r] = base
         return cur[0] if single else cur
 
@@ -219,17 +217,17 @@ class AlmostProjection:
     def _tube_levels(self, pts: np.ndarray, dq: np.ndarray) -> np.ndarray:
         """`tube_level` of each row, given its distance dq to the cone; -1
         marks a row outside every tube."""
-        lat, d, nq = self.lattice, self.ladder.delta, self.ladder.nq
+        lat, lad = self.lattice, self.ladder
         level = np.full(len(pts), -1)
         todo = np.arange(len(pts))
-        for lvl in range(nq):
+        for lvl in range(lad.nq + 1):
             if not len(todo):
-                return level
-            inside = lat.skeleton_distance_batch(pts[todo], lvl) <= d ** (lvl + 1)
+                break
+            dist = (dq[todo] if lvl == lad.nq
+                    else lat.skeleton_distance_batch(pts[todo], lvl))
+            inside = dist <= lad.tube(lvl)
             level[todo[inside]] = lvl
             todo = todo[~inside]
-        inside = dq[todo] <= d ** (nq + 1) * (1 + 1e-9) + 1e-15
-        level[todo[inside]] = nq
         return level
 
     @staticmethod
@@ -243,8 +241,7 @@ class AlmostProjection:
         nq = self.ladder.nq
         near, dq = self.lattice.nearest_point_batch(pts)
         level = np.full(len(pts), nq)
-        search = ~(self._on_cone(pts, dq)
-                   & (dq <= self.ladder.delta ** (nq + 1)))
+        search = ~(self._on_cone(pts, dq) & (dq <= self.ladder.tube(nq)))
         level[search] = self._tube_levels(pts[search], dq[search])
         return near, dq, level
 
@@ -271,13 +268,12 @@ class AlmostProjection:
         which = np.full(len(x), -1)
         p0 = np.empty_like(x)
         gap = np.zeros(len(x), dtype=bool)
-        scale = 1.0 + np.linalg.norm(x, axis=1)
         for lvl in range(1, nq + 1):
             rows = np.flatnonzero(~flat & (level == lvl))
             faces = lat.faces_of_dim(lvl)
             p0[rows], _, which[rows] = faces.nearest(x[rows])
             plane, margin = faces.own_span(x[rows], which[rows])
-            region = margin > 1e-9 * scale[rows]
+            region = margin > _closure_tol(plane)
             region[region] = lat.skeleton_distance_batch(
                 plane[region], lvl - 1) >= self.far_scale
             out[rows[region]] = plane[region]  # orthogonal-projection region
@@ -300,7 +296,7 @@ class AlmostProjection:
         lat, lad, spec = self.lattice, self.ladder, self.spec
         nq, q, n = lad.nq, spec.dims.q, spec.dims.n
         lip = 1.0 + 4.0 * lad.ck(-1)
-        base_s = np.max([2.0 * dq, lad.delta ** (level + 1),
+        base_s = np.max([2.0 * dq, lad.tube(level),
                          lad.c[np.minimum(level, nq - 1) + 1] / 16.0,
                          np.full(len(x), 1e-9)], axis=0)
         stencil = np.concatenate([s * np.eye(q * n) for s in (
@@ -318,7 +314,7 @@ class AlmostProjection:
         anchors = np.concatenate([near[:, None], around, far[:, None]], axis=1)
         # anchors on the nearby lower skeleton keep the gap consistent with
         # the values already prescribed there: (row, point) pairs in row order
-        reach = np.array([4.0 * lad.delta ** lvl for lvl in range(nq + 1)])[level]
+        reach = np.array([4.0 * lad.tube(lvl - 1) for lvl in range(nq + 1)])[level]
         lower = lat.faces_up_to(int(level.max()) - 1)
         bound = np.where(level[:, None] > lower.dims, reach[:, None], -np.inf)
         low_row, low_pts = lower.within(x, bound)
@@ -356,8 +352,7 @@ class AlmostProjection:
         single = np.asarray(x).ndim == 1
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         faces = self.lattice.faces_up_to(self.ladder.nq)
-        radius = np.array([self.ladder.delta ** (k + 1)
-                           for k in range(self.ladder.nq + 1)])[faces.dims]
+        radius = np.array([self.ladder.tube(k) for k in range(self.ladder.nq + 1)])[faces.dims]
         point, dist, which = faces.nearest(pts, offset=radius)
         rad = radius[which]
         out = pts.copy()

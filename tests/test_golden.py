@@ -26,6 +26,7 @@ COMMANDS = {
     "rho-star-13": ["rho-star-eval", "--n", "1", "--q", "3", "--samples", "10"],
     "rho-star-13-40": ["rho-star-eval", "--n", "1", "--q", "3",
                        "--samples", "40"],
+    "rho-star-12": ["rho-star-eval", "--n", "1", "--q", "2", "--samples", "60"],
     "approx": ["approx", "--current", "spike"],
     "reverse-holder": ["probe", "reverse-holder", "--res", "33"],
     "dirmin": ["dirmin", "--res", "33", "--starts", "2"],
@@ -34,6 +35,8 @@ COMMANDS = {
     "dirmin-const": ["dirmin", "--boundary", "const", "--res", "17",
                      "--starts", "1"],
     "energy-split": ["probe", "energy-split", "--res", "9"],
+    "energy-split-22": ["probe", "energy-split", "--n", "2", "--q", "2",
+                        "--res", "9"],
     "gen-current": ["gen-current", "w32", "--scale", "0.125", "--res", "33"],
     "gradient-lp": ["probe", "gradient-lp", "--res", "33"],
     "gen-current-spike": ["gen-current", "spike", "--res", "33"],

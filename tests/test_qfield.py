@@ -110,6 +110,16 @@ def test_lip_and_osc_constant():
     assert osc == 0.0
 
 
+def test_osc_of_a_nearly_constant_pair():
+    """Two flat sheets at +-5e-5: the spread is 2 (5e-5)^2 at every node, so
+    the oscillation is 5e-5 sqrt(2), however close the field is to a
+    constant."""
+    f = constant_field(qf.square(1.0), 9, QPoint([[5e-5], [-5e-5]]))
+    lip, osc = qf.lipschitz_and_osc(f)
+    assert lip == 0.0
+    assert osc == pytest.approx(5e-5 * math.sqrt(2.0), rel=1e-9)
+
+
 def test_mcshane_line_is_exact():
     dom = qf.GridDomain("square", (0.5,), 0.5)
     f = qf.from_callable(dom, 41, lambda p: p[..., None, :])

@@ -451,6 +451,28 @@ def test_one_clamp_lands_in_a_tube(n, q, seed):
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+def test_rows_at_the_top_tube_edge_land_on_the_cone(n, q):
+    """Rows 1e-9 of a radius inside or outside the cone's own tube, along
+    the outward normal at their nearest cone point: rho_star puts each on the
+    cone, within criterion 04's displacement bound of 10 c0."""
+    mach = default_machinery(n, q)
+    rng = np.random.default_rng(7)
+    y = xi_batch(mach.spec, rng.normal(size=(400, q, n)))
+    y += rng.normal(size=y.shape)
+    near, dist = mach.lattice.nearest_point_batch(y)
+    tube = mach.ladder.tube(mach.ladder.nq)
+    keep = dist > 2.0 * tube  # the normal segment keeps its nearest point
+    side = 1.0 + 1e-9 * np.where(np.arange(keep.sum()) % 2, 1.0, -1.0)
+    x = near[keep] + (y - near)[keep] * (tube * side / dist[keep])[:, None]
+    assert len(x) >= 100
+    assert np.array_equal(mach.residual_on_image(x) <= tube, side < 1.0)
+    out = mach.rho_star_batch(x)
+    scale = 1.0 + np.linalg.norm(out, axis=1)
+    assert np.all(mach.residual_on_image(out) <= 1e-12 * scale)
+    assert np.linalg.norm(out - x, axis=1).max() <= 10.0 * mach.ladder.ck(0)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
 @settings(max_examples=4)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_retract_embedded_lands_on_the_cone(n, q, seed):
