@@ -34,6 +34,8 @@ from .embed import (_ON_CONE_TOL, EmbeddingSpec, FaceLattice, NotOnImageError,
 
 _LOG8 = math.log(8.0)
 _CLAMP_MARGIN = 1e-6  # clamp_to_neighborhood: depth inside a tube, per radius
+_STENCIL_FLOOR = 1e-9  # Kirszbraun gap: least stencil scale base_s
+_FAR_ANCHOR_FLOOR = 1e-9  # Kirszbraun gap: least lower-skeleton distance of p0
 
 
 class LadderError(ValueError):
@@ -210,47 +212,40 @@ class AlmostProjection:
         """Smallest l with dist(x, S_l) <= delta^(l+1), counting the cone
         itself as level nq; None when x is outside every tube.  One-row view
         for the tests; perfbench/tracer.py binds it."""
-        x = np.asarray(x, dtype=float)[None]
-        level = self._tube_levels(x, self.lattice.nearest_point_batch(x)[1])[0]
+        level = self._locate(np.asarray(x, dtype=float)[None])[2][0]
         return None if level < 0 else int(level)
-
-    def _tube_levels(self, pts: np.ndarray, dq: np.ndarray) -> np.ndarray:
-        """`tube_level` of each row, given its distance dq to the cone; -1
-        marks a row outside every tube."""
-        lat, lad = self.lattice, self.ladder
-        level = np.full(len(pts), -1)
-        todo = np.arange(len(pts))
-        for lvl in range(lad.nq + 1):
-            if not len(todo):
-                break
-            dist = (dq[todo] if lvl == lad.nq
-                    else lat.skeleton_distance_batch(pts[todo], lvl))
-            inside = dist <= lad.tube(lvl)
-            level[todo[inside]] = lvl
-            todo = todo[~inside]
-        return level
 
     @staticmethod
     def _on_cone(pts: np.ndarray, dq: np.ndarray) -> np.ndarray:
         return dq <= 1e-12 * (1.0 + np.linalg.norm(pts, axis=1))
 
     def _locate(self, pts: np.ndarray):
-        """Per row: nearest cone point, its distance and the tube level.  Rows
-        on the cone inside the smallest tube skip the level search, which
-        `_sharp` never reads for them, and report level nq."""
-        nq = self.ladder.nq
-        near, dq = self.lattice.nearest_point_batch(pts)
-        level = np.full(len(pts), nq)
-        search = ~(self._on_cone(pts, dq) & (dq <= self.ladder.tube(nq)))
-        level[search] = self._tube_levels(pts[search], dq[search])
-        return near, dq, level
+        """Per row: the nearest cone point and its distance, the tube level
+        (`tube_level`, -1 outside every tube) and the face that puts the row
+        in that tube, as its position `which` in faces_of_dim(level) and the
+        row's nearest point p0 there.  The l-faces are searched one dimension
+        at a time, upward: the running minimum over the passes is
+        dist(x, S_l), and a row leaves the search at its level."""
+        lat, lad, nq = self.lattice, self.ladder, self.ladder.nq
+        near, dq, which = lat.top_faces.nearest(pts)
+        level = np.where(dq <= lad.tube(nq), nq, -1)
+        p0 = near.copy()
+        todo, low = np.arange(len(pts)), np.full(len(pts), np.inf)
+        for lvl in range(nq):
+            point, dist, face = lat.faces_of_dim(lvl).nearest(pts[todo])
+            low = np.minimum(low, dist)
+            inside = low <= lad.tube(lvl)
+            rows = todo[inside]
+            level[rows], which[rows], p0[rows] = lvl, face[inside], point[inside]
+            todo, low = todo[~inside], low[~inside]
+        return near, dq, level, which, p0
 
     def rho_sharp(self, x: np.ndarray) -> np.ndarray:
         """One-row view for the tests; perfbench/tracer.py binds it."""
         x = np.asarray(x, dtype=float)[None]
         return self._sharp(x, *self._locate(x))[0]
 
-    def _sharp(self, x, near, dq, level):
+    def _sharp(self, x, near, dq, level, which, p0):
         """rho_sharp of each row of x, given `_locate(x)`."""
         lat, nq = self.lattice, self.ladder.nq
         flat = self._on_cone(x, dq)
@@ -263,16 +258,10 @@ class AlmostProjection:
         out = np.zeros_like(x)  # level-0 rows: the delta-ball goes to 0
         if np.any(flat):
             out[flat] = self.rho_flat(near[flat], assume_on_image=True)
-        # the row's face: the nearest of its level's dimension (the top faces
-        # on the cone's own tube), which[row] there; p0 is x's point there
-        which = np.full(len(x), -1)
-        p0 = np.empty_like(x)
         gap = np.zeros(len(x), dtype=bool)
         for lvl in range(1, nq + 1):
             rows = np.flatnonzero(~flat & (level == lvl))
-            faces = lat.faces_of_dim(lvl)
-            p0[rows], _, which[rows] = faces.nearest(x[rows])
-            plane, margin = faces.own_span(x[rows], which[rows])
+            plane, margin = lat.faces_of_dim(lvl).own_span(x[rows], which[rows])
             region = margin > _closure_tol(plane)
             region[region] = lat.skeleton_distance_batch(
                 plane[region], lvl - 1) >= self.far_scale
@@ -289,7 +278,8 @@ class AlmostProjection:
         cone, projected into the closure of face which[row] of dim level[row].
         A row's anchors: its nearest cone point; a fixed stencil t0 +- s *
         base_s along each coordinate of that point's tuple t0, s = 1, sqrt(8),
-        8, base_s = max(2 dq, delta^(level+1), c_min(level, nq-1) / 16, 1e-9);
+        8, base_s = max(2 dq, delta^(level+1), c_min(level, nq-1) / 16,
+        _STENCIL_FLOOR);
         a far anchor in the projection region of its face (else the nearest
         point again); and the nearby lower-skeleton points.  A face closure
         lies in the cone, so the projected value needs no snap."""
@@ -298,7 +288,7 @@ class AlmostProjection:
         lip = 1.0 + 4.0 * lad.ck(-1)
         base_s = np.max([2.0 * dq, lad.tube(level),
                          lad.c[np.minimum(level, nq - 1) + 1] / 16.0,
-                         np.full(len(x), 1e-9)], axis=0)
+                         np.full(len(x), _STENCIL_FLOOR)], axis=0)
         stencil = np.concatenate([s * np.eye(q * n) for s in (
             1.0, -1.0, math.sqrt(8.0), -math.sqrt(8.0), 8.0, -8.0)])
         t0 = xi_inverse(lat, near).reshape(len(x), 1, q * n)
@@ -308,7 +298,8 @@ class AlmostProjection:
         for k in np.unique(level):
             rows = np.flatnonzero(level == k)
             dlow = lat.skeleton_distance_batch(p0[rows], k - 1)
-            rows, dlow = rows[dlow > 1e-9], dlow[dlow > 1e-9]
+            keep = dlow > _FAR_ANCHOR_FLOOR
+            rows, dlow = rows[keep], dlow[keep]
             far[rows] = p0[rows] * np.maximum(
                 1.0, 2.0 * self.far_scale / dlow)[:, None]
         anchors = np.concatenate([near[:, None], around, far[:, None]], axis=1)
@@ -379,12 +370,6 @@ class AlmostProjection:
             for whole, part in zip(loc, self._locate(x[rows])):
                 whole[rows] = part
         return self._sharp(x, *loc)
-
-    # -- diagnostics ----------------------------------------------------------
-
-    def residual_on_image(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.lattice.nearest_point_batch(pts)[1]
 
 
 _MACHINERY_CACHE: dict = {}

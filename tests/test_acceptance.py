@@ -191,7 +191,7 @@ def test_criterion_04_almost_projection_suite():
         # perturbed inputs: output lands on the cone, bounded displacement
         pert = cone[:250] + rng.normal(size=(250, cone.shape[1])) * 0.004
         outs = mach.rho_star_batch(pert)
-        resid = mach.residual_on_image(outs).max()
+        resid = mach.lattice.nearest_point_batch(outs)[1].max()
         assert resid < 1e-7
         disp = np.linalg.norm(outs - pert, axis=1).max()
         ondisp = np.linalg.norm(

@@ -27,6 +27,7 @@ COMMANDS = {
     "rho-star-13-40": ["rho-star-eval", "--n", "1", "--q", "3",
                        "--samples", "40"],
     "rho-star-12": ["rho-star-eval", "--n", "1", "--q", "2", "--samples", "60"],
+    "rho-star-200": ["rho-star-eval", "--n", "2", "--q", "2", "--samples", "200"],
     "approx": ["approx", "--current", "spike"],
     "reverse-holder": ["probe", "reverse-holder", "--res", "33"],
     "dirmin": ["dirmin", "--res", "33", "--starts", "2"],

@@ -132,7 +132,7 @@ def test_rho_flat_image_and_displacement():
             pts.append(xi(mach.spec, t))
         pts = np.asarray(pts)
         out = mach.rho_flat(pts)
-        resid = mach.residual_on_image(out)
+        resid = mach.lattice.nearest_point_batch(out)[1]
         assert resid.max() < 1e-7 * (1 + np.linalg.norm(out, axis=1)).max()
         disp = np.linalg.norm(out - pts, axis=1)
         assert disp.max() <= 4.0 * mach.ladder.ck(0)
@@ -210,7 +210,7 @@ def test_rho_sharp_gap_case():
     out = mach.rho_sharp(x)         # base too close to 0 for the plane case
     out2 = mach.rho_sharp(x)
     assert np.array_equal(out, out2)  # deterministic
-    assert mach.residual_on_image(out)[0] < 1e-7
+    assert mach.lattice.nearest_point(out)[1] < 1e-7
     ref = mach.rho_flat(np.array([0.3, 0.3]))
     assert np.linalg.norm(out - ref) < 0.01
 
@@ -225,7 +225,7 @@ def test_clamp_and_rho_star_far():
     assert mach.ladder.delta * (1 - 1e-5) <= r <= mach.ladder.delta
     assert np.allclose(clamped / r, x / np.linalg.norm(x))
     out = mach.rho_star(x)
-    assert mach.residual_on_image(out)[0] < 1e-7
+    assert mach.lattice.nearest_point(out)[1] < 1e-7
     on = np.array([0.4, 0.9])
     assert np.array_equal(mach.clamp_to_neighborhood(on), on)
 
@@ -238,7 +238,7 @@ def test_rho_star_identities():
     out = mach.rho_star_batch(pts)
     disp = np.linalg.norm(out - pts, axis=1)
     assert disp.max() <= 10.0 * mach.ladder.ck(0)
-    assert mach.residual_on_image(out).max() < 1e-6
+    assert mach.lattice.nearest_point_batch(out)[1].max() < 1e-6
 
 
 
@@ -288,7 +288,7 @@ def test_rho_flat_lands_on_cone(n, q, seed):
     mach = default_machinery(n, q)
     x = rho_flat_inputs(mach, np.random.default_rng(seed), 16)
     out = mach.rho_flat(x)
-    assert np.all(mach.residual_on_image(out) < 1e-7 * (1.0 + np.linalg.norm(x, axis=1)))
+    assert np.all(mach.lattice.nearest_point_batch(out)[1] < 1e-7 * (1.0 + np.linalg.norm(x, axis=1)))
     assert np.linalg.norm(out - x, axis=1).max() <= 4.0 * mach.ladder.ck(0)
 
 
@@ -309,7 +309,7 @@ def test_rho_sharp_projection_region_of_a_padded_face(monkeypatch):
     z -= face.basis @ (face.basis.T @ z)
     x = p + 1e-5 * z / np.linalg.norm(z)
     assert mach.tube_level(x) == 3
-    assert mach.residual_on_image(x)[0] > 1e-9
+    assert mach.lattice.nearest_point(x)[1] > 1e-9
     monkeypatch.setattr(mach, "_kirszbraun_gap", None)  # a gap row would fail
     assert np.allclose(mach.rho_sharp(x), face.basis @ (face.basis.T @ x),
                        rtol=0.0, atol=1e-14)
@@ -392,7 +392,7 @@ def test_rho_star_gap_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     out = mach.rho_star_batch(x)
     assert sum(map(len, seen)) > 0
-    assert np.all(mach.residual_on_image(out) < 1e-7)
+    assert np.all(mach.lattice.nearest_point_batch(out)[1] < 1e-7)
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
@@ -408,7 +408,7 @@ def test_rho_star_gap_on_cone_and_stable(n, q, seed):
     with pytest.MonkeyPatch.context() as mp:
         seen = record_gap_rows(mp, mach)
         out = mach.rho_star_batch(x)
-    assert np.all(mach.residual_on_image(out) < 1e-7)
+    assert np.all(mach.lattice.nearest_point_batch(out)[1] < 1e-7)
     assert np.linalg.norm(out - x, axis=1).max() <= 10.0 * mach.ladder.ck(0)
     gap = np.concatenate(seen)
     assert len(gap)
@@ -465,11 +465,56 @@ def test_rows_at_the_top_tube_edge_land_on_the_cone(n, q):
     side = 1.0 + 1e-9 * np.where(np.arange(keep.sum()) % 2, 1.0, -1.0)
     x = near[keep] + (y - near)[keep] * (tube * side / dist[keep])[:, None]
     assert len(x) >= 100
-    assert np.array_equal(mach.residual_on_image(x) <= tube, side < 1.0)
+    assert np.array_equal(mach.lattice.nearest_point_batch(x)[1] <= tube, side < 1.0)
     out = mach.rho_star_batch(x)
     scale = 1.0 + np.linalg.norm(out, axis=1)
-    assert np.all(mach.residual_on_image(out) <= 1e-12 * scale)
+    assert np.all(mach.lattice.nearest_point_batch(out)[1] <= 1e-12 * scale)
     assert np.linalg.norm(out - x, axis=1).max() <= 10.0 * mach.ladder.ck(0)
+
+
+def tube_edge_inputs(mach, rng, count):
+    """Per level l: rows 1e-9 of a radius inside or outside tube l, along the
+    segment from a random point to its nearest point of the l-skeleton (the
+    cone itself at l = nq), which stays that segment's nearest point."""
+    n, q = mach.spec.dims.n, mach.spec.dims.q
+    lat, rows = mach.lattice, []
+    for lvl in range(mach.ladder.nq + 1):
+        y = xi_batch(mach.spec, rng.normal(size=(count, q, n)))
+        y += rng.normal(size=y.shape)
+        point, dist, _ = lat.faces_up_to(lvl).nearest(y)
+        keep = dist > 2.0 * mach.ladder.tube(lvl)
+        side = 1.0 + 1e-9 * rng.choice([-1.0, 1.0], size=int(keep.sum()))
+        rows.append(point[keep] + (y - point)[keep] * (
+            mach.ladder.tube(lvl) * side / dist[keep])[:, None])
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_locate_matches_the_tube_definition(n, q, seed):
+    """`_locate`'s level is the least l with dist(x, S_l) <= tube(l), the
+    cone's own tube at l = nq, or -1 outside every tube; its face and point
+    are the nearest of that level's dimension."""
+    mach = default_machinery(n, q)
+    lat, nq = mach.lattice, mach.ladder.nq
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rho_star_inputs(mach, rng, 8), gap_inputs(mach, rng, 32),
+                        clamp_inputs(mach, rng, 16), tube_edge_inputs(mach, rng, 16)])
+    cone, dq = lat.nearest_point_batch(x)
+    want = np.full(len(x), -1)
+    for lvl in range(nq, -1, -1):
+        dist = dq if lvl == nq else lat.skeleton_distance_batch(x, lvl)
+        want[dist <= mach.ladder.tube(lvl)] = lvl
+    loc = mach._locate(x)
+    assert np.array_equal(loc[0], cone) and np.array_equal(loc[1], dq)
+    level, which, p0 = loc[2:]
+    assert np.array_equal(level, want)
+    for lvl in range(1, nq + 1):
+        rows = level == lvl
+        point, _, face = lat.faces_of_dim(lvl).nearest(x[rows])
+        assert np.array_equal(which[rows], face)
+        assert np.array_equal(p0[rows], point)
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
@@ -484,7 +529,7 @@ def test_retract_embedded_lands_on_the_cone(n, q, seed):
                         clamp_inputs(mach, rng, 16)])
     out = qf.retract_embedded(x, mach)
     scale = 1.0 + np.linalg.norm(out, axis=1)
-    assert np.all(mach.residual_on_image(out) <= 1e-12 * scale)
+    assert np.all(mach.lattice.nearest_point_batch(out)[1] <= 1e-12 * scale)
 
 
 def test_rho_star_batch_rejects_non_finite_rows():
