@@ -424,8 +424,7 @@ def _split_fields(mach, res: int):
     wob = np.stack([np.sin((i + 2.0) * x + i) * np.cos((i % 3 + 1.0) * y)
                     for i in range(emb.shape[-1])], axis=-1)
     thresh = mach.ladder.tube(mach.ladder.nq)
-    return [(emb, f.spacing, None),
-            (emb + 3.0 * thresh * wob, f.spacing, None)]
+    return [(emb, f.spacing), (emb + 3.0 * thresh * wob, f.spacing)]
 
 
 def _cmd_probe(cfg: dict, sink: _Sink) -> int:

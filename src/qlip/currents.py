@@ -31,6 +31,9 @@ _POLAR_NODES = (96, 32)  # excess disk quadrature: directions, Gauss radii
 _PROFILE_NODES = (64, 24)  # mass-ratio ray quadrature: directions, Gauss radii
 _SHORT_MAP_BOX, _SHORT_MAP_SAMPLES = 4.0, 300  # short-map spot check
 _COMPETITOR_SIGMAS = 10  # competitor: candidate blend radii in [1.25 r, 2 r]
+_EXCESS_FLOOR = 1e-12  # least excess ratio E of the competitor and the probes
+_CYLINDER_SLACK = 1e-9  # how far a ball or region may leave its cylinder
+_SPIKE_RADIUS = 0.75  # least radius of a spike's disk, in grid spacings
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class GraphCurrent:
         self.center = np.asarray(center, dtype=float)
         self.radius4 = float(radius4 if radius4 is not None else base.domain.radius)
         reach = np.abs(self.center - np.asarray(base.domain.center)).max() + self.radius4
-        if reach > base.domain.radius + 1e-9:
+        if reach > base.domain.radius + _CYLINDER_SLACK:
             raise ValueError("cylinder exceeds the grid extent")
         self.spikes = tuple(spikes)
         self.sheet_values = sheet_values
@@ -86,12 +89,6 @@ class GraphCurrent:
     @property
     def n(self) -> int:
         return self.base.n
-
-    def values_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.sheet_values is not None:
-            return np.asarray(self.sheet_values(pts), dtype=float)
-        return self.base.nearest_values(pts)
 
     def sheet_area_density(self, pts: np.ndarray) -> np.ndarray:
         """Per-sheet area integrand sqrt(det(Id + J^T J)) at points."""
@@ -193,10 +190,10 @@ def _disk_overlap(d: float, r1: float, r2: float) -> float:
 
 def _spike_ball_mass(spikes, h: float, center, radius: float) -> float:
     """Spike excess inside B_radius(center); each spike spreads its excess
-    evenly over a disk of radius at least 0.75 h."""
+    evenly over a disk of radius at least _SPIKE_RADIUS h."""
     total = 0.0
     for sp in spikes:
-        rr = max(sp.radius, 0.75 * h)
+        rr = max(sp.radius, _SPIKE_RADIUS * h)
         d = float(np.linalg.norm(np.asarray(center) - np.asarray(sp.center)))
         total += sp.excess * _disk_overlap(d, radius, rr) / (math.pi * rr * rr)
     return total
@@ -241,7 +238,7 @@ class ExcessField:
         self.graph_density = np.where(f.mask, dens, 0.0)
         spike = np.zeros_like(self.graph_density)
         for sp in T.spikes:
-            w = qf.disk_weights(f, sp.center, max(sp.radius, 0.75 * self.h))
+            w = qf.disk_weights(f, sp.center, max(sp.radius, _SPIKE_RADIUS * self.h))
             tot = w.sum() * self.h ** f.m
             if tot > 0:
                 spike += sp.excess * w / tot
@@ -254,7 +251,7 @@ class ExcessField:
 
     def ball_excess(self, center, radius: float) -> float:
         if np.linalg.norm(np.asarray(center) - self.center) + radius \
-                > self.radius4 + 1e-9:
+                > self.radius4 + _CYLINDER_SLACK:
             raise ValueError("ball leaves the cylinder of validity")
         if self.sheet_jacobians is not None:
             graph = _polar_integral(
@@ -286,7 +283,7 @@ def mass_and_excess(T: GraphCurrent, region=None):
         region = ("ball", tuple(T.center), T.radius4)
     if isinstance(region, tuple) and region[0] == "ball":
         _, c, s = region
-        if np.linalg.norm(np.asarray(c) - T.center) + s > T.radius4 + 1e-9:
+        if np.linalg.norm(np.asarray(c) - T.center) + s > T.radius4 + _CYLINDER_SLACK:
             raise ValueError("region outside the cylinder")
         area = _OMEGA[T.m] * s ** T.m
         if T.sheet_jacobians is not None:
@@ -563,7 +560,7 @@ def mass_ratio_profile(T: GraphCurrent, radii):
     radii = np.array(sorted(float(r) for r in radii))
     if radii[-1] > T.radius4:
         raise ValueError("radius exceeds the cylinder")
-    z0 = T.values_at(T.center[None])[0].mean(axis=0)
+    z0 = T.sheet_values(T.center[None])[0].mean(axis=0)
     n_theta, n_rad = _PROFILE_NODES
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -572,7 +569,7 @@ def mass_ratio_profile(T: GraphCurrent, radii):
     def sheet_gap(t, rho, d, sheet):
         """|point of the sheet over center + t u_d, minus p| - rho."""
         pts = T.center + t[..., None] * dirs[d]
-        vert = np.take_along_axis(T.values_at(pts), sheet[..., None, None],
+        vert = np.take_along_axis(T.sheet_values(pts), sheet[..., None, None],
                                   axis=-2)[..., 0, :] - z0
         return np.hypot(t, np.linalg.norm(vert, axis=-1)) - rho
 
@@ -619,7 +616,7 @@ def build_competitor(T: GraphCurrent, beta1: float):
     if not 0 < beta1 < 1.0 / (2 * T.m):
         raise ValueError("beta1 out of range")
     r = T.r
-    E = max(T.excess.excess_ratio(T.radius4), 1e-12)
+    E = max(T.excess.excess_ratio(T.radius4), _EXCESS_FLOOR)
     a = (1.0 - 2.0 * beta1) / (2.0 * T.m)
     delta11 = max(E ** (2 * beta1), (16 ** T.m) * E * 1.25)
     u, K, rep = lipschitz_approximation(T, delta11)

@@ -377,27 +377,27 @@ def _closure_tol(y: np.ndarray) -> np.ndarray:
 
 
 class FaceStack(list):
-    """A list of faces with their geometry zero-padded into arrays: bases
+    """The faces of one dimension D with their geometry in arrays: bases
     (F, N, D), unit constraint rows (F, M, D) and active-set projectors
-    (F, K, D, D), `real` and `real_cons` marking the real projectors and
-    constraint rows.  The face kernel treats every (row, face) pair of the
-    list in a few array passes; padded entries contribute exact zeros."""
+    (F, K, D, D), the last two zero-padded, with `real` and `real_cons`
+    marking the real projectors and constraint rows.  The face kernel treats
+    every (row, face) pair of the list in a few array passes; padded entries
+    contribute exact zeros."""
 
     def __init__(self, faces, big_n: int):
         super().__init__(faces)
         dim = max([f.dim for f in faces], default=0)
         m = max([len(f.cons) for f in faces], default=0)
         k = max([len(f.projectors) for f in faces], default=0)
-        self.dims = np.array([f.dim for f in faces], dtype=int)
         self.basis = np.zeros((len(faces), big_n, dim))
         self.cons = np.zeros((len(faces), m, dim))
         self.projectors = np.zeros((len(faces), k, dim, dim))
         self.real = np.arange(k) < np.array([len(f.projectors) for f in faces], dtype=int)[:, None]
         self.real_cons = np.arange(m) < np.array([len(f.cons) for f in faces], dtype=int)[:, None]
         for i, f in enumerate(faces):
-            self.basis[i, :, :f.dim] = f.basis
-            self.cons[i, :len(f.cons), :f.dim] = f.cons
-            self.projectors[i, :len(f.projectors), :f.dim, :f.dim] = f.projectors
+            self.basis[i] = f.basis
+            self.cons[i, :len(f.cons)] = f.cons
+            self.projectors[i, :len(f.projectors)] = f.projectors
         # the bases side by side, (N, F * D): a view of `basis` where numpy
         # can give one, so it sums in the same order as the (F, N, D) array
         self._flat_basis = self.basis.transpose(1, 0, 2).reshape(big_n, -1)
@@ -448,16 +448,15 @@ class FaceStack(list):
             dist[pr, pf] = np.sqrt(span_d[pr, pf] ** 2 + np.sum((yp - ystar) ** 2, axis=1))
             near[pr, pf] = np.einsum("pd,pid->pi", ystar, self.basis[pf])
 
-    def _chunks(self, pts, offset, bound=None):
+    def _chunks(self, pts, bound=None):
         """Yields (rows, dist (R, F), near (R, F, N)) per chunk of rows.
 
         A pair inside the closure (margin >= -tol) is its span projection.  An
         outside pair is at least hypot(span distance, -margin - tol) away (the
         constraint rows are unit vectors).  It is projected if that bound is
-        at most bound[row, face] or, without a bound, if the bound minus
-        offset[face] can reach the row's least distance minus offset (over
-        its inside pairs, then its most promising outside pair); otherwise it
-        keeps the lower bound.
+        at most bound[row, face] or, without a bound, if it can reach the
+        row's least distance (over its inside pairs, then its most promising
+        outside pair); otherwise it keeps the lower bound.
         """
         for rows, (y, near, span_d, margin) in self.spans(pts):
             tol = _closure_tol(y)
@@ -467,25 +466,24 @@ class FaceStack(list):
             if bound is not None:
                 self._project(*args, *np.nonzero(~inside & (dist <= bound[rows])))
             else:
-                best = np.where(inside, dist - offset, np.inf).min(axis=1)
-                todo = ~inside & (dist - offset <= best[:, None])
-                first = np.where(todo, dist - offset, np.inf).argmin(axis=1)
+                best = np.where(inside, dist, np.inf).min(axis=1)
+                todo = ~inside & (dist <= best[:, None])
+                first = np.where(todo, dist, np.inf).argmin(axis=1)
                 r = np.flatnonzero(todo[np.arange(len(first)), first])
                 self._project(*args, r, first[r])
                 todo[r, first[r]] = False
-                best[r] = np.minimum(best[r], dist[r, first[r]] - offset[first[r]])
-                self._project(*args, *np.nonzero(todo & (dist - offset <= best[:, None])))
+                best[r] = np.minimum(best[r], dist[r, first[r]])
+                self._project(*args, *np.nonzero(todo & (dist <= best[:, None])))
             yield rows, dist, near
 
-    def nearest(self, pts: np.ndarray, offset=0.0):
-        """Per row of pts: the point of the union of the closures minimizing
-        distance - offset[face], its distance, and the position of the first
-        face realizing the minimum (-1 when the list is empty)."""
+    def nearest(self, pts: np.ndarray):
+        """Per row of pts: the nearest point of the union of the closures,
+        its distance (inf when the list is empty) and the position of the
+        first face realizing it (-1 when the list is empty)."""
         pts = np.asarray(pts, dtype=float)
         out, dist, which = np.empty_like(pts), np.full(len(pts), np.inf), np.full(len(pts), -1)
-        offset = np.broadcast_to(np.asarray(offset, dtype=float), (len(self),))
-        for rows, d, near in self._chunks(pts, offset) if len(self) else ():
-            j = (d - offset).argmin(axis=1)
+        for rows, d, near in self._chunks(pts) if len(self) else ():
+            j = d.argmin(axis=1)
             pick = np.arange(len(j))
             which[rows], dist[rows], out[rows] = j, d[pick, j], near[pick, j]
         return out, dist, which
@@ -500,7 +498,7 @@ class FaceStack(list):
         bound[row, face], in row-major order: their rows and nearest points."""
         pts = np.asarray(pts, dtype=float)
         rows, near_pts = [np.zeros(0, dtype=int)], [np.zeros((0, pts.shape[1]))]
-        for sl, d, near in self._chunks(pts, 0.0, bound):
+        for sl, d, near in self._chunks(pts, bound):
             r, f = np.nonzero(d <= bound[sl])
             rows.append(r + sl.start)
             near_pts.append(near[r, f])
@@ -559,15 +557,9 @@ class FaceLattice:
         self.max_dim = max(f.dim for f in faces)
         grades, big_n = range(-1, self.max_dim + 1), spec.dims.big_n  # -1: no face
         self._by_dim = {k: FaceStack([f for f in faces if f.dim == k], big_n) for k in grades}
-        # the up-to lists run in ascending dimension (rho_star's anchor order)
-        ascending = sorted(faces, key=lambda f: f.dim)
-        self._up_to = {k: FaceStack([f for f in ascending if f.dim <= k], big_n) for k in grades}
 
     def faces_of_dim(self, k: int) -> FaceStack:
         return self._by_dim.get(k, self._by_dim[-1])
-
-    def faces_up_to(self, k: int) -> FaceStack:
-        return self._up_to[min(max(k, -1), self.max_dim)]
 
     @property
     def top_faces(self) -> FaceStack:
@@ -587,8 +579,12 @@ class FaceLattice:
         return float(self.skeleton_distance_batch(np.asarray(v, dtype=float)[None], k)[0])
 
     def skeleton_distance_batch(self, pts: np.ndarray, k: int) -> np.ndarray:
-        """Distance from each row of pts to the union of faces of dim <= k."""
-        return self.faces_up_to(k).nearest(pts)[1]
+        """Distance from each row of pts to the union of faces of dim <= k
+        (inf for k < 0): the least of the per-dimension distances."""
+        dist = np.full(len(pts), np.inf)
+        for lvl in range(min(k, self.max_dim) + 1):
+            dist = np.minimum(dist, self.faces_of_dim(lvl).nearest(pts)[1])
+        return dist
 
     def nearest_point(self, v):
         """Nearest point of the cone and its distance.  One-row view for the

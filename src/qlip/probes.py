@@ -348,7 +348,7 @@ def excess_probes(T: cu.GraphCurrent, config: ProbeConfig = None) -> ProbeReport
     """Small-set excess against E s^m (weak) and a fitted power law (strong)."""
     config = config or ProbeConfig()
     s = 2.0 * T.r
-    E = max(T.excess.excess_ratio(T.radius4), 1e-12)
+    E = max(T.excess.excess_ratio(T.radius4), cu._EXCESS_FLOOR)
     h = T.base.spacing
     nodes = T.base.nodes()
     dist = np.linalg.norm(nodes - np.asarray(T.center), axis=-1)
@@ -409,7 +409,7 @@ def harmonic_approx_probe(scales=None, res: int = 65,
     rows = []
     for lam in scales:
         T = cu.w32_current(lam, res=res, radius4=1.0)
-        E = max(T.excess.excess_ratio(T.radius4), 1e-12)
+        E = max(T.excess.excess_ratio(T.radius4), cu._EXCESS_FLOOR)
         delta11 = max(E ** (2 * config.beta), 1.25 * 16 ** T.m * E)
         u, K, rep = cu.lipschitz_approximation(T, delta11)
         r = T.r
@@ -461,7 +461,7 @@ def persistence_probe(s_list=(0.05, 0.1, 0.2), factory=None,
         dens = prof[0][1] / (cu._OMEGA[T.m] * T.q)
         if abs(dens - 1.0) > config.density_tol:
             raise ValueError("density at the probe point is not Q")
-        E = max(T.excess.excess_ratio(T.radius4), 1e-12)
+        E = max(T.excess.excess_ratio(T.radius4), cu._EXCESS_FLOOR)
         delta11 = max(E ** (2 * config.beta), 4.0 * 16 ** T.m * E)
         u, K, rep = cu.lipschitz_approximation(T, delta11)
         h = u.spacing
@@ -484,7 +484,7 @@ def energy_split_probe(machinery, fields, config: ProbeConfig = None
                        ) -> ProbeReport:
     """Energy of the retracted field against the near/far split of the input.
 
-    `fields` is a list of (emb, h, mask) triples, emb of shape (res, res, N).
+    `fields` is a list of (emb, h) pairs, emb of shape (res, res, N).
     Near nodes sit within the snap distance of the image cone; the retraction
     may inflate their energy only marginally, while far nodes admit a plain
     Lipschitz-squared factor.
@@ -494,16 +494,14 @@ def energy_split_probe(machinery, fields, config: ProbeConfig = None
     near_slack = (1.0 + 4.0 * machinery.ladder.ck(-1)) ** 2 - 1.0 + 0.05
     rows = []
     ok = True
-    for emb, h, mask in fields:
-        if mask is None:
-            mask = np.ones(emb.shape[:-1], dtype=bool)
+    for emb, h in fields:
         flat = emb.reshape(-1, emb.shape[-1])
         ret = machinery.rho_star_batch(flat).reshape(emb.shape)
         _, dist = machinery.lattice.nearest_point_batch(flat)
         near = (dist.reshape(emb.shape[:-1]) <= thresh)
-        lhs = qf.dirichlet_energy_embedded(ret, h, mask)
-        e_near = qf.dirichlet_energy_embedded(emb, h, mask & near)
-        e_tot = qf.dirichlet_energy_embedded(emb, h, mask)
+        lhs = qf.dirichlet_energy_embedded(ret, h)
+        e_near = qf.dirichlet_energy_embedded(emb, h, near)
+        e_tot = qf.dirichlet_energy_embedded(emb, h)
         e_far = max(e_tot - e_near, 0.0)
         bound = (1.0 + near_slack) * e_near + config.split_slack * e_far
         cfit = 0.0

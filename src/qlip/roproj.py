@@ -304,11 +304,14 @@ class AlmostProjection:
                 1.0, 2.0 * self.far_scale / dlow)[:, None]
         anchors = np.concatenate([near[:, None], around, far[:, None]], axis=1)
         # anchors on the nearby lower skeleton keep the gap consistent with
-        # the values already prescribed there: (row, point) pairs in row order
+        # the values already prescribed there: one pass per dimension below
+        # the row's level, its (row, point) pairs put in row order
         reach = np.array([4.0 * lad.tube(lvl - 1) for lvl in range(nq + 1)])[level]
-        lower = lat.faces_up_to(int(level.max()) - 1)
-        bound = np.where(level[:, None] > lower.dims, reach[:, None], -np.inf)
-        low_row, low_pts = lower.within(x, bound)
+        low_row, low_pts = (np.concatenate(a) for a in zip(*[
+            lat.faces_of_dim(k).within(x, np.where(level > k, reach, -np.inf)[:, None])
+            for k in range(int(level.max()))]))
+        order = np.argsort(low_row, kind="stable")
+        low_row, low_pts = low_row[order], low_pts[order]
         fixed = anchors.reshape(-1, x.shape[1])
         # snap numerical fuzz onto the cone so anchor/value pairs are consistent
         pts = lat.nearest_point_batch(np.concatenate([fixed, low_pts]))[0]
@@ -337,15 +340,18 @@ class AlmostProjection:
 
         A face of dim k lies in the skeleton S_k, whose tube has radius
         delta^(k+1) (the top faces carry the cone's own tube), so the nearest
-        tube point comes from the face with the smallest closure distance
-        minus radius.
+        tube point comes from one nearest pass per dimension k: a row takes
+        the least k with the smallest distance minus radius, and that pass's
+        point.
         """
         single = np.asarray(x).ndim == 1
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        faces = self.lattice.faces_up_to(self.ladder.nq)
-        radius = np.array([self.ladder.tube(k) for k in range(self.ladder.nq + 1)])[faces.dims]
-        point, dist, which = faces.nearest(pts, offset=radius)
-        rad = radius[which]
+        lat, dims = self.lattice, range(self.ladder.nq + 1)
+        point, dist = (np.stack(a) for a in zip(*[
+            lat.faces_of_dim(k).nearest(pts)[:2] for k in dims]))
+        radius = np.array([self.ladder.tube(k) for k in dims])
+        k, rows = np.argmin(dist - radius[:, None], axis=0), np.arange(len(pts))
+        point, dist, rad = point[k, rows], dist[k, rows], radius[k]
         out = pts.copy()
         move = dist - rad > 0
         out[move] = point[move] + (pts[move] - point[move]) * (

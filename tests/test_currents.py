@@ -271,11 +271,11 @@ def _mass_ratio_reference(T, radii, n_theta=64, n_rad=24):
     gt, gw = np.polynomial.legendre.leggauss(n_rad)
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    z0 = T.values_at(T.center[None])[0].mean(axis=0)
+    z0 = T.sheet_values(T.center[None])[0].mean(axis=0)
     tmax = T.radius4 * 0.999
 
     def sheet_dist(t, u, j):
-        vert = T.values_at(T.center + t * u)[j] - z0
+        vert = T.sheet_values(T.center + t * u)[j] - z0
         return math.hypot(t, float(np.linalg.norm(vert)))
 
     out = []

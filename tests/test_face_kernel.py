@@ -143,16 +143,14 @@ def just_outside(lat, rng, count):
 def test_face_lists_match_oracle(key, seed):
     # every face list the code reduces over: the distance is the least
     # oracle distance, the point lies at it, and `which` is the first face
-    # realizing it
+    # realizing it; the skeleton distance is the least over dims <= k
     lat = lattice(key)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([points(lat, kind, rng, 2) for kind in KINDS]
                          + [just_outside(lat, rng, 4)])
     oracle = np.array([[oracle_distance(f, v) for f in lat.faces] for v in pts])
     tol = 1e-12 * (1.0 + np.linalg.norm(pts, axis=1))
-    lists = [lat.top_faces] + [get(k) for get in (lat.faces_of_dim, lat.faces_up_to)
-                               for k in range(lat.max_dim + 1)]
-    for faces in lists:
+    for faces in [lat.top_faces] + [lat.faces_of_dim(k) for k in range(lat.max_dim + 1)]:
         near, dist, which = faces.nearest(pts)
         ref = oracle[:, [f.index for f in faces]]
         assert np.all(np.abs(dist - ref.min(axis=1)) <= tol)
@@ -160,5 +158,9 @@ def test_face_lists_match_oracle(key, seed):
         for i, j in enumerate(which):
             assert abs(ref[i, j] - dist[i]) <= tol[i]
             assert np.all(ref[i, :j] >= dist[i] - tol[i])
-    _, dist, which = lat.faces_up_to(-1).nearest(pts)
+    for k in range(lat.max_dim + 1):
+        ref = oracle[:, [f.index for f in lat.faces if f.dim <= k]].min(axis=1)
+        assert np.all(np.abs(lat.skeleton_distance_batch(pts, k) - ref) <= tol)
+    assert np.all(np.isinf(lat.skeleton_distance_batch(pts, -1)))
+    _, dist, which = lat.faces_of_dim(-1).nearest(pts)
     assert np.all(np.isinf(dist)) and np.all(which == -1)

@@ -395,7 +395,7 @@ def test_energy_split_probe():
     wob = np.stack([np.sin((i + 2.0) * x + i) * np.cos((i % 3 + 1.0) * y)
                     for i in range(emb.shape[-1])], axis=-1)
     thresh = mach.ladder.delta ** 5
-    fields = [(emb, h, None), (emb + 3.0 * thresh * wob, h, None)]
+    fields = [(emb, h), (emb + 3.0 * thresh * wob, h)]
     rep = pb.energy_split_probe(mach, fields)
     assert rep.passed
     assert rep.rows[0]["far"] <= 1e-12

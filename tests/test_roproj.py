@@ -11,7 +11,7 @@ from qlip import currents as cu
 from qlip import qfield as qf
 from qlip.embed import NotOnImageError, xi, xi_batch
 from qlip.qspace import QPoint, random_qpoint
-from qlip.roproj import (AlmostProjection, ConstantLadder, LadderError,
+from qlip.roproj import (_CLAMP_MARGIN, AlmostProjection, ConstantLadder, LadderError,
                          OutsideNeighborhoodError, default_machinery, phi_tau)
 
 
@@ -431,11 +431,14 @@ def clamp_inputs(mach, rng, count):
     noise /= np.linalg.norm(noise, axis=1, keepdims=True)
     x = (on * 10.0 ** rng.uniform(-4.0, 3.0, size=(count, 1))
          + noise * 10.0 ** rng.uniform(-4.0, 3.0, size=(count, 1)))
-    faces = mach.lattice.faces_up_to(mach.ladder.nq)
-    radius = mach.ladder.delta ** (faces.dims + 1.0)
-    point, dist, which = faces.nearest(x, offset=radius)
+    # the nearest tube: the least dim k with the least distance - tube(k)
+    point, dist = (np.stack(a) for a in zip(*[
+        mach.lattice.faces_of_dim(k).nearest(x)[:2] for k in range(mach.ladder.nq + 1)]))
+    radius = mach.ladder.delta ** (np.arange(mach.ladder.nq + 1) + 1.0)
+    k, rows = np.argmin(dist - radius[:, None], axis=0), np.arange(count)
+    point, dist = point[k, rows], dist[k, rows]
     side = 1.0 + 1e-6 * rng.choice([-1.0, 1.0], size=count)
-    graze = point + (x - point) * (radius[which] * side / np.maximum(
+    graze = point + (x - point) * (radius[k] * side / np.maximum(
         dist, 1e-300))[:, None]
     return np.concatenate([x, graze])
 
@@ -448,6 +451,36 @@ def test_one_clamp_lands_in_a_tube(n, q, seed):
     mach = default_machinery(n, q)
     x = mach.clamp_to_neighborhood(clamp_inputs(mach, np.random.default_rng(seed), 128))
     assert np.all(mach._locate(x)[2] >= 0)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_clamp_reaches_the_nearest_tube(n, q, seed):
+    """A row outside every tube moves toward p, the nearest point of the
+    first face (in ascending dimension, then lattice order) with the least
+    |x - p| - tube(dim), to p + (x - p) r (1 - _CLAMP_MARGIN) / |x - p|;
+    a row inside a tube stays where it is."""
+    mach = default_machinery(n, q)
+    lat, lad = mach.lattice, mach.ladder
+    x = clamp_inputs(mach, np.random.default_rng(seed), 32)
+    gap, point, radius = np.full(len(x), np.inf), np.empty_like(x), np.empty(len(x))
+    for k in range(lad.nq + 1):
+        faces = lat.faces_of_dim(k)
+        for j in range(len(faces)):
+            p = faces.project(x, np.full(len(x), j))
+            g = np.linalg.norm(x - p, axis=1) - lad.tube(k)
+            take = g < gap
+            gap[take], point[take], radius[take] = g[take], p[take], lad.tube(k)
+    want, move = x.copy(), gap > 0
+    assert np.any(move) and not np.all(move)
+    to = x[move] - point[move]
+    want[move] = point[move] + to * (radius[move] * (1.0 - _CLAMP_MARGIN)
+                                     / np.linalg.norm(to, axis=1))[:, None]
+    got = mach.clamp_to_neighborhood(x)
+    assert np.array_equal(got[~move], x[~move])
+    assert np.all(np.linalg.norm(got - want, axis=1)
+                  <= 1e-12 * (1.0 + np.linalg.norm(x, axis=1)))
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
@@ -481,7 +514,11 @@ def tube_edge_inputs(mach, rng, count):
     for lvl in range(mach.ladder.nq + 1):
         y = xi_batch(mach.spec, rng.normal(size=(count, q, n)))
         y += rng.normal(size=y.shape)
-        point, dist, _ = lat.faces_up_to(lvl).nearest(y)
+        point, dist = np.empty_like(y), np.full(count, np.inf)
+        for k in range(lvl + 1):  # the first nearest face of dim <= lvl
+            p, d, _ = lat.faces_of_dim(k).nearest(y)
+            closer = d < dist
+            point[closer], dist[closer] = p[closer], d[closer]
         keep = dist > 2.0 * mach.ladder.tube(lvl)
         side = 1.0 + 1e-9 * rng.choice([-1.0, 1.0], size=int(keep.sum()))
         rows.append(point[keep] + (y - point)[keep] * (
