@@ -21,9 +21,12 @@ import numpy as np
 
 from .qspace import QPoint, matched_diff_sq, random_qpoint
 
-_FEAS_TOL = 1e-7  # least _face_depth of a sign pattern that is a face
-# _face_depth: a residual this small, or a strict row this short, is no face
+_FEAS_TOL = 1e-7  # least depth (_face_depths) of a sign pattern that is a face
+# _face_depths: a residual this small, or a strict row this short, is no face
 _LDP_RESIDUAL, _ROW_FLOOR = 1e-10, 1e-12
+# _nnls_gram: least gradient and relative Schur complement of an entry that
+# joins the active set; solves per variable before it raises
+_NNLS_STOP, _NNLS_ITERS = 1e-12, 3
 _FACE_BUDGET = 1000  # face_lattice: most faces it builds geometry for
 _SPAN_TOL = 1e-9  # face-closure slack, relative to 1 + |y|: see _closure_tol
 # pairs per chunk of the face kernel's span pass (and of the pair-separation
@@ -266,48 +269,103 @@ def _pattern_rows(spec, k, pattern):
     return eq, strict
 
 
-def _null_basis(rows) -> np.ndarray:
-    """Orthonormal columns spanning null(rows), singular values up to 1e-12
-    times the largest counting as zero."""
-    _u, s, vt = np.linalg.svd(np.asarray(rows))
-    return vt[np.sum(s > 1e-12 * s[0]):].T
+def _rank_split(rows):
+    """Full SVD of a stack of row sets (..., E, nq): the right singular
+    vectors vt (..., nq, nq) and the rank, singular values up to 1e-12 times
+    the largest counting as zero.  vt[rank:] spans null(rows)."""
+    _u, s, vt = np.linalg.svd(rows)
+    return vt, np.sum(s > 1e-12 * s[..., :1], axis=-1)
 
 
-def _face_depth(eq_rows, strict_rows) -> float:
-    """The largest min_i g_i . y over unit y in null(eq_rows), g_i the strict
-    rows restricted there and scaled to unit length: > 0 exactly when the open
-    cone {P : eq_rows P = 0, strict_rows P > 0} is nonempty (inf without strict
-    rows, where P = 0 will do).
+def _face_depths(children) -> np.ndarray:
+    """Per child (eq_rows, strict_rows): the largest min_i g_i . y over unit y
+    in null(eq_rows), g_i the strict rows restricted there and scaled to unit
+    length.  It is > 0 exactly when the open cone {P : eq_rows P = 0,
+    strict_rows P > 0} is nonempty (inf without strict rows, where P = 0 will
+    do; 0 when a strict row vanishes there, as all do on a point space).
 
     Gordan's alternative makes this a least-distance problem, min |x| subject
-    to G x >= 1, which one NNLS call solves (Lawson and Hanson 1974, ch. 23):
-    a zero residual r of min |[G^T; 1^T] u - e_last| over u >= 0 is a
-    certificate sum_i u_i g_i = 0 that the cone is empty, and otherwise
-    x = -r[:-1] / r[-1] is a witness, whose depth min(G x) / |x| is returned.
+    to G x >= 1 (Lawson and Hanson 1974, ch. 23): a zero residual
+    r = [G^T u; 1^T u - 1] at the NNLS solution u >= 0 is a certificate
+    sum_i u_i g_i = 0 that the cone is empty, and otherwise x = -r[:-1] / r[-1]
+    is a witness, whose depth min(G x) / |x| is returned.
+
+    The children are decided in stacks, one per number of strict rows, with
+    the equality rows zero-padded (zero rows leave a null space as it is):
+    one batched SVD gives each child's projector I - Vr^T Vr onto
+    null(eq_rows), and one batched _nnls_gram solves every least-distance
+    problem of the stack.
     """
-    from scipy.optimize import nnls
+    depth = np.full(len(children), np.inf)
+    n_eq = np.array([len(e) for e, _s in children], dtype=int)
+    counts = np.array([len(s) for _e, s in children], dtype=int)
+    for m in np.unique(counts[counts > 0]):
+        idx = np.flatnonzero(counts == m)
+        g = np.array([children[i][1] for i in idx], dtype=float)  # (B, m, nq)
+        pad = max(1, n_eq[idx].max())
+        eq = np.array([list(children[i][0]) + [np.zeros(g.shape[2])] * (pad - n_eq[i])
+                       for i in idx])
+        vt, rank = _rank_split(eq)
+        vr = vt * (np.arange(vt.shape[1]) < rank[:, None])[..., None]
+        g = g - np.einsum("bmi,bki,bkj->bmj", g, vr, vr)
+        norms = np.linalg.norm(g, axis=2)
+        live = norms.min(axis=1) > _ROW_FLOOR
+        depth[idx[~live]] = 0.0
+        g = g[live] / norms[live, :, None]
+        u = _nnls_gram(np.einsum("bmi,bki->bmk", g, g) + 1.0, np.ones(g.shape[:2]))
+        x = np.einsum("bm,bmi->bi", u, g)
+        last = u.sum(axis=1) - 1.0
+        empty = np.hypot(np.linalg.norm(x, axis=1), last) <= _LDP_RESIDUAL
+        x = -x[~empty] / last[~empty, None]
+        depth[idx[live][empty]] = 0.0
+        depth[idx[live][~empty]] = np.maximum(0.0, np.einsum(
+            "bmi,bi->bm", g[~empty], x).min(axis=1) / np.linalg.norm(x, axis=1))
+    return depth
 
-    if not strict_rows:
-        return np.inf
-    g = np.asarray(strict_rows)
-    if eq_rows:
-        g = g @ _null_basis(eq_rows)
-    norms = np.linalg.norm(g, axis=1)
-    if g.shape[1] == 0 or norms.min() <= _ROW_FLOOR:
-        return 0.0
-    g = g / norms[:, None]
-    lhs = np.vstack([g.T, np.ones(len(g))])
-    rhs = np.zeros(len(lhs))
-    rhs[-1] = 1.0
-    r = lhs @ nnls(lhs, rhs)[0] - rhs
-    if np.linalg.norm(r) <= _LDP_RESIDUAL:
-        return 0.0
-    x = -r[:-1] / r[-1]
-    return max(0.0, float((g @ x).min() / np.linalg.norm(x)))
 
+def _nnls_gram(h, b) -> np.ndarray:
+    """Lawson and Hanson's active-set NNLS (1974, ch. 23) in Gram form, over a
+    stack: per row, the u >= 0 minimizing u.h.u / 2 - b.u, for h (B, m, m)
+    positive semidefinite; with h = A^T A and b = A^T c, the u >= 0 that
+    minimizes |A u - c|.
 
-def _feasible(eq_rows, strict_rows) -> bool:
-    return _face_depth(eq_rows, strict_rows) > _FEAS_TOL
+    Each pass solves every row on its active set P (the identity elsewhere),
+    for b and for the columns h[:, j].  A row whose solution stays positive
+    on P moves to it, and then admits the free entry of largest gradient
+    b - h u, among those whose gradient and Schur complement
+    h_jj - h_jP h_PP^-1 h_Pj (relative to h_jj) exceed _NNLS_STOP: a
+    complement near 0 marks a column that depends on P, such as a duplicate.
+    Otherwise the row steps toward the solution until an active entry
+    reaches zero, and that entry leaves.  A row at its optimum repeats it,
+    so the stack runs until every row is there.  Raises RuntimeError when a
+    row needs more than _NNLS_ITERS * m solves, as scipy's nnls does after
+    3 m iterations.
+    """
+    u, active = np.zeros(b.shape), np.zeros(b.shape, dtype=bool)
+    settled, eye, diag = np.ones(len(b), dtype=bool), np.eye(b.shape[1]), np.einsum("bjj->bj", h)
+    rhs = np.concatenate([b[..., None], h], axis=2)
+    sol = np.zeros(rhs.shape)  # h_PP^-1 [b_P, h_P:] on the active rows, 0 off them
+    for solves in itertools.count():
+        w = np.where(active, -np.inf, b - np.einsum("bij,bj->bi", h, u))
+        schur = diag - np.einsum("bji,bij->bj", h, sol[..., 1:])
+        w[(w <= _NNLS_STOP) | (schur <= _NNLS_STOP * diag)] = -np.inf
+        grow = settled & np.isfinite(w).any(axis=1)
+        if not (grow | ~settled).any():
+            return u
+        if solves == _NNLS_ITERS * b.shape[1]:
+            raise RuntimeError(f"NNLS did not converge in {solves} solves")
+        active[np.flatnonzero(grow), w[grow].argmax(axis=1)] = True
+        mat = np.where(active[:, :, None] & active[:, None, :], h, eye)
+        sol = np.linalg.solve(mat, np.where(active[:, :, None], rhs, 0.0))
+        s = sol[..., 0]
+        cross = active & (s <= 0.0)
+        # the step fraction at which each crossing entry reaches zero
+        t = np.where(cross, u, np.inf) / np.where(cross & (u > s), u - s, 1.0)
+        alpha = np.minimum(t.min(axis=1), 1.0)[:, None]
+        u = u + alpha * (s - u)
+        active &= (t > alpha) & (u > 0.0)
+        u[~active] = 0.0
+        settled = alpha[:, 0] >= 1.0
 
 
 def _permute_pattern(full_pattern, perm):
@@ -515,7 +573,8 @@ def _face_geometry(spec, pattern):
         e, s = _pattern_rows(spec, k, blk)
         eq_rows += e
         strict_rows += s
-    b = _null_basis(eq_rows) if eq_rows else np.eye(nq)
+    vt, rank = _rank_split(np.asarray(eq_rows)) if eq_rows else (np.eye(nq), 0)
+    b = vt[rank:].T
     dim = b.shape[1]
 
     # placement: label j's value in block k sits at its slot there
@@ -643,11 +702,13 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
                     f"{_FACE_BUDGET} faces, the budget that the lattice build "
                     "supports")
             return
-        for pi in block0 if k == 0 else range(len(patterns)):
-            pat = patterns[pi]
-            e, s = rows_cache[k][pi]
-            if _feasible(eq_rows + e, strict_rows + s):
-                dfs(k + 1, chosen + [pat], eq_rows + e, strict_rows + s)
+        # every child of the node in one batched test, then the faces in order
+        cands = block0 if k == 0 else range(len(patterns))
+        kids = [(eq_rows + rows_cache[k][pi][0], strict_rows + rows_cache[k][pi][1])
+                for pi in cands]
+        for pi, (e, s), depth in zip(cands, kids, _face_depths(kids)):
+            if depth > _FEAS_TOL:
+                dfs(k + 1, chosen + [patterns[pi]], e, s)
 
     dfs(0, [], [], [])
 

@@ -630,13 +630,8 @@ def test_entry_point_smoke():
     assert "gen-current" in proc.stdout
 
 
-def test_import_leaves_signal_and_ndimage_unloaded():
-    """`import qlip.cli` loads no scipy module that a command loads on first
-    use: scipy.signal and scipy.ndimage (a convolution, a running maximum),
-    scipy.optimize (a Hungarian matching, an NNLS face test, a root
-    bracket), scipy.sparse (a Dirichlet solve), scipy.spatial (a hull
-    diameter) and scipy.linalg; `import qlip.qspace` leaves scipy.optimize
-    unloaded."""
+def _fresh_stdout(code):
+    """Standard output of `code` run in a fresh interpreter on this qlip."""
     import os
 
     import qlip
@@ -644,13 +639,31 @@ def test_import_leaves_signal_and_ndimage_unloaded():
     root = os.path.dirname(os.path.dirname(os.path.abspath(qlip.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_leaves_signal_and_ndimage_unloaded():
+    """`import qlip.cli` loads no scipy module that a command loads on first
+    use: scipy.signal and scipy.ndimage (a convolution, a running maximum),
+    scipy.optimize (a Hungarian matching, a root bracket), scipy.sparse (a
+    Dirichlet solve), scipy.spatial (a hull diameter) and scipy.linalg;
+    `import qlip.qspace` leaves scipy.optimize unloaded."""
     for module, lazy in (("qlip.cli", ("scipy.signal", "scipy.ndimage",
                                        "scipy.optimize", "scipy.linalg",
                                        "scipy.sparse", "scipy.spatial")),
                          ("qlip.qspace", ("scipy.optimize",))):
         code = (f"import sys, {module}; print(sorted(m for m in {lazy!r} "
                 "if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]", module
+        assert _fresh_stdout(code) == "[]", module
+
+
+def test_machinery_builds_load_no_scipy():
+    """A cold `default_machinery` for (1, 2), (1, 3) and (2, 2), face
+    lattice and all, loads no scipy module: the face test is numpy's."""
+    code = ("import sys; from qlip.roproj import default_machinery; "
+            "[default_machinery(n, q) for n, q in ((1, 2), (1, 3), (2, 2))]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_stdout(code) == "[]"

@@ -256,18 +256,79 @@ def test_face_count_line_four_and_five():
     assert lat.tilde_c == 0.125
 
 
-def test_face_depth_hand_values():
+# (eq_rows, strict_rows) in the plane and the depth each has
+HAND_DEPTHS = [
     # the chamber 0 < x1 < x2 opens 45 degrees: its depth is sin(22.5 deg)
-    assert embed._face_depth([], [np.array([1.0, 0.0]), np.array([-1.0, 1.0])]) == (
-        pytest.approx(np.sin(np.pi / 8), abs=1e-12))
+    (([], [np.array([1.0, 0.0]), np.array([-1.0, 1.0])]), np.sin(np.pi / 8)),
     # on the line x1 = x2 the row (1, 0) restricts to a unit row
-    assert embed._face_depth([np.array([1.0, -1.0])], [np.array([1.0, 0.0])]) == (
-        pytest.approx(1.0, abs=1e-12))
+    (([np.array([1.0, -1.0])], [np.array([1.0, 0.0])]), 1.0),
     # opposite rows, a row vanishing on the equality space, a point space
-    assert embed._face_depth([], [np.array([1.0, 0.0]), np.array([-2.0, 0.0])]) == 0.0
-    assert embed._face_depth([np.array([1.0, 0.0])], [np.array([1.0, 0.0])]) == 0.0
-    assert embed._face_depth([np.eye(2)[0], np.eye(2)[1]], [np.array([1.0, 1.0])]) == 0.0
-    assert embed._face_depth([np.array([1.0, 0.0])], []) == np.inf
+    (([], [np.array([1.0, 0.0]), np.array([-2.0, 0.0])]), 0.0),
+    (([np.array([1.0, 0.0])], [np.array([1.0, 0.0])]), 0.0),
+    (([np.eye(2)[0], np.eye(2)[1]], [np.array([1.0, 1.0])]), 0.0),
+    # no strict rows: the open cone holds P = 0
+    (([np.array([1.0, 0.0])], []), np.inf),
+]
+
+
+def test_face_depth_hand_values():
+    # each child alone, then all in one call: the stacks of one strict-row
+    # count mix equality-row counts, and a row's depth is its own
+    children, want = zip(*HAND_DEPTHS)
+    alone = np.concatenate([embed._face_depths([c]) for c in children])
+    together = embed._face_depths(list(children))
+    for got in (alone, together):
+        assert got == pytest.approx(np.array(want), abs=1e-12)
+        assert (got[np.array(want) == 0.0] == 0.0).all()
+    assert np.array_equal(alone, together)
+
+
+def nnls_stacks():
+    """(A, c) stacks for the NNLS reference: random, rank-deficient (more
+    columns than rows, and rank 3 of 8 columns) and with a duplicated column,
+    the degenerate ties of coneproj.project_polyhedral_cone."""
+    rng, rows = np.random.default_rng(2), 200
+    out = [(rng.normal(size=(rows, 7, 4)), rng.normal(size=(rows, 7))),
+           (rng.normal(size=(rows, 3, 6)), rng.normal(size=(rows, 3))),
+           (rng.normal(size=(rows, 6, 3)) @ rng.normal(size=(rows, 3, 8)),
+            rng.normal(size=(rows, 6)))]
+    a = rng.normal(size=(rows, 3, 6))
+    out.append((a[:, :, [0, 1, 2, 3, 4, 0]], rng.normal(size=(rows, 3))))
+    # the face test's own form: unit rows of G (one repeated), a row of ones,
+    # c = e_last
+    g = rng.normal(size=(rows, 4, 3))[:, [0, 1, 1, 2, 3]]
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    lhs = np.concatenate([g.transpose(0, 2, 1), np.ones((rows, 1, 5))], axis=1)
+    out.append((lhs, np.broadcast_to(np.eye(4)[-1], (rows, 4))))
+    return out
+
+
+@pytest.mark.parametrize("stack", range(5))
+def test_nnls_gram_matches_scipy(stack):
+    from scipy.optimize import nnls
+
+    a, c = nnls_stacks()[stack]
+    u = embed._nnls_gram(np.einsum("bim,bik->bmk", a, a), np.einsum("bim,bi->bm", a, c))
+    assert (u >= 0.0).all()
+    for a_i, c_i, u_i in zip(a, c, u):
+        ref = nnls(a_i, c_i)[0]
+        obj, obj_ref = (np.sum((a_i @ x - c_i) ** 2) for x in (u_i, ref))
+        assert abs(obj - obj_ref) <= 1e-12 * max(obj_ref, 1.0)
+        # KKT: the gradient A^T (c - A u) is <= 0, and 0 where u > 0
+        grad = a_i.T @ (c_i - a_i @ u_i)
+        assert grad.max() <= 1e-10
+        assert np.abs(grad[u_i > 0.0]).max(initial=0.0) <= 1e-10
+
+
+def test_nnls_gram_raises_at_its_iteration_cap(monkeypatch):
+    # the chamber's problem needs both columns, so two solves; a cap of one
+    # solve (0.5 per variable) raises
+    g = np.array([[[1.0, 0.0], [-1.0, 1.0]]]) / np.array([1.0, np.sqrt(2.0)])[:, None]
+    h, b = np.einsum("bmi,bki->bmk", g, g) + 1.0, np.ones((1, 2))
+    assert (embed._nnls_gram(h, b) > 0.0).all()
+    monkeypatch.setattr(embed, "_NNLS_ITERS", 0.5)
+    with pytest.raises(RuntimeError, match="did not converge in 1 solves"):
+        embed._nnls_gram(h, b)
 
 
 def lp_slack(eq_rows, strict_rows):
@@ -294,28 +355,30 @@ def test_face_test_agrees_with_lp_oracle(monkeypatch):
     # every decision of cold (1, 2), (1, 3) and (1, 4) builds, where every
     # pattern tried is a face, and every third block after one pair of (2, 2)
     # chambers, where most are not, matches the LP, with a wide margin
-    decide, calls = embed._feasible, []
+    depths, calls = embed._face_depths, []
 
-    def record(eq_rows, strict_rows):
-        calls.append((eq_rows, strict_rows, decide(eq_rows, strict_rows)))
-        return calls[-1][2]
+    def record(children):
+        got = depths(children)
+        calls.extend((e, s, d) for (e, s), d in zip(children, got))
+        return got
 
     monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
-    monkeypatch.setattr(embed, "_feasible", record)
+    monkeypatch.setattr(embed, "_face_depths", record)
     for spec in (spec12(), spec13(), spec14()):
         face_lattice(spec)
     assert len(calls) == 8 + 20 + 48
-    spec, chamber = spec22(), ((0, 1), 2, 3)
+    spec, chamber, kids = spec22(), ((0, 1), 2, 3), []
     for b, c in itertools.product(embed._block_patterns(2), repeat=2):
         rows = [embed._pattern_rows(spec, k, p) for k, p in enumerate((chamber, b, c))]
-        record(sum([e for e, _ in rows], []), sum([s for _, s in rows], []))
+        kids.append((sum([e for e, _ in rows], []), sum([s for _, s in rows], [])))
+    record(kids)
     faces = 0
-    for eq_rows, strict_rows, decision in calls:
+    for eq_rows, strict_rows, depth in calls:
         slack = lp_slack(eq_rows, strict_rows)
-        assert decision == (slack > embed._FEAS_TOL)
-        if decision:
+        assert (depth > embed._FEAS_TOL) == (slack > embed._FEAS_TOL)
+        if depth > embed._FEAS_TOL:
             faces += 1
-            assert embed._face_depth(eq_rows, strict_rows) >= 0.1
+            assert depth >= 0.1
         else:
             assert slack <= 1e-12
     assert (faces, len(calls) - faces) == (76 + 49, 120)
@@ -352,6 +415,17 @@ def test_lattice_snapshot_plane_two():
     assert lat.pair_separation.keys() == expect.keys()
     for k, sep in expect.items():
         assert abs(lat.pair_separation[k] - sep) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (spec12, "dd3868e2123b1402ef04252cea0ce0668d5d57eaa78f8e3824c5b2c92446e982"),
+    (spec13, "7104bca1fa64ec7181089eeea1724fb349bcd4b499cd9cdc0593f135e624ff0a"),
+    (spec14, "17531b6529d85f91205804e943e8cbd3ff5271743bab094dfad88ddd284c84b9"),
+])
+def test_lattice_faces_digest_line(spec, digest):
+    # pins the faces of the (1, 2), (1, 3) and (1, 4) builds
+    blob = json.dumps(face_lattice(spec()).to_json()["faces"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_lattice_grading_and_vertex():
