@@ -8,10 +8,10 @@ Three problem classes, all low dimensional:
   stacked face kernel `embed.FaceStack`);
 * Euclidean projection onto a polyhedral cone {z : G z >= 0}, solved through
   the Moreau decomposition with a nonnegative least squares dual.  This is
-  the test oracle: the face closures of the embedded cone are projected
-  exactly by active-set enumeration over precomputed projectors, for every
-  (row, face) pair of a face list at once (`embed.FaceStack.nearest`), which
-  the tests compare against it;
+  the test oracle: the face closures of the embedded cone are projected by
+  the same decomposition with numpy's in-house NNLS (`embed._nnls_gram`),
+  for every (row, face) pair of a face list at once
+  (`embed.FaceStack.nearest`), which the tests compare against it;
 * Chebyshev-type extension values min_y max_i (|y - v_i| - r_i), solved by
   bisection over the level t with a ball-intersection feasibility test.  The
   test, min_y max_i (|y - v_i|^2 + s_i), also the oscillation's offset center,

@@ -30,9 +30,8 @@ _NNLS_STOP, _NNLS_ITERS = 1e-12, 3
 _FACE_BUDGET = 1000  # face_lattice: most faces it builds geometry for
 _SPAN_TOL = 1e-9  # face-closure slack, relative to 1 + |y|: see _closure_tol
 # pairs per chunk of the face kernel's span pass (and of the pair-separation
-# pass) and of its active-set enumeration: they bound the kernel temporaries
+# pass): it bounds the kernel temporaries
 _SPAN_PAIRS = 1 << 14
-_PROJECT_CHUNK = 256
 _APERTURE_START, _APERTURE_SAMPLES = 0.5, 200  # calibration: first try, points
 _ON_CONE_TOL = 1e-7  # on-cone slack of a decoded or retracted point, relative to 1 + |v|
 _EMBED_SEED = 0  # build_embedding: seed of the n >= 3 frames and the certificate
@@ -336,10 +335,11 @@ def _nnls_gram(h, b) -> np.ndarray:
     h_jj - h_jP h_PP^-1 h_Pj (relative to h_jj) exceed _NNLS_STOP: a
     complement near 0 marks a column that depends on P, such as a duplicate.
     Otherwise the row steps toward the solution until an active entry
-    reaches zero, and that entry leaves.  A row at its optimum repeats it,
-    so the stack runs until every row is there.  Raises RuntimeError when a
-    row needs more than _NNLS_ITERS * m solves, as scipy's nnls does after
-    3 m iterations.
+    reaches zero, and that entry leaves.  A row at its optimum repeats it
+    and takes the solution as it is (no step, so its last bit does not
+    depend on how long the rest of its stack runs), until every row is
+    there.  Raises RuntimeError when a row needs more than _NNLS_ITERS * m
+    solves, as scipy's nnls does after 3 m iterations.
     """
     u, active = np.zeros(b.shape), np.zeros(b.shape, dtype=bool)
     settled, eye, diag = np.ones(len(b), dtype=bool), np.eye(b.shape[1]), np.einsum("bjj->bj", h)
@@ -362,7 +362,7 @@ def _nnls_gram(h, b) -> np.ndarray:
         # the step fraction at which each crossing entry reaches zero
         t = np.where(cross, u, np.inf) / np.where(cross & (u > s), u - s, 1.0)
         alpha = np.minimum(t.min(axis=1), 1.0)[:, None]
-        u = u + alpha * (s - u)
+        u = np.where(alpha >= 1.0, s, u + alpha * (s - u))
         active &= (t > alpha) & (u > 0.0)
         u[~active] = 0.0
         settled = alpha[:, 0] >= 1.0
@@ -389,42 +389,18 @@ def _label_slots(pattern) -> np.ndarray:
 class FaceRecord:
     """One face: canonical labeled pattern plus its span and closure inequalities."""
 
-    __slots__ = ("index", "pattern", "slots", "dim", "basis", "cons",
-                 "projectors")
+    __slots__ = ("index", "pattern", "slots", "dim", "basis", "cons")
 
-    def __init__(self, index, pattern, dim, basis, cons, projectors):
+    def __init__(self, index, pattern, dim, basis, cons):
         self.index = index
         self.pattern = pattern
         self.slots = _label_slots(pattern)
         self.dim = dim
         self.basis = basis  # (N, dim) orthonormal
         self.cons = cons  # (n_strict, dim): closure = {basis @ y : cons @ y >= 0}
-        # (K, dim, dim): orthogonal projectors onto null(cons[S]), one per
-        # nonempty linearly independent row set S with |S| <= dim
-        self.projectors = projectors
 
     def __repr__(self):
         return f"Face(dim={self.dim}, idx={self.index})"
-
-
-def _active_set_projectors(cons: np.ndarray) -> np.ndarray:
-    """Projectors onto null(cons[S]) for the nonempty independent row sets S.
-
-    The Euclidean projection onto {y : cons @ y >= 0} lies in the relative
-    interior of one face of that cone, and the face spans null(cons[S]) for a
-    maximal independent subset S of its active rows; so the projection is one
-    of y, y @ P_S.  (Rows are unit vectors; subsets are either dependent or
-    have smallest singular value far above 1e-10.)
-    """
-    m, dim = cons.shape
-    out = []
-    for size in range(1, min(m, dim) + 1):
-        for rows in itertools.combinations(range(m), size):
-            _u, s, vt = np.linalg.svd(cons[list(rows)])
-            if s[-1] > 1e-10:
-                null = vt[size:]
-                out.append(null.T @ null)
-    return np.asarray(out, dtype=float).reshape(-1, dim, dim)
 
 
 def _closure_tol(y: np.ndarray) -> np.ndarray:
@@ -436,26 +412,21 @@ def _closure_tol(y: np.ndarray) -> np.ndarray:
 
 class FaceStack(list):
     """The faces of one dimension D with their geometry in arrays: bases
-    (F, N, D), unit constraint rows (F, M, D) and active-set projectors
-    (F, K, D, D), the last two zero-padded, with `real` and `real_cons`
-    marking the real projectors and constraint rows.  The face kernel treats
-    every (row, face) pair of the list in a few array passes; padded entries
-    contribute exact zeros."""
+    (F, N, D) and unit constraint rows (F, M, D), the latter zero-padded, with
+    `real_cons` marking the real rows.  The face kernel treats every (row,
+    face) pair of the list in a few array passes; padded rows contribute
+    exact zeros, and the closure projection's NNLS never activates them."""
 
     def __init__(self, faces, big_n: int):
         super().__init__(faces)
         dim = max([f.dim for f in faces], default=0)
         m = max([len(f.cons) for f in faces], default=0)
-        k = max([len(f.projectors) for f in faces], default=0)
         self.basis = np.zeros((len(faces), big_n, dim))
         self.cons = np.zeros((len(faces), m, dim))
-        self.projectors = np.zeros((len(faces), k, dim, dim))
-        self.real = np.arange(k) < np.array([len(f.projectors) for f in faces], dtype=int)[:, None]
         self.real_cons = np.arange(m) < np.array([len(f.cons) for f in faces], dtype=int)[:, None]
         for i, f in enumerate(faces):
             self.basis[i] = f.basis
             self.cons[i, :len(f.cons)] = f.cons
-            self.projectors[i, :len(f.projectors)] = f.projectors
         # the bases side by side, (N, F * D): a view of `basis` where numpy
         # can give one, so it sums in the same order as the (F, N, D) array
         self._flat_basis = self.basis.transpose(1, 0, 2).reshape(big_n, -1)
@@ -491,20 +462,18 @@ class FaceStack(list):
         margin = np.where(self.real_cons[which], np.einsum("rd,rmd->rm", y, cons), np.inf)
         return np.einsum("rd,rid->ri", y, basis), margin.min(axis=1, initial=np.inf)
 
-    def _project(self, y, span_d, tol, dist, near, r, f):
+    def _project(self, y, span_d, dist, near, r, f):
         """Project the pairs (r, f) exactly onto their closures, into dist and
-        near: the nearest candidate y @ P_S meeting the constraints to tol."""
-        for lo in range(0, len(r), _PROJECT_CHUNK):
-            pr, pf = r[lo:lo + _PROJECT_CHUNK], f[lo:lo + _PROJECT_CHUNK]
-            yp = y[pr, pf]
-            cand = np.einsum("pd,pkde->pke", yp, self.projectors[pf])
-            ok = np.einsum("pke,pme->pkm", cand, self.cons[pf]).min(
-                axis=2, initial=0.0) >= -tol[pr, pf, None]
-            gap = np.einsum("pkd,pkd->pk", cand - yp[:, None], cand - yp[:, None])
-            gap[~(ok & self.real[pf])] = np.inf
-            ystar = cand[np.arange(len(pr)), gap.argmin(axis=1)]
-            dist[pr, pf] = np.sqrt(span_d[pr, pf] ** 2 + np.sum((yp - ystar) ** 2, axis=1))
-            near[pr, pf] = np.einsum("pd,pid->pi", ystar, self.basis[pf])
+        near.  With G = cons[f], the nearest point of {G y >= 0} is
+        y + G^T lam, lam >= 0 minimizing |y + G^T lam| (Moreau's
+        decomposition): one batched _nnls_gram(G G^T, -G y)."""
+        if not len(r):
+            return
+        yp, g = y[r, f], self.cons[f]
+        lam = _nnls_gram(np.einsum("pmd,pkd->pmk", g, g), -np.einsum("pmd,pd->pm", g, yp))
+        step = np.einsum("pm,pmd->pd", lam, g)
+        dist[r, f] = np.sqrt(span_d[r, f] ** 2 + np.einsum("pd,pd->p", step, step))
+        near[r, f] = np.einsum("pd,pid->pi", yp + step, self.basis[f])
 
     def _chunks(self, pts, bound=None):
         """Yields (rows, dist (R, F), near (R, F, N)) per chunk of rows.
@@ -520,7 +489,7 @@ class FaceStack(list):
             tol = _closure_tol(y)
             inside = margin >= -tol
             dist = np.where(inside, span_d, np.hypot(span_d, np.minimum(margin + tol, 0.0)))
-            args = (y, span_d, tol, dist, near)
+            args = (y, span_d, dist, near)
             if bound is not None:
                 self._project(*args, *np.nonzero(~inside & (dist <= bound[rows])))
             else:
@@ -564,8 +533,7 @@ class FaceStack(list):
 
 
 def _face_geometry(spec, pattern):
-    """Span basis, closure inequalities and active-set projectors of one
-    labeled face."""
+    """Span basis and closure inequalities of one labeled face."""
     dims = spec.dims
     nq, big_n = dims.nq, dims.big_n
     eq_rows, strict_rows = [], []
@@ -583,7 +551,7 @@ def _face_geometry(spec, pattern):
         lmat[k * dims.q + pos] = spec.scale * _row(spec, k, j, nq)
 
     if dim == 0:
-        return np.zeros((big_n, 0)), np.zeros((0, 0)), np.zeros((0, 0, 0))
+        return np.zeros((big_n, 0)), np.zeros((0, 0))
     raw = lmat @ b  # (N, dim), full column rank
     basis, s, _vt = np.linalg.svd(raw, full_matrices=False)
     if np.sum(s > 1e-10) != dim:
@@ -601,7 +569,7 @@ def _face_geometry(spec, pattern):
             g = g[np.sort(idx)]
     else:
         g = np.zeros((0, dim))
-    return basis, g, _active_set_projectors(g)
+    return basis, g
 
 
 class FaceLattice:
@@ -714,8 +682,8 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
 
     faces = []
     for i, pattern in enumerate(sorted(found)):
-        basis, cons, projectors = _face_geometry(spec, pattern)
-        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons, projectors))
+        basis, cons = _face_geometry(spec, pattern)
+        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons))
 
     lattice = FaceLattice(spec, faces, tilde_c=0.5, pair_separation={})
     lattice.pair_separation = _measure_pair_separation(lattice)

@@ -662,8 +662,13 @@ def test_import_leaves_signal_and_ndimage_unloaded():
 
 def test_machinery_builds_load_no_scipy():
     """A cold `default_machinery` for (1, 2), (1, 3) and (2, 2), face
-    lattice and all, loads no scipy module: the face test is numpy's."""
-    code = ("import sys; from qlip.roproj import default_machinery; "
+    lattice and all, and one rho_star_batch of off-cone rows on the (2, 2)
+    machine load no scipy module: the face test and the face kernel's
+    closure projection are numpy's."""
+    code = ("import sys; import numpy as np; "
+            "from qlip.roproj import default_machinery; "
             "[default_machinery(n, q) for n, q in ((1, 2), (1, 3), (2, 2))]; "
+            "m = default_machinery(2, 2); "
+            "m.rho_star_batch(np.random.default_rng(0).normal(size=(8, m.spec.dims.big_n))); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_stdout(code) == "[]"

@@ -331,6 +331,19 @@ def test_nnls_gram_raises_at_its_iteration_cap(monkeypatch):
         embed._nnls_gram(h, b)
 
 
+def test_nnls_gram_rows_do_not_depend_on_their_stack():
+    # bitwise: a row that has settled keeps its solution while slower rows
+    # of its stack still run, so the face kernel's closure projections round
+    # a row the same way whatever batch it comes in
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(400, 6, 4))
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    h, b = np.einsum("bmd,bkd->bmk", g, g), -np.einsum("bmd,bd->bm", g, rng.normal(size=(400, 4)))
+    stacked = embed._nnls_gram(h, b)
+    for i in range(len(b)):
+        assert np.array_equal(embed._nnls_gram(h[i:i + 1], b[i:i + 1])[0], stacked[i])
+
+
 def lp_slack(eq_rows, strict_rows):
     """The oracle for the face test: the largest t <= 1 with strict_rows P >= t
     and eq_rows P = 0 over the box |P_i| <= 1, by one LP."""

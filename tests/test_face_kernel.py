@@ -1,4 +1,7 @@
-"""Face-closure kernel: exact active-set projection against the NNLS oracle."""
+"""Face-closure kernel: its NNLS closure projection against the scipy NNLS
+oracle and against exact enumeration over active sets."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,18 +108,64 @@ def test_images_have_no_residual(key, seed):
     assert np.all(np.linalg.norm(near - v, axis=1) <= 1e-12 * scale)
 
 
-def test_chunked_enumeration_matches_one_row(monkeypatch):
-    # more rows outside a face than one chunk holds
-    lat = lattice("22")
-    pts = np.random.default_rng(5).normal(size=(40, lat.spec.dims.big_n))
-    whole = [lat.skeleton_distance_batch(pts, k) for k in range(lat.max_dim)]
-    monkeypatch.setattr(embed, "_PROJECT_CHUNK", 3)
-    for k in range(lat.max_dim):
-        assert np.allclose(lat.skeleton_distance_batch(pts, k), whole[k],
-                           rtol=0.0, atol=1e-14 * (1.0 + np.abs(whole[k]).max()))
-    _, dist = lat.nearest_point_batch(pts)
-    for v, d in zip(pts, dist):
-        assert abs(d - lat.nearest_point(v)[1]) <= 1e-14 * (1.0 + np.linalg.norm(v))
+def enumeration_projection(face, v):
+    """The exact closure projection by enumeration: y itself when it meets
+    the constraints to the kernel's slack, else the nearest y @ P_S that
+    does, P_S the projector onto null(cons[S]) over the nonempty independent
+    row sets S (the projection lies in the relative interior of one face of
+    the closure, which spans null(cons[S]) for such an S)."""
+    y = face.basis.T @ v
+    tol = embed._closure_tol(y)
+    if (face.cons @ y).min(initial=0.0) >= -tol:
+        return face.basis @ y
+    best = None
+    for size in range(1, min(face.cons.shape) + 1):
+        for rows in itertools.combinations(range(len(face.cons)), size):
+            _u, s, vt = np.linalg.svd(face.cons[list(rows)])
+            if s[-1] > 1e-10:
+                cand = y @ vt[size:].T @ vt[size:]
+                if (face.cons @ cand).min() >= -tol and (
+                        best is None or np.sum((cand - y) ** 2) < np.sum((best - y) ** 2)):
+                    best = cand
+    return face.basis @ best
+
+
+def pushed_outside(lat, rng, count):
+    """Per input, a face and a point near its span pushed just outside two
+    of its closure constraints (one where the face has a single one), at
+    offsets from 1e-8 to 1e-2: those where the nearest candidate set is
+    closest to ambiguous."""
+    faces = [f for f in lat.faces if f.cons.size]
+    which, out = [], []
+    for f in rng.choice(len(faces), size=count):
+        face = faces[f]
+        c = face.cons[rng.choice(len(face.cons), size=min(2, len(face.cons)), replace=False)]
+        y = rng.normal(size=face.dim)
+        y -= np.linalg.lstsq(c, c @ y + 10.0 ** rng.uniform(-8, -2, size=len(c)), rcond=None)[0]
+        lift = rng.normal(size=lat.spec.dims.big_n) * 10.0 ** rng.uniform(-8, -2)
+        which.append(face)
+        out.append(face.basis @ y + lift)
+    return which, np.asarray(out)
+
+
+@pytest.mark.parametrize("key", ["13", "22"])
+def test_projection_matches_enumeration(key):
+    # the kernel's NNLS projection against the enumeration it replaced, on
+    # random points and on points just outside two constraints
+    lat = lattice(key)
+    rng = np.random.default_rng(7)
+    faces = [f for f in lat.faces if f.cons.size]
+    which = [faces[i] for i in rng.choice(len(faces), size=500)]
+    pts = rng.normal(size=(500, lat.spec.dims.big_n))
+    near_faces, near_pts = pushed_outside(lat, rng, 1000)
+    which, pts = which + near_faces, np.concatenate([pts, near_pts])
+    dims = np.array([f.dim for f in which])
+    for k in np.unique(dims):
+        stack, sel = lat.faces_of_dim(k), np.flatnonzero(dims == k)
+        got = stack.project(pts[sel], np.array([stack.index(which[i]) for i in sel]))
+        for i, p in zip(sel, got):
+            ref = enumeration_projection(which[i], pts[i])
+            assert np.linalg.norm(p - ref) <= 1e-13 * np.linalg.norm(pts[i])
 
 
 def just_outside(lat, rng, count):
