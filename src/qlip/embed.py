@@ -415,7 +415,15 @@ class FaceStack(list):
     (F, N, D) and unit constraint rows (F, M, D), the latter zero-padded, with
     `real_cons` marking the real rows.  The face kernel treats every (row,
     face) pair of the list in a few array passes; padded rows contribute
-    exact zeros, and the closure projection's NNLS never activates them."""
+    exact zeros, and the closure projection's NNLS never activates them.
+
+    The span pass reads three flat matrices, each one contraction with the
+    input rows: the bases side by side (N, F * D); the face projectors
+    B_f B_f^T, (N, N * F); and the constraint rows pulled back to the
+    ambient space, cons_f B_f^T, (N, M * F).  The last two are face-minor,
+    indexed (i, f) and (m, f), so their reductions run over contiguous
+    F-long slabs; `span` hands out the span points as a transposed
+    (R, F, N) view."""
 
     def __init__(self, faces, big_n: int):
         super().__init__(faces)
@@ -430,21 +438,28 @@ class FaceStack(list):
         # the bases side by side, (N, F * D): a view of `basis` where numpy
         # can give one, so it sums in the same order as the (F, N, D) array
         self._flat_basis = self.basis.transpose(1, 0, 2).reshape(big_n, -1)
+        self._flat_proj = np.einsum("fjd,fid->jif", self.basis, self.basis).reshape(big_n, -1)
+        self._flat_cons = np.einsum("fjd,fmd->jmf", self.basis, self.cons).reshape(big_n, -1)
 
     def span(self, pts: np.ndarray):
         """Per (row, face): the span coordinates y, the span point, its
-        distance and the smallest constraint margin min(0, cons @ y).
+        distance and the smallest constraint margin min(0, cons @ y).  The
+        span point and the margins come straight from pts, through the
+        face-minor flat matrices; the span point is an (R, F, N) view.
 
-        Every product is an einsum, which rounds a row the same way whatever
-        batch it comes in.  A BLAS product of one row can round differently
-        from the same row inside a larger product, and rho_star's Kirszbraun
-        step turns such last-bit differences into visible ones."""
-        y = np.einsum("ri,ij->rj", pts, self._flat_basis).reshape(
-            len(pts), len(self), self.basis.shape[2])
-        near = np.einsum("rfd,fid->rfi", y, self.basis)
-        dist = np.linalg.norm(pts[:, None] - near, axis=2)
-        margin = np.einsum("rfd,fmd->rfm", y, self.cons).min(axis=2, initial=0.0)
-        return y, near, dist, margin
+        Every product is an einsum over rows, which rounds a row the same
+        way whatever batch it comes in.  A BLAS product of one row can
+        round differently from the same row inside a larger product, and
+        rho_star's Kirszbraun step turns such last-bit differences into
+        visible ones."""
+        (rows, big_n), (faces, m, dim) = pts.shape, self.cons.shape
+        y = np.einsum("ri,ij->rj", pts, self._flat_basis).reshape(rows, faces, dim)
+        near = np.einsum("ri,ij->rj", pts, self._flat_proj).reshape(rows, big_n, faces)
+        off = pts[:, :, None] - near
+        dist = np.sqrt(np.einsum("rif,rif->rf", off, off))
+        margin = np.einsum("ri,ij->rj", pts, self._flat_cons).reshape(
+            rows, m, faces).min(axis=1, initial=0.0)
+        return y, near.transpose(0, 2, 1), dist, margin
 
     def spans(self, pts: np.ndarray):
         """Yields (rows, span(pts[rows])) per chunk of _SPAN_PAIRS pairs."""
@@ -766,6 +781,9 @@ def _calibrate_aperture(lattice) -> float:
             continue
         y, base, absz, margin = faces.span(pts)
         ok = (absz > 1e-12) & (margin >= -_closure_tol(y))  # points on a face are unambiguous
+        # the origin lies in every lower skeleton, so dlow <= |base|: a pair
+        # farther than _APERTURE_START * |base| from the span never counts
+        ok &= absz <= _APERTURE_START * (1 + 1e-9) * np.linalg.norm(base, axis=2)
         dlow = np.zeros(absz.shape)
         dlow[ok] = lattice.skeleton_distance_batch(base[ok], k - 1)
         fibers.append((absz, ok, dlow))

@@ -213,3 +213,39 @@ def test_face_lists_match_oracle(key, seed):
     assert np.all(np.isinf(lat.skeleton_distance_batch(pts, -1)))
     _, dist, which = lat.faces_of_dim(-1).nearest(pts)
     assert np.all(np.isinf(dist)) and np.all(which == -1)
+
+
+def reference_span(stack, pts):
+    """The span pass through the span coordinates: y, then the span point
+    and the margins from y by the 3-index contractions."""
+    y = np.einsum("ri,fid->rfd", pts, stack.basis)
+    near = np.einsum("rfd,fid->rfi", y, stack.basis)
+    dist = np.linalg.norm(pts[:, None] - near, axis=2)
+    margin = np.einsum("rfd,fmd->rfm", y, stack.cons).min(axis=2, initial=0.0)
+    return y, near, dist, margin
+
+
+@pytest.mark.parametrize("key", ["13", "22"])
+def test_flat_span_matches_reference(key):
+    # the flat contractions from pts against the path through y, on random
+    # rows, cone images and rows pushed 1e-8 to 1e-2 outside one or two
+    # closure constraints
+    lat = lattice(key)
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([points(lat, "random", rng, 100), images(lat, rng, 100),
+                          pushed_outside(lat, rng, 300)[1]])
+    scale = (1.0 + np.linalg.norm(pts, axis=1))[:, None]
+    for k in range(lat.max_dim + 1):
+        stack = lat.faces_of_dim(k)
+        y, near, dist, margin = stack.span(pts)
+        ref_y, ref_near, ref_dist, ref_margin = reference_span(stack, pts)
+        assert np.all(np.abs(near - ref_near).max(axis=2) <= 1e-14 * scale)
+        assert np.all(np.abs(dist - ref_dist) <= 1e-14 * scale)
+        assert np.all(np.abs(margin - ref_margin) <= 1e-14 * scale)
+        tol = embed._closure_tol(y)
+        assert np.array_equal(margin >= -tol, ref_margin >= -embed._closure_tol(ref_y))
+        # bitwise: a row spanned alone rounds as it does inside the batch
+        for i in rng.choice(len(pts), size=20, replace=False):
+            one = stack.span(pts[i:i + 1])
+            for got, batch in zip(one, (y, near, dist, margin)):
+                assert np.array_equal(got[0], batch[i])
