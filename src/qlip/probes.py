@@ -93,11 +93,19 @@ def _loglog_slope(x, y):
 
 
 def spsolve(A, b):
-    """scipy's sparse direct solve, imported on the first call; a module-level
-    name, so perfbench/tracer.py can bind it."""
-    from scipy.sparse.linalg import spsolve as solve
+    """Solve A x = b for a sparse symmetric positive definite A (CSC).
 
-    return solve(A, b)
+    SuperLU factors A as SPD: columns in minimum-degree order of A + A^T,
+    applied symmetrically, and diagonal pivots with no row interchanges.
+    Every frozen-matching L_ff is SPD (each free node has a positive-weight
+    edge and the pinned collar is not empty), so no pivot is needed; a
+    singular A raises "Factor is exactly singular".  scipy is imported on
+    the first call; a module-level name, so perfbench/tracer.py can bind it.
+    """
+    from scipy.sparse.linalg import splu
+
+    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}).solve(b)
 
 
 def _sheet_basis(q: int):
@@ -172,7 +180,12 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
     mean's graph energy, which no matching changes, and the sum-zero part's,
     whose edges carry the rotation of their permutation.  So the mean is
     solved once, as a harmonic function, and each sweep solves only the
-    q - 1 sum-zero coordinates (none for q = 1).
+    q - 1 sum-zero coordinates (none for q = 1), by one SPD `spsolve`.
+
+    A start stops when a sweep lowers the energy by less than `_SWEEP_TOL`,
+    or when rematching returns the matching that sweep solved with: the
+    next sweep would repeat the solve bit for bit, so its energy is
+    recorded in `history` (twice, as that sweep would) without solving.
     """
     if res < 2:
         raise ValueError("a grid needs res >= 2 nodes per axis")
@@ -205,8 +218,9 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
         prev = math.inf
         converged = False
         for sweep in range(_MAX_SWEEPS):
+            solved = eperm
             coords[:, 1:] = _solve_given_matchings(
-                coords[:, 1:], pinned_flat, a, b, w, rots[eperm])
+                coords[:, 1:], pinned_flat, a, b, w, rots[solved])
             vals = _from_sheet_coords(trace_vals, ~pinned_flat, basis, coords)
             # rematch each edge to its cheapest permutation; the matched
             # cost of the new values is then the energy
@@ -214,6 +228,12 @@ def solve_dir_minimizer(trace, res: int = 65, radius: float = 1.0,
             energy = float(w @ cost)
             history.append(energy)
             if prev - energy < _SWEEP_TOL:
+                converged = True
+                break
+            if sweep + 1 < _MAX_SWEEPS and np.array_equal(eperm, solved):
+                # the next sweep would solve the same system (its right-hand
+                # side reads only pinned values) to the same bits, and stop
+                history.append(energy)
                 converged = True
                 break
             prev = energy

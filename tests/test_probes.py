@@ -6,6 +6,7 @@ low-density integrand of the branched dilation family scales like the
 excess power predicted by its explicit densities.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,114 @@ def test_dirmin_mean_is_the_harmonic_extension_of_the_trace_mean():
     f4, _ = pb.solve_dir_minimizer(_offset_sqrt_trace, res=33, starts=4,
                                    seed=3)
     assert np.array_equal(f4.values.mean(axis=-2), mean)
+
+
+def _always_resolving_minimizer(trace, res, starts, seed):
+    """Reference: `solve_dir_minimizer`'s sweeps as they ran before the stop
+    on an unchanged matching, solving again until the energy test stops
+    them.  Returns (values, report, repeats): repeats counts the starts
+    whose last sweep solved with the matching of the sweep before."""
+    half = 1.0 + 3.0 * 2.0 / (res - 1)
+    f = qf.from_callable(qf.square(half), res, trace)
+    q, n = f.q, f.n
+    nodes = f.nodes().reshape(-1, 2)
+    pinned = np.linalg.norm(nodes, axis=-1) >= 1.0
+    weights = qf.disk_weights(f, (0.0, 0.0), 1.0)
+    a, b, w = (np.concatenate(col)
+               for col in zip(*qf.grid_edges(f.mask, weights, f.spacing)))
+    basis, rots = pb._sheet_basis(q)
+    rng = np.random.default_rng(seed)
+    trace_vals = f.values.reshape(-1, q, n)
+    coords = np.einsum("ij,pjn->pin", basis, trace_vals)
+    coords[:, :1] = pb._solve_given_matchings(coords[:, :1], pinned, a, b, w,
+                                              np.ones((len(a), 1, 1)))
+    best, start_energies, repeats = None, [], 0
+    for start in range(starts):
+        eperm = (rng.integers(len(rots), size=len(a)) if start
+                 else pb.least_pairing(trace_vals[a], trace_vals[b])[1])
+        history, solved, prev, converged = [], [], math.inf, False
+        for _ in range(pb._MAX_SWEEPS):
+            solved.append(eperm)
+            coords[:, 1:] = pb._solve_given_matchings(
+                coords[:, 1:], pinned, a, b, w, rots[eperm])
+            vals = pb._from_sheet_coords(trace_vals, ~pinned, basis, coords)
+            cost, eperm = pb.least_pairing(vals[a], vals[b])
+            history.append(float(w @ cost))
+            if prev - history[-1] < pb._SWEEP_TOL:
+                converged = True
+                break
+            prev = history[-1]
+        repeats += len(solved) > 1 and np.array_equal(solved[-1], solved[-2])
+        if best is None or history[-1] < best[0] - pb._SWEEP_TOL:
+            best = (history[-1], vals, history, converged)
+        start_energies.append(history[-1])
+    report = {"energy": best[0], "history": best[2],
+              "start_energies": start_energies, "converged": best[3]}
+    return best[1].reshape(f.values.shape), report, repeats
+
+
+@pytest.mark.parametrize("trace, starts, seed", [
+    (_sqrt_trace, 4, 3), (_complex_cube_root_trace, 2, 0)])
+def test_stop_on_an_unchanged_matching_is_exact(trace, starts, seed,
+                                                monkeypatch):
+    """Stopping when rematching returns the matching just solved with gives
+    the field and report of solving that sweep again, bit for bit, with one
+    sparse solve fewer for each start that ends that way."""
+    calls = []
+    solve = pb.spsolve
+    monkeypatch.setattr(pb, "spsolve",
+                        lambda A, b: calls.append(1) or solve(A, b))
+    want_vals, want, repeats = _always_resolving_minimizer(trace, 33, starts,
+                                                           seed)
+    want_calls = len(calls)
+    calls.clear()
+    f, rep = pb.solve_dir_minimizer(trace, res=33, starts=starts, seed=seed)
+    assert np.array_equal(f.values, want_vals)
+    for key, value in want.items():
+        assert rep[key] == value, key
+    assert repeats > 0
+    assert len(calls) == want_calls - repeats
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_spd_solve_matches_the_general_solve(q, monkeypatch):
+    """probes.spsolve (SPD: minimum-degree order of A + A^T, diagonal
+    pivots) solves the mean and sum-zero Laplacians of random matchings on a
+    res-33 disk as scipy's general sparse solve does, without a warning."""
+    from scipy.sparse.linalg import spsolve as general_solve
+
+    rng = np.random.default_rng(q)
+    f = qf.from_callable(qf.square(1.1875), 33,
+                         lambda p: rng.normal(size=p.shape[:-1] + (q, 2)))
+    pinned = np.linalg.norm(f.nodes().reshape(-1, 2), axis=-1) >= 1.0
+    weights = qf.disk_weights(f, (0.0, 0.0), 1.0)
+    a, b, w = (np.concatenate(col)
+               for col in zip(*qf.grid_edges(f.mask, weights, f.spacing)))
+    basis, rots = pb._sheet_basis(q)
+    coords = np.einsum("ij,pjn->pin", basis, f.values.reshape(-1, q, 2))
+    systems = []
+    solve = pb.spsolve
+    monkeypatch.setattr(pb, "spsolve",
+                        lambda A, b: systems.append((A, b)) or solve(A, b))
+    pb._solve_given_matchings(coords[:, :1], pinned, a, b, w,
+                              np.ones((len(a), 1, 1)))
+    eperm = rng.integers(len(rots), size=len(a))
+    pb._solve_given_matchings(coords[:, 1:], pinned, a, b, w, rots[eperm])
+    assert [A.shape[0] for A, _ in systems] == [(~pinned).sum(),
+                                               (q - 1) * (~pinned).sum()]
+    for A, rhs in systems:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve(A, rhs)
+        want = general_solve(A, rhs)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_spd_solve_raises_on_a_singular_system():
+    from scipy import sparse
+
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        pb.spsolve(sparse.csc_matrix(np.ones((2, 2))), np.ones(2))
 
 
 def test_reverse_holder_constant():
