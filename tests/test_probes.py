@@ -258,7 +258,7 @@ def test_stop_on_an_unchanged_matching_is_exact(trace, starts, seed,
     calls = []
     solve = pb.spsolve
     monkeypatch.setattr(pb, "spsolve",
-                        lambda A, b: calls.append(1) or solve(A, b))
+                        lambda A, rhs: calls.append(1) or solve(A, rhs))
     want_vals, want, repeats = _always_resolving_minimizer(trace, 33, starts,
                                                            seed)
     want_calls = len(calls)
@@ -289,8 +289,8 @@ def test_spd_solve_matches_the_general_solve(q, monkeypatch):
     coords = np.einsum("ij,pjn->pin", basis, f.values.reshape(-1, q, 2))
     systems = []
     solve = pb.spsolve
-    monkeypatch.setattr(pb, "spsolve",
-                        lambda A, b: systems.append((A, b)) or solve(A, b))
+    monkeypatch.setattr(pb, "spsolve", lambda A, rhs:
+                        systems.append((A, rhs)) or solve(A, rhs))
     pb._solve_given_matchings(coords[:, :1], pinned, a, b, w,
                               np.ones((len(a), 1, 1)))
     eperm = rng.integers(len(rots), size=len(a))
