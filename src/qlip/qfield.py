@@ -307,29 +307,34 @@ def masked_kernel_mean(values: np.ndarray, mask: np.ndarray, kern: np.ndarray,
 def lipschitz_and_osc(f: QGridFunction):
     """Max difference quotient over node pairs within the stencil, and
     the exact min-over-centers of the worst spread (solved as a weighted
-    smallest enclosing problem on tuple means and spreads)."""
+    smallest enclosing problem on tuple means and spreads).  Both read only
+    the mask's bounding box, which holds every pair with both ends in the
+    mask; an empty mask raises ValueError."""
     from .coneproj import offset_enclosing_center
 
+    if not np.any(f.mask):
+        raise ValueError("lipschitz_and_osc: empty mask")
+    nodes = np.argwhere(f.mask)
+    box = tuple(slice(lo, hi + 1)
+                for lo, hi in zip(nodes.min(axis=0), nodes.max(axis=0)))
+    values, mask = f.values[box], f.mask[box]
     h = f.spacing
-    m = f.m
     lip_sq = 0.0
     # its own stencil, not grid_edges: the pairs include diagonal offsets
     # up to _LIP_STENCIL nodes away, which the edge table does not
-    for off in itertools.product(range(-_LIP_STENCIL, _LIP_STENCIL + 1), repeat=m):
+    for off in itertools.product(range(-_LIP_STENCIL, _LIP_STENCIL + 1), repeat=f.m):
         if all(o == 0 for o in off) or off < tuple(-o for o in off):
             continue  # skip null and mirror-duplicate offsets
-        src = [slice(max(0, -o), f.res - max(0, o)) for o in off]
-        dst = [slice(max(0, o), f.res + min(0, o)) for o in off]
-        a = f.values[tuple(src)]
-        b = f.values[tuple(dst)]
-        both = f.mask[tuple(src)] & f.mask[tuple(dst)]
+        src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, mask.shape))
+        dst = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, mask.shape))
+        both = mask[src] & mask[dst]
         if not np.any(both):
             continue
-        cost = matched_diff_sq(a, b)
+        cost = matched_diff_sq(values[src], values[dst])
         d2 = (h ** 2) * sum(o * o for o in off)
         lip_sq = max(lip_sq, float(cost[both].max()) / d2)
 
-    valid = f.values[f.mask]
+    valid = values[mask]
     eta = valid.mean(axis=-2)
     spread = np.sum((valid - eta[..., None, :]) ** 2, axis=(-2, -1))
     _, worst = offset_enclosing_center(eta.reshape(-1, f.n), spread.reshape(-1),

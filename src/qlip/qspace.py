@@ -110,17 +110,40 @@ def _perm_bank(q: int) -> np.ndarray:
 
 def _perm_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairing cost of every permutation in the bank: entry k of the
-    (q!, ...) stack is |a - b[..., bank[k], :]|^2 for tuples (..., q, n)."""
-    return np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1))
-                     for p in _perm_bank(a.shape[-2])])
+    (q!, ...) stack is |a - b[..., bank[k], :]|^2 for tuples (..., q, n),
+    the batch shapes of a and b broadcast together.
+
+    The q*q*n squared-gap planes (a[..., i, c] - b[..., j, c])^2 are formed
+    once, sheet-major, each a contiguous batch array.  Each row then adds its
+    planes in place in one fixed order: sheet i = 0, 1, ..., and within a
+    sheet coordinate c = 0, 1, ....  That is numpy's sequential order for a
+    sum over q*n < 8 terms, so those costs are bitwise the sums of the
+    gathered squared gaps; above that numpy sums pairwise, and the two agree
+    to rounding.  Coincident sheets give equal terms in equal places, so
+    their pairings tie exactly."""
+    a, b = np.broadcast_arrays(a, b)
+    q, n = a.shape[-2:]
+    at, bt = (np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+              for x in (a, b))
+    planes = at[:, None] - bt[None, :]
+    planes *= planes
+    bank = _perm_bank(q)
+    costs = np.empty(bank.shape[:1] + planes.shape[3:], dtype=planes.dtype)
+    for k, perm in enumerate(bank):
+        first, *rest = (planes[i, j, c, ...]
+                        for i, j in enumerate(perm) for c in range(n))
+        row = costs[k, ...]
+        row[...] = first
+        for term in rest:
+            row += term
+    return costs
 
 
 def least_pairing(a: np.ndarray, b: np.ndarray):
     """(cost, row) over tuples (..., q, n): each pair's least pairing cost,
     which is its squared matching metric, and the first bank row attaining it."""
     costs = _perm_costs(a, b)
-    row = np.argmin(costs, axis=0)
-    return np.take_along_axis(costs, row[None], axis=0)[0], row
+    return costs.min(axis=0), np.argmin(costs, axis=0)
 
 
 def _align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,7 +155,7 @@ def _align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matched_diff_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared matching metric between aligned arrays of tuples (..., q, n)."""
     if a.shape[-2] <= _BANK_MAX_Q:
-        return least_pairing(a, b)[0]
+        return _perm_costs(a, b).min(axis=0)
     pairs = zip(a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:]))
     return np.array([metric_g(QPoint(x), QPoint(y)) ** 2
                      for x, y in pairs]).reshape(a.shape[:-2])

@@ -8,6 +8,7 @@ Hand oracles used below:
   * pair {x, -x} on [-1, 1]: Lipschitz sqrt(2), oscillation sqrt(2) (the
     optimal center is 0 and the worst spread is 2 at the endpoints).
 """
+import itertools
 import math
 import re
 from pathlib import Path
@@ -336,8 +337,62 @@ def test_perm_bank_matching_is_metric_g(q, n, seed, tie):
     aligned = qs._align(a, b)
     assert np.array_equal(aligned, np.take_along_axis(
         b, qs._perm_bank(q)[row][..., None], axis=-2))
-    assert np.array_equal(np.sum((a - aligned) ** 2, axis=(-2, -1)), best)
+    assert np.array_equal(qs._perm_costs(a, aligned)[0], best)  # identity row
     assert np.array_equal(np.sort(aligned, axis=-2), np.sort(b, axis=-2))
+
+
+def _summed_perm_costs(a, b):
+    """The kernel as first written: gather each bank row of b, square the
+    gaps and np.sum them over the two trailing axes."""
+    return np.stack([np.sum((a - b[..., p, :]) ** 2, axis=(-2, -1))
+                     for p in qs._perm_bank(a.shape[-2])])
+
+
+def _kernel_cases(q, n, tie):
+    """(a, b, reference pair) over batch shapes (), (1,) and (5, 3), shifted
+    views of one grid and broadcast pairs; with `tie`, sheets 0 and q - 1 of
+    every b coincide.  Where a broadcasts, numpy lays the gathered gaps out
+    in the gather's sheet-major order and sums them in another order, so the
+    reference of such a pair is its C-ordered copy."""
+    rng = np.random.default_rng(10 * q + n)
+    grid = rng.normal(size=(7, 6, q, n))
+    pairs = [(rng.normal(size=s + (q, n)), rng.normal(size=s + (q, n)))
+             for s in ((), (1,), (5, 3))]
+    if tie:
+        grid[..., -1, :] = grid[..., 0, :]
+        for _, b in pairs:
+            b[..., -1, :] = b[..., 0, :]
+    pairs += [(grid[1:, :-2], grid[:-1, 2:]),
+              (grid[:-1:2, ::-1], grid[1::2, ::-1]), (grid, grid[2, 3])]
+    broadcast = [(grid[:, :1], grid), (grid[:, :1], grid[:1])]
+    return [(a, b, (a, b)) for a, b in pairs] + [
+        (a, b, [np.ascontiguousarray(x) for x in np.broadcast_arrays(a, b)])
+        for a, b in broadcast]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in range(1, 7) for n in range(1, 5)])
+def test_perm_costs_keep_the_summed_costs(q, n):
+    """Bitwise the summed costs while q n < 8, where numpy sums in order; to
+    rounding above.  Coincident sheets of b tie exactly, so the argmin keeps
+    the first of the two rows."""
+    bank = qs._perm_bank(q)
+    swap = np.arange(q)
+    swap[[0, -1]] = swap[[-1, 0]]
+    index = {tuple(p): k for k, p in enumerate(bank)}
+    partner = np.array([index[tuple(swap[p])] for p in bank])
+    for tie in (False, True):
+        for a, b, ref in _kernel_cases(q, n, tie):
+            got = qs._perm_costs(a, b)
+            want = _summed_perm_costs(*ref)
+            assert got.shape == want.shape
+            if q * n < 8:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + want))
+            if tie and q > 1:
+                assert np.array_equal(got, got[partner])
+                row = np.argmin(got, axis=0)
+                assert np.all(row < partner[row])
 
 
 @settings(max_examples=6)
@@ -359,3 +414,67 @@ def test_perm_bank_refuses_q_above_its_limit():
     with pytest.raises(ValueError, match="q <= 6"):
         qs._perm_bank(7)
     assert qf.matched_diff_sq(a, b).shape == (2,)
+
+
+def _uncropped_lipschitz_and_osc(f):
+    """lipschitz_and_osc as first written: the stencil over the whole grid."""
+    from qlip.coneproj import offset_enclosing_center
+
+    lip_sq = 0.0
+    for off in itertools.product(range(-qf._LIP_STENCIL, qf._LIP_STENCIL + 1),
+                                 repeat=f.m):
+        if all(o == 0 for o in off) or off < tuple(-o for o in off):
+            continue
+        src = [slice(max(0, -o), f.res - max(0, o)) for o in off]
+        dst = [slice(max(0, o), f.res + min(0, o)) for o in off]
+        both = f.mask[tuple(src)] & f.mask[tuple(dst)]
+        if not np.any(both):
+            continue
+        cost = qs.matched_diff_sq(f.values[tuple(src)], f.values[tuple(dst)])
+        d2 = (f.spacing ** 2) * sum(o * o for o in off)
+        lip_sq = max(lip_sq, float(cost[both].max()) / d2)
+    valid = f.values[f.mask]
+    eta = valid.mean(axis=-2)
+    spread = np.sum((valid - eta[..., None, :]) ** 2, axis=(-2, -1))
+    _, worst = offset_enclosing_center(eta.reshape(-1, f.n), spread.reshape(-1),
+                                       weight=float(f.q))
+    return math.sqrt(lip_sq), math.sqrt(max(worst, 0.0))
+
+
+def _crop_masks(m, res):
+    """Named masks on a res^m grid: full, disk, annulus, one node, a single
+    row and column, a block on the grid's edge and seeded sparse sets."""
+    r2 = np.sum(qf.GridDomain("square", (0.0,) * m, 1.0).nodes(res) ** 2,
+                axis=-1)
+    masks = {"full": np.ones((res,) * m, dtype=bool), "disk": r2 <= 0.5,
+             "annulus": (r2 >= 0.2) & (r2 <= 0.7)}
+    masks["one node"] = np.zeros_like(masks["full"])
+    masks["one node"][(res // 3,) * m] = True
+    masks["edge"] = np.zeros_like(masks["full"])
+    masks["edge"][-3:] = True
+    if m == 2:
+        masks["row"] = np.zeros_like(masks["full"])
+        masks["row"][4, 1:-2] = True
+        masks["column"] = masks["row"].T.copy()
+        masks["edge"][:, :2] = True
+    for seed in (1, 2, 3):
+        masks[f"sparse {seed}"] = np.random.default_rng(seed).random(
+            (res,) * m) < 0.15
+    return masks
+
+
+@pytest.mark.parametrize("m,res,q,n", [(2, 11, 2, 2), (2, 9, 3, 1),
+                                       (1, 13, 2, 1), (1, 6, 2, 3)])
+def test_cropped_stencil_matches_the_whole_grid(m, res, q, n):
+    values = np.random.default_rng(res).normal(size=(res,) * m + (q, n))
+    for name, mask in _crop_masks(m, res).items():
+        f = qf.QGridFunction(qf.GridDomain("square", (0.0,) * m, 1.0), res,
+                             values, mask)
+        assert qf.lipschitz_and_osc(f) == _uncropped_lipschitz_and_osc(f), name
+
+
+def test_lipschitz_and_osc_rejects_an_empty_mask():
+    f = qf.QGridFunction(qf.square(1.0), 5, np.zeros((5, 5, 2, 1)),
+                         np.zeros((5, 5), dtype=bool))
+    with pytest.raises(ValueError, match="empty mask"):
+        qf.lipschitz_and_osc(f)
