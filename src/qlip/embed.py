@@ -443,9 +443,9 @@ class FaceStack(list):
 
     def span(self, pts: np.ndarray):
         """Per (row, face): the span coordinates y, the span point, its
-        distance and the smallest constraint margin min(0, cons @ y).  The
-        span point and the margins come straight from pts, through the
-        face-minor flat matrices; the span point is an (R, F, N) view.
+        distance and the closure slack min(0, cons @ y) + _closure_tol(y),
+        >= 0 inside the closure.  The span point and the margins come from
+        pts through the face-minor flat matrices; the span point is a view.
 
         Every product is an einsum over rows, which rounds a row the same
         way whatever batch it comes in.  A BLAS product of one row can
@@ -459,7 +459,7 @@ class FaceStack(list):
         dist = np.sqrt(np.einsum("rif,rif->rf", off, off))
         margin = np.einsum("ri,ij->rj", pts, self._flat_cons).reshape(
             rows, m, faces).min(axis=1, initial=0.0)
-        return y, near.transpose(0, 2, 1), dist, margin
+        return y, near.transpose(0, 2, 1), dist, margin + _closure_tol(y)
 
     def spans(self, pts: np.ndarray):
         """Yields (rows, span(pts[rows])) per chunk of _SPAN_PAIRS pairs."""
@@ -469,13 +469,14 @@ class FaceStack(list):
             yield rows, self.span(pts[rows])
 
     def own_span(self, pts: np.ndarray, which: np.ndarray):
-        """Per row, on its own face which[row]: the span point and the least
-        margin cons @ y over the face's real constraint rows (inf for none;
-        a padded row reads 0, so it is left out)."""
+        """Per row, on its own face which[row]: the span point, and whether
+        it is strictly inside the closure: every real constraint margin
+        cons @ y above _closure_tol(span point) (padded rows are left out)."""
         basis, cons = self.basis[which], self.cons[which]
         y = np.einsum("ri,rid->rd", pts, basis)
         margin = np.where(self.real_cons[which], np.einsum("rd,rmd->rm", y, cons), np.inf)
-        return np.einsum("rd,rid->ri", y, basis), margin.min(axis=1, initial=np.inf)
+        plane = np.einsum("rd,rid->ri", y, basis)
+        return plane, margin.min(axis=1, initial=np.inf) > _closure_tol(plane)
 
     def _project(self, y, span_d, dist, near, r, f):
         """Project the pairs (r, f) exactly onto their closures, into dist and
@@ -493,17 +494,16 @@ class FaceStack(list):
     def _chunks(self, pts, bound=None):
         """Yields (rows, dist (R, F), near (R, F, N)) per chunk of rows.
 
-        A pair inside the closure (margin >= -tol) is its span projection.  An
-        outside pair is at least hypot(span distance, -margin - tol) away (the
+        A pair inside the closure (slack >= 0) is its span projection.  An
+        outside pair is at least hypot(span distance, slack) away (the
         constraint rows are unit vectors).  It is projected if that bound is
         at most bound[row, face] or, without a bound, if it can reach the
         row's least distance (over its inside pairs, then its most promising
         outside pair); otherwise it keeps the lower bound.
         """
-        for rows, (y, near, span_d, margin) in self.spans(pts):
-            tol = _closure_tol(y)
-            inside = margin >= -tol
-            dist = np.where(inside, span_d, np.hypot(span_d, np.minimum(margin + tol, 0.0)))
+        for rows, (y, near, span_d, slack) in self.spans(pts):
+            inside = slack >= 0.0
+            dist = np.where(inside, span_d, np.hypot(span_d, np.minimum(slack, 0.0)))
             args = (y, span_d, dist, near)
             if bound is not None:
                 self._project(*args, *np.nonzero(~inside & (dist <= bound[rows])))
@@ -779,8 +779,8 @@ def _calibrate_aperture(lattice) -> float:
         faces = lattice.faces_of_dim(k)
         if len(faces) < 2:
             continue
-        y, base, absz, margin = faces.span(pts)
-        ok = (absz > 1e-12) & (margin >= -_closure_tol(y))  # points on a face are unambiguous
+        _, base, absz, slack = faces.span(pts)
+        ok = (absz > 1e-12) & (slack >= 0.0)  # points on a face are unambiguous
         # the origin lies in every lower skeleton, so dlow <= |base|: a pair
         # farther than _APERTURE_START * |base| from the span never counts
         ok &= absz <= _APERTURE_START * (1 + 1e-9) * np.linalg.norm(base, axis=2)

@@ -29,8 +29,7 @@ import numpy as np
 
 from .coneproj import kirszbraun_value
 from .embed import (_ON_CONE_TOL, EmbeddingSpec, FaceLattice, NotOnImageError,
-                    _closure_tol, build_embedding, face_lattice, xi_batch,
-                    xi_inverse)
+                    build_embedding, face_lattice, xi_batch, xi_inverse)
 
 _LOG8 = math.log(8.0)
 _CLAMP_MARGIN = 1e-6  # clamp_to_neighborhood: depth inside a tube, per radius
@@ -161,8 +160,8 @@ class AlmostProjection:
     # -- rho_flat ------------------------------------------------------------
 
     def rho_flat(self, pts: np.ndarray, assume_on_image: bool = False) -> np.ndarray:
-        single = np.asarray(pts, dtype=float).ndim == 1
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+        single = np.ndim(pts) == 1
+        pts = self._rows(pts, "rho_flat")
         if not assume_on_image:
             _, dist = self.lattice.nearest_point_batch(pts)
             scale = 1.0 + np.linalg.norm(pts, axis=1)
@@ -184,8 +183,8 @@ class AlmostProjection:
             # candidate (row, face) pairs: the row's span point lies in the
             # face closure, within the wide tube
             found = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0), np.zeros((0, pts.shape[1])))]
-            for rows, (y, near, znorm, margin) in faces.spans(pts):
-                cr, cj = np.nonzero((znorm <= wide) & (margin >= -_closure_tol(y)))
+            for rows, (_, near, znorm, slack) in faces.spans(pts):
+                cr, cj = np.nonzero((znorm <= wide) & (slack >= 0.0))
                 found.append((cr + rows.start, cj, znorm[cr, cj], near[cr, cj]))
             r, j, z, base = map(np.concatenate, zip(*found))
             # membership needs the base away from the lower skeleton (at
@@ -221,29 +220,42 @@ class AlmostProjection:
 
     def _locate(self, pts: np.ndarray):
         """Per row: the nearest cone point and its distance, the tube level
-        (`tube_level`, -1 outside every tube) and the face that puts the row
-        in that tube, as its position `which` in faces_of_dim(level) and the
-        row's nearest point p0 there.  The l-faces are searched one dimension
+        (`tube_level`, -1 outside every tube), the face that puts the row in
+        that tube, as its position `which` in faces_of_dim(level) and the
+        row's nearest point p0 there, and the row clamped into the tubes
+        (`clamp_to_neighborhood`).  The l-faces are searched one dimension
         at a time, upward: the running minimum over the passes is
-        dist(x, S_l), and a row leaves the search at its level."""
+        dist(x, S_l), and a row leaves the search at its level.  A row
+        outside every tube meets every pass k (the top faces as k = nq, in
+        the cone's own tube) and is clamped toward the point of the least k
+        with the least dist - tube(k)."""
         lat, lad, nq = self.lattice, self.ladder, self.ladder.nq
         near, dq, which = lat.top_faces.nearest(pts)
         level = np.where(dq <= lad.tube(nq), nq, -1)
         p0 = near.copy()
+        point_k, dist_k = np.empty((nq + 1,) + pts.shape), np.empty((nq + 1, len(pts)))
+        point_k[nq], dist_k[nq] = near, dq
         todo, low = np.arange(len(pts)), np.full(len(pts), np.inf)
         for lvl in range(nq):
             point, dist, face = lat.faces_of_dim(lvl).nearest(pts[todo])
+            point_k[lvl, todo], dist_k[lvl, todo] = point, dist
             low = np.minimum(low, dist)
             inside = low <= lad.tube(lvl)
             rows = todo[inside]
             level[rows], which[rows], p0[rows] = lvl, face[inside], point[inside]
             todo, low = todo[~inside], low[~inside]
-        return near, dq, level, which, p0
+        rows = np.flatnonzero(level < 0)
+        radius = np.array([lad.tube(k) for k in range(nq + 1)])
+        k = np.argmin(dist_k[:, rows] - radius[:, None], axis=0)
+        p, d = point_k[k, rows], dist_k[k, rows]
+        clamped = pts.copy()
+        clamped[rows] = p + (pts[rows] - p) * (radius[k] * (1.0 - _CLAMP_MARGIN) / d)[:, None]
+        return near, dq, level, which, p0, clamped
 
     def rho_sharp(self, x: np.ndarray) -> np.ndarray:
         """One-row view for the tests; perfbench/tracer.py binds it."""
         x = np.asarray(x, dtype=float)[None]
-        return self._sharp(x, *self._locate(x))[0]
+        return self._sharp(x, *self._locate(x)[:5])[0]
 
     def _sharp(self, x, near, dq, level, which, p0):
         """rho_sharp of each row of x, given `_locate(x)`."""
@@ -261,8 +273,7 @@ class AlmostProjection:
         gap = np.zeros(len(x), dtype=bool)
         for lvl in range(1, nq + 1):
             rows = np.flatnonzero(~flat & (level == lvl))
-            plane, margin = lat.faces_of_dim(lvl).own_span(x[rows], which[rows])
-            region = margin > _closure_tol(plane)
+            plane, region = lat.faces_of_dim(lvl).own_span(x[rows], which[rows])
             region[region] = lat.skeleton_distance_batch(
                 plane[region], lvl - 1) >= self.far_scale
             out[rows[region]] = plane[region]  # orthogonal-projection region
@@ -312,11 +323,10 @@ class AlmostProjection:
             for k in range(int(level.max()))]))
         order = np.argsort(low_row, kind="stable")
         low_row, low_pts = low_row[order], low_pts[order]
-        fixed = anchors.reshape(-1, x.shape[1])
-        # snap numerical fuzz onto the cone so anchor/value pairs are consistent
-        pts = lat.nearest_point_batch(np.concatenate([fixed, low_pts]))[0]
+        # each anchor is on the cone: xi of a tuple, a face point or projection
+        pts = np.concatenate([anchors.reshape(-1, x.shape[1]), low_pts])
         vals = self.rho_flat(pts, assume_on_image=True)
-        m = len(fixed)
+        m = anchors.shape[0] * anchors.shape[1]
         split = np.cumsum(np.bincount(low_row, minlength=len(x)))[:-1]
         ybest = np.array([
             kirszbraun_value(row, np.concatenate([a, la]), np.concatenate([v, lv]),
@@ -336,46 +346,35 @@ class AlmostProjection:
         """Nearest point of the union of tubes (along the segment to the
         realizing skeleton point), pulled _CLAMP_MARGIN of the tube radius
         inside the boundary so the membership test stays stable under
-        re-evaluation noise.  The rows of a 2-D x are clamped independently.
-
-        A face of dim k lies in the skeleton S_k, whose tube has radius
-        delta^(k+1) (the top faces carry the cone's own tube), so the nearest
-        tube point comes from one nearest pass per dimension k: a row takes
-        the least k with the smallest distance minus radius, and that pass's
-        point.
-        """
-        single = np.asarray(x).ndim == 1
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        lat, dims = self.lattice, range(self.ladder.nq + 1)
-        point, dist = (np.stack(a) for a in zip(*[
-            lat.faces_of_dim(k).nearest(pts)[:2] for k in dims]))
-        radius = np.array([self.ladder.tube(k) for k in dims])
-        k, rows = np.argmin(dist - radius[:, None], axis=0), np.arange(len(pts))
-        point, dist, rad = point[k, rows], dist[k, rows], radius[k]
-        out = pts.copy()
-        move = dist - rad > 0
-        out[move] = point[move] + (pts[move] - point[move]) * (
-            rad[move] * (1.0 - _CLAMP_MARGIN) / dist[move])[:, None]
-        return out[0] if single else out
+        re-evaluation noise; a row inside a tube stays.  One-row or batch
+        view of `_locate`; perfbench/tracer.py binds it."""
+        pts = np.asarray(x, dtype=float)
+        out = self._locate(self._rows(pts, "clamp_to_neighborhood"))[5]
+        return out[0] if pts.ndim == 1 else out
 
     def rho_star(self, x: np.ndarray) -> np.ndarray:
         return self.rho_star_batch(np.asarray(x, dtype=float)[None])[0]
 
     def rho_star_batch(self, pts: np.ndarray) -> np.ndarray:
-        """rho_star of each row.  Rows outside every tube are clamped into
-        the tubes first, once; then rho_sharp runs on the batch."""
-        x = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
-        bad = ~np.all(np.isfinite(x), axis=1)
-        if np.any(bad):
-            raise ValueError(f"rho_star: {int(bad.sum())} of {len(x)} input "
-                             "rows are not finite")
-        loc = self._locate(x)
+        """rho_star of each row.  The search that finds the rows outside
+        every tube also clamps them into the tubes, once; they are located
+        again, and rho_sharp runs on the batch."""
+        *loc, x = self._locate(self._rows(pts, "rho_star"))
         rows = np.flatnonzero(loc[2] < 0)
-        if len(rows):
-            x[rows] = self.clamp_to_neighborhood(x[rows])
+        if len(rows):  # zip stops at loc's five entries
             for whole, part in zip(loc, self._locate(x[rows])):
                 whole[rows] = part
         return self._sharp(x, *loc)
+
+    def _rows(self, pts, name: str) -> np.ndarray:
+        """pts as rows (a vector is one row), each h*q wide and finite."""
+        x, width = np.atleast_2d(np.asarray(pts, dtype=float)), self.spec.dims.big_n
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ValueError(f"{name}: rows must be h*q = {width} wide, not shape {np.shape(pts)}")
+        bad = int((~np.isfinite(x).all(axis=1)).sum())
+        if bad:
+            raise ValueError(f"{name}: {bad} of {len(x)} input rows are not finite")
+        return x
 
 
 _MACHINERY_CACHE: dict = {}

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from conftest import _sqrt_trace
 from qlip import cli
 from qlip import currents as cu
 from qlip import embed
@@ -58,12 +59,6 @@ def _branched_pair(rng):
         return np.stack([sheet, -sheet], axis=-2)
 
     return fn
-
-
-def _sqrt_trace(p):
-    w = np.sqrt(p[..., 0] + 1j * p[..., 1])
-    sheet = np.stack([w.real, w.imag], axis=-1)
-    return np.stack([sheet, -sheet], axis=-2)
 
 
 def test_criterion_01_metric_suite():

@@ -237,15 +237,15 @@ def test_flat_span_matches_reference(key):
     scale = (1.0 + np.linalg.norm(pts, axis=1))[:, None]
     for k in range(lat.max_dim + 1):
         stack = lat.faces_of_dim(k)
-        y, near, dist, margin = stack.span(pts)
+        y, near, dist, slack = stack.span(pts)
         ref_y, ref_near, ref_dist, ref_margin = reference_span(stack, pts)
+        ref_tol = embed._closure_tol(ref_y)
         assert np.all(np.abs(near - ref_near).max(axis=2) <= 1e-14 * scale)
         assert np.all(np.abs(dist - ref_dist) <= 1e-14 * scale)
-        assert np.all(np.abs(margin - ref_margin) <= 1e-14 * scale)
-        tol = embed._closure_tol(y)
-        assert np.array_equal(margin >= -tol, ref_margin >= -embed._closure_tol(ref_y))
+        assert np.all(np.abs(slack - (ref_margin + ref_tol)) <= 1e-14 * scale)
+        assert np.array_equal(slack >= 0.0, ref_margin >= -ref_tol)
         # bitwise: a row spanned alone rounds as it does inside the batch
         for i in rng.choice(len(pts), size=20, replace=False):
             one = stack.span(pts[i:i + 1])
-            for got, batch in zip(one, (y, near, dist, margin)):
+            for got, batch in zip(one, (y, near, dist, slack)):
                 assert np.array_equal(got[0], batch[i])

@@ -24,6 +24,7 @@ SEED = 1
 COMMANDS = {
     "rho-star": ["rho-star-eval", "--n", "2", "--q", "2", "--samples", "10"],
     "rho-star-13": ["rho-star-eval", "--n", "1", "--q", "3", "--samples", "10"],
+    "rho-star-14": ["rho-star-eval", "--n", "1", "--q", "4", "--samples", "10"],
     "rho-star-13-40": ["rho-star-eval", "--n", "1", "--q", "3",
                        "--samples", "40"],
     "rho-star-12": ["rho-star-eval", "--n", "1", "--q", "2", "--samples", "60"],

@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import _sqrt_trace
 from qlip import currents as cu
 from qlip import probes as pb
 from qlip import qfield as qf
@@ -132,12 +133,6 @@ def test_line_current_snapshot():
         G, _psi, regions=[np.ones(res), np.linspace(0, 1, res)])
     _close(reports[0]["tv"], 1.795827404495256)
     _close(reports[1]["tv"], 0.897913702247628)
-
-
-def _sqrt_trace(p):
-    v = np.sqrt(p[..., 0] + 1j * p[..., 1])
-    sheet = np.stack([v.real, v.imag], axis=-1)
-    return np.stack([sheet, -sheet], axis=-2)
 
 
 def test_dirichlet_solver_snapshot():

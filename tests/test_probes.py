@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import constant_field
+from conftest import constant_field, _sqrt_trace
 
 from qlip import currents as cu
 from qlip import probes as pb
@@ -19,12 +19,6 @@ from qlip import qfield as qf
 from qlip.embed import xi_batch
 from qlip.qspace import QPoint
 from qlip.roproj import default_machinery
-
-
-def _sqrt_trace(p):
-    v = np.sqrt(p[..., 0] + 1j * p[..., 1])
-    sheet = np.stack([v.real, v.imag], axis=-1)
-    return np.stack([sheet, -sheet], axis=-2)
 
 
 def test_dirmin_constant_boundary():

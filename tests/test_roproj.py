@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qlip import cli
 from qlip import currents as cu
 from qlip import qfield as qf
-from qlip.embed import NotOnImageError, xi, xi_batch
+from qlip.embed import FaceLattice, FaceStack, NotOnImageError, xi, xi_batch
 from qlip.qspace import QPoint, random_qpoint
 from qlip.roproj import (_CLAMP_MARGIN, AlmostProjection, ConstantLadder, LadderError,
                          OutsideNeighborhoodError, default_machinery, phi_tau)
@@ -120,6 +120,14 @@ def test_rho_flat_rejects_off_image():
     mach = default_machinery(1, 2)
     with pytest.raises(NotOnImageError):
         mach.rho_flat(np.array([1.0, 0.0]))
+
+
+def test_rho_flat_rejects_non_finite_rows():
+    mach = default_machinery(1, 2)
+    with pytest.raises(ValueError, match="1 of 1 input rows are not finite"):
+        mach.rho_flat(np.full(2, np.nan))
+    with pytest.raises(ValueError, match="1 of 2 input rows are not finite"):
+        mach.rho_flat(np.array([[0.0, 0.0], [np.inf, 0.0]]), assume_on_image=True)
 
 
 def test_rho_flat_image_and_displacement():
@@ -545,7 +553,7 @@ def test_locate_matches_the_tube_definition(n, q, seed):
         want[dist <= mach.ladder.tube(lvl)] = lvl
     loc = mach._locate(x)
     assert np.array_equal(loc[0], cone) and np.array_equal(loc[1], dq)
-    level, which, p0 = loc[2:]
+    level, which, p0 = loc[2:5]
     assert np.array_equal(level, want)
     for lvl in range(1, nq + 1):
         rows = level == lvl
@@ -576,6 +584,66 @@ def test_rho_star_batch_rejects_non_finite_rows():
         mach.rho_star_batch(x)
     with pytest.raises(ValueError, match="not finite"):
         mach.rho_star(np.array([-np.inf, 1.0]))
+
+
+def test_rho_star_batch_rejects_rows_of_the_wrong_shape():
+    mach = default_machinery(2, 2)
+    width = mach.spec.dims.big_n
+    with pytest.raises(ValueError, match=rf"h\*q = {width} wide, not shape \(3, {width + 1}\)"):
+        mach.rho_star_batch(np.zeros((3, width + 1)))
+    with pytest.raises(ValueError, match=rf"h\*q = {width} wide, not shape \(2, 3, {width}\)"):
+        mach.rho_star_batch(np.zeros((2, 3, width)))
+    with pytest.raises(ValueError, match=rf"h\*q = {width} wide"):
+        mach.rho_star(np.zeros(width - 1))
+
+
+def test_rho_star_measures_each_row_once(monkeypatch):
+    """One rho_star_batch over rows outside every tube, whose clamp lands in
+    the cone's own tube, plus rows in the delta-ball: before rho_sharp runs,
+    each dimension's face pass sees each outside row twice, before and after
+    its clamp, and a delta-ball row only in the top and 0-dimensional passes;
+    the cone's nearest-point search runs nowhere, the Kirszbraun gap
+    included."""
+    mach = default_machinery(2, 2)
+    lat, nq = mach.lattice, mach.ladder.nq
+    rng = np.random.default_rng(5)
+    x = xi_batch(mach.spec, rng.normal(size=(64, 2, 2)))
+    x += rng.normal(size=x.shape)
+    x = x[lat.nearest_point_batch(x)[1] > 2.0 * mach.ladder.tube(0)]
+    clamped = mach.clamp_to_neighborhood(x)
+    top = mach._locate(clamped)[2] == nq
+    x, clamped = x[top], clamped[top]
+    ball = rng.normal(size=(8, x.shape[1]))
+    ball *= 0.5 * mach.ladder.tube(0) / np.linalg.norm(ball, axis=1, keepdims=True)
+    assert len(x) >= 16 and np.all(mach._locate(x)[2] < 0)
+    assert np.all(mach._locate(ball)[2] == 0)
+
+    seen, located = {k: [] for k in range(nq + 1)}, []
+    dim_of = {id(lat.faces_of_dim(k)): k for k in range(nq + 1)}
+    nearest, sharp = FaceStack.nearest, mach._sharp
+
+    def count(stack, pts):
+        if not located:
+            seen[dim_of[id(stack)]].append(np.array(pts))
+        return nearest(stack, pts)
+
+    def refuse(*args):
+        raise AssertionError("rho_star ran the cone's nearest-point search")
+
+    def sharp_after_locate(*args):
+        located.append(True)
+        return sharp(*args)
+
+    monkeypatch.setattr(FaceStack, "nearest", count)
+    monkeypatch.setattr(FaceLattice, "nearest_point_batch", refuse)
+    monkeypatch.setattr(mach, "_sharp", sharp_after_locate)
+    gap = record_gap_rows(monkeypatch, mach)
+    mach.rho_star_batch(np.concatenate([x, ball]))
+    assert located and sum(map(len, gap)) > 0
+    for k in range(nq + 1):
+        first = np.concatenate([x, ball]) if k in (0, nq) else x
+        assert len(seen[k]) == 2
+        assert np.array_equal(seen[k][0], first) and np.array_equal(seen[k][1], clamped)
 
 
 # sigma, max_input_dist, max_residual, max_displacement, mean_displacement
