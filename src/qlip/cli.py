@@ -266,6 +266,9 @@ def _current_blob(blob) -> cu.GraphCurrent:
 
 
 def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
+    # a current rebuilt from a file reads no profile_points
+    if cfg.get("profile_points", 2) < 2:
+        raise ConfigError("a mass-ratio profile needs profile_points >= 2")
     T = _make_current(cfg, sink)
     ex = T.excess
     r1 = min(1.0, T.radius4)
@@ -280,8 +283,6 @@ def _cmd_gen_current(cfg: dict, sink: _Sink) -> int:
     }
     if T.sheet_values is not None:
         k = cfg["profile_points"]
-        if k < 2:
-            raise ConfigError("a mass-ratio profile needs profile_points >= 2")
         radii = np.linspace(0.98 * r1 / k, 0.98 * r1, k)
         profile, drop = cu.mass_ratio_profile(T, radii)
         metrics["profile"] = [[rho, val] for rho, val in profile]
@@ -319,15 +320,14 @@ def _cmd_approx(cfg: dict, sink: _Sink) -> int:
 
 
 def _cmd_rho_star_eval(cfg: dict, sink: _Sink) -> int:
-    n, q = cfg["n"], cfg["q"]
+    n, q, k = cfg["n"], cfg["q"], cfg["samples"]
+    if k < 1:
+        raise ConfigError("an evaluation needs samples >= 1")
     try:
         mach = default_machinery(n, q, c0=float(cfg["c0"]),
                                  delta=float(cfg["delta"]))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    k = cfg["samples"]
-    if k < 1:
-        raise ConfigError("an evaluation needs samples >= 1")
     rng = np.random.default_rng(cfg["seed"])
     on_cone = xi_batch(mach.spec, rng.normal(size=(k, q, n)))
     delta, tube = mach.ladder.delta, mach.ladder.tube(mach.ladder.nq)

@@ -391,11 +391,11 @@ class FaceRecord:
 
     __slots__ = ("index", "pattern", "slots", "dim", "basis", "cons")
 
-    def __init__(self, index, pattern, dim, basis, cons):
+    def __init__(self, index, pattern, basis, cons):
         self.index = index
         self.pattern = pattern
         self.slots = _label_slots(pattern)
-        self.dim = dim
+        self.dim = basis.shape[1]
         self.basis = basis  # (N, dim) orthonormal
         self.cons = cons  # (n_strict, dim): closure = {basis @ y : cons @ y >= 0}
 
@@ -588,17 +588,17 @@ def _face_geometry(spec, pattern):
 
 
 class FaceLattice:
-    """All faces of the embedded cone, graded by dimension."""
+    """All faces of the embedded cone, graded by dimension, with their
+    measured pair separations and aperture."""
 
-    def __init__(self, spec: EmbeddingSpec, faces: list, tilde_c: float,
-                 pair_separation: dict):
+    def __init__(self, spec: EmbeddingSpec, faces: list):
         self.spec = spec
         self.faces = faces
-        self.tilde_c = tilde_c
-        self.pair_separation = pair_separation
         self.max_dim = max(f.dim for f in faces)
         grades, big_n = range(-1, self.max_dim + 1), spec.dims.big_n  # -1: no face
         self._by_dim = {k: FaceStack([f for f in faces if f.dim == k], big_n) for k in grades}
+        self.pair_separation = _measure_pair_separation(self)
+        self.tilde_c = _calibrate_aperture(self)
 
     def faces_of_dim(self, k: int) -> FaceStack:
         return self._by_dim.get(k, self._by_dim[-1])
@@ -662,49 +662,44 @@ _LATTICE_CACHE: dict = {}
 
 
 def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
-    """Enumerate realizable zero-augmented patterns and assemble the lattice."""
-    if spec.key in _LATTICE_CACHE:
-        return _LATTICE_CACHE[spec.key]
+    """The lattice of the realizable zero-augmented patterns, built once per spec."""
+    if spec.key not in _LATTICE_CACHE:
+        faces = [FaceRecord(i, pattern, *_face_geometry(spec, pattern))
+                 for i, pattern in enumerate(_face_patterns(spec))]
+        _LATTICE_CACHE[spec.key] = FaceLattice(spec, faces)
+    return _LATTICE_CACHE[spec.key]
+
+
+def _face_patterns(spec: EmbeddingSpec) -> list:
+    """The canonical patterns of the faces, sorted, found block by block.
+
+    Level k extends every kept prefix by each candidate pattern of block k
+    and keeps the children that one _face_depths call finds realizable.  A
+    common relabeling maps realizable patterns to realizable patterns, so
+    block 0 needs one candidate per relabeling orbit: the least relabeling
+    of a block sorts its levels.  Every kept prefix extends to a face (a
+    point of its open cone realizes some pattern of the next block), and
+    prefixes of distinct canonical classes extend to distinct faces, so the
+    class count bounds the face count from below at every level: the search
+    raises as soon as it exceeds _FACE_BUDGET.
+    """
     dims = spec.dims
     patterns = _block_patterns(dims.q)
-    rows_cache = [[_pattern_rows(spec, k, p) for p in patterns] for k in range(dims.h)]
-
-    # a common relabeling maps feasible patterns to feasible patterns, so
-    # block 0 needs one representative per relabeling orbit: the least
-    # relabeling of a block sorts its levels
-    block0 = [pi for pi, (levels, _z, _nl) in enumerate(patterns)
-              if list(levels) == sorted(levels)]
-    found = set()
-
-    def dfs(k, chosen, eq_rows, strict_rows):
-        if k == dims.h:
-            found.add(_canonical_pattern(tuple(chosen), dims.q))
-            if len(found) > _FACE_BUDGET:
-                raise ValueError(
-                    f"the (n, q) = ({dims.n}, {dims.q}) cone has more than "
-                    f"{_FACE_BUDGET} faces, the budget that the lattice build "
-                    "supports")
-            return
-        # every child of the node in one batched test, then the faces in order
-        cands = block0 if k == 0 else range(len(patterns))
-        kids = [(eq_rows + rows_cache[k][pi][0], strict_rows + rows_cache[k][pi][1])
-                for pi in cands]
-        for pi, (e, s), depth in zip(cands, kids, _face_depths(kids)):
-            if depth > _FEAS_TOL:
-                dfs(k + 1, chosen + [patterns[pi]], e, s)
-
-    dfs(0, [], [], [])
-
-    faces = []
-    for i, pattern in enumerate(sorted(found)):
-        basis, cons = _face_geometry(spec, pattern)
-        faces.append(FaceRecord(i, pattern, basis.shape[1], basis, cons))
-
-    lattice = FaceLattice(spec, faces, tilde_c=0.5, pair_separation={})
-    lattice.pair_separation = _measure_pair_separation(lattice)
-    lattice.tilde_c = _calibrate_aperture(lattice)
-    _LATTICE_CACHE[spec.key] = lattice
-    return lattice
+    block0 = [p for p in patterns if list(p[0]) == sorted(p[0])]
+    prefixes = [((), [], [])]  # (chosen block patterns, eq rows, strict rows)
+    for k in range(dims.h):
+        cands = [(p, *_pattern_rows(spec, k, p)) for p in (block0 if k == 0 else patterns)]
+        kids = [(chosen + (p,), eq + e, strict + s)
+                for chosen, eq, strict in prefixes for p, e, s in cands]
+        depth = _face_depths([(e, s) for _chosen, e, s in kids])
+        prefixes = [kid for kid, d in zip(kids, depth) if d > _FEAS_TOL]
+        classes = {_canonical_pattern(chosen, dims.q) for chosen, _e, _s in prefixes}
+        if len(classes) > _FACE_BUDGET:
+            raise ValueError(
+                f"the (n, q) = ({dims.n}, {dims.q}) cone has more than "
+                f"{_FACE_BUDGET} faces, the budget that the lattice build "
+                "supports")
+    return sorted(classes)
 
 
 def _face_samples(lattice, faces, count, seed):

@@ -398,6 +398,24 @@ def test_single_node_grid_exit_3(tmp_path, capsys, argv):
     assert _FLOORS[argv[-2]] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["rho-star-eval", "--samples", "0"],
+                                  ["rho-star-eval", "--n", "2", "--q", "3",
+                                   "--samples", "0"],
+                                  ["gen-current", "w32", "--profile-points", "1"],
+                                  ["gen-current", "flat", "--profile-points", "0"]])
+def test_count_floor_checked_before_the_build(tmp_path, capsys, monkeypatch, argv):
+    """A count below its floor exits 3 before any machinery or current is
+    built, so an unsupported cone reports the floor, not the face budget."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the floor check")
+
+    monkeypatch.setattr(cli, "default_machinery", refuse)
+    monkeypatch.setattr(cli.cu, "w32_current", refuse)
+    monkeypatch.setattr(cli.cu, "flat_current", refuse)
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 3
+    assert _FLOORS[argv[-2]] in capsys.readouterr().err
+
+
 def test_rerun_hash_identical(tmp_path):
     hashes = []
     for name in ("a", "b"):

@@ -414,6 +414,50 @@ def test_lattice_over_budget_raises(monkeypatch):
         face_lattice(spec14())
 
 
+def spy(monkeypatch, name):
+    """The arguments of every call of embed.<name>, from now on."""
+    inner, calls = getattr(embed, name), []
+
+    def record(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(embed, name, record)
+    return calls
+
+
+def test_face_search_tests_each_block_once(monkeypatch):
+    # one batched face test per block: 3 on (2, 2); (2, 3) raises after its
+    # second block, whose 1025 prefix classes already exceed the budget
+    monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
+    calls = spy(monkeypatch, "_face_depths")
+    assert len(face_lattice(spec22()).faces) == 253
+    assert len(calls) == 3
+    calls.clear()
+    with pytest.raises(ValueError, match=r"\(2, 3\) cone has more than 1000 faces"):
+        face_lattice(build_embedding(2, 3))
+    assert len(calls) == 2
+
+
+def test_face_search_builds_rows_for_its_candidates(monkeypatch):
+    # (1, 4): rows for the 48 sorted block-0 candidates, then 48 more for
+    # the geometry of the 48 faces
+    monkeypatch.setattr(embed, "_LATTICE_CACHE", {})
+    calls = spy(monkeypatch, "_pattern_rows")
+    assert len(face_lattice(spec14()).faces) == 48
+    assert len(calls) == 48 + 48
+
+
+def test_face_patterns_plane_three(monkeypatch):
+    # pins the (2, 3) search, over the budget at its default
+    monkeypatch.setattr(embed, "_FACE_BUDGET", 8000)
+    found = embed._face_patterns(build_embedding(2, 3))
+    assert len(found) == 7137
+    blob = json.dumps([[[list(levels), z, nl] for levels, z, nl in p] for p in found])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "ff5b5044f8ba28965e5b4131fa553896e4736024e93e013113ece0b2a9d4c419")
+
+
 def test_lattice_snapshot_plane_two():
     # pins the (2, 2) build: faces, aperture and separations
     lat = face_lattice(spec22())

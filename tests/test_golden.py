@@ -25,6 +25,7 @@ COMMANDS = {
     "rho-star": ["rho-star-eval", "--n", "2", "--q", "2", "--samples", "10"],
     "rho-star-13": ["rho-star-eval", "--n", "1", "--q", "3", "--samples", "10"],
     "rho-star-14": ["rho-star-eval", "--n", "1", "--q", "4", "--samples", "10"],
+    "rho-star-15": ["rho-star-eval", "--n", "1", "--q", "5", "--samples", "10"],
     "rho-star-13-40": ["rho-star-eval", "--n", "1", "--q", "3",
                        "--samples", "40"],
     "rho-star-12": ["rho-star-eval", "--n", "1", "--q", "2", "--samples", "60"],
