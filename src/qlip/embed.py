@@ -14,6 +14,7 @@ the 0-skeleton is exactly {0}, and distances to skeletons scale linearly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ _NNLS_STOP, _NNLS_ITERS = 1e-12, 3
 _FACE_BUDGET = 1000  # face_lattice: most faces it builds geometry for
 _SPAN_TOL = 1e-9  # face-closure slack, relative to 1 + |y|: see _closure_tol
 # pairs per chunk of the face kernel's span pass (and of the pair-separation
-# pass): it bounds the kernel temporaries
+# pass), and children per _face_depths call of the face search: it bounds
+# their temporaries
 _SPAN_PAIRS = 1 << 14
 _APERTURE_START, _APERTURE_SAMPLES = 0.5, 200  # calibration: first try, points
 _ON_CONE_TOL = 1e-7  # on-cone slack of a decoded or retracted point, relative to 1 + |v|
@@ -211,16 +213,18 @@ def build_embedding(n: int, q: int) -> EmbeddingSpec:
 # A face is an orbit of full patterns (one per block) under a common relabeling.
 
 
-def _block_patterns(q: int):
-    """All weak orders on q labels plus the zero symbol, encoded by levels:
+@functools.cache
+def _block_patterns(q: int, tied=()):
+    """The weak orders on q labels plus the zero symbol, encoded by levels:
     the level tuples whose used levels are exactly 0..L-1, in lexicographic
-    order.  A prefix grows only while the levels below its top that it
-    skips fit in the slots left."""
+    order, that keep each label j in `tied` at or above label j - 1.  A
+    prefix grows only while the levels below its top that it skips fit in
+    the slots left, and a tied label starts at the previous label's level."""
     out = []
 
     def grow(prefix, used, top, count):
         left = q + 1 - len(prefix)
-        for lvl in range(q + 1):
+        for lvl in range(prefix[-1] if len(prefix) in tied else 0, q + 1):
             ntop = max(top, lvl)
             ncount = count + (not used >> lvl & 1)
             if ntop + 1 - ncount >= left:  # skips more levels than slots left
@@ -366,17 +370,6 @@ def _nnls_gram(h, b) -> np.ndarray:
         active &= (t > alpha) & (u > 0.0)
         u[~active] = 0.0
         settled = alpha[:, 0] >= 1.0
-
-
-def _permute_pattern(full_pattern, perm):
-    out = []
-    for levels, zlevel, nlevels in full_pattern:
-        out.append((tuple(levels[perm[j]] for j in range(len(levels))), zlevel, nlevels))
-    return tuple(out)
-
-
-def _canonical_pattern(full_pattern, q):
-    return min(_permute_pattern(full_pattern, p) for p in itertools.permutations(range(q)))
 
 
 def _label_slots(pattern) -> np.ndarray:
@@ -673,33 +666,37 @@ def face_lattice(spec: EmbeddingSpec) -> FaceLattice:
 def _face_patterns(spec: EmbeddingSpec) -> list:
     """The canonical patterns of the faces, sorted, found block by block.
 
-    Level k extends every kept prefix by each candidate pattern of block k
-    and keeps the children that one _face_depths call finds realizable.  A
-    common relabeling maps realizable patterns to realizable patterns, so
-    block 0 needs one candidate per relabeling orbit: the least relabeling
-    of a block sorts its levels.  Every kept prefix extends to a face (a
-    point of its open cone realizes some pattern of the next block), and
-    prefixes of distinct canonical classes extend to distinct faces, so the
-    class count bounds the face count from below at every level: the search
-    raises as soon as it exceeds _FACE_BUDGET.
+    A face's canonical pattern is its least relabeling: its labels sorted by
+    their columns of levels, block 0's first.  Its prefixes are canonical,
+    and a canonical prefix extends to one exactly by the block patterns that
+    keep each run of labels it ties in order (block 0, with every label
+    tied, takes the sorted ones).  So level k extends every kept prefix by
+    those patterns only, building each pattern's rows on first use, and
+    keeps the children that _face_depths, given at most _SPAN_PAIRS at a
+    time, finds realizable.  Every kept prefix extends to a face (a point of
+    its open cone realizes some pattern of the next block, and sorting that
+    pattern's tied labels keeps the prefix), and distinct prefixes extend to
+    distinct faces: the search raises as soon as it keeps more than
+    _FACE_BUDGET.
     """
-    dims = spec.dims
-    patterns = _block_patterns(dims.q)
-    block0 = [p for p in patterns if list(p[0]) == sorted(p[0])]
-    prefixes = [((), [], [])]  # (chosen block patterns, eq rows, strict rows)
-    for k in range(dims.h):
-        cands = [(p, *_pattern_rows(spec, k, p)) for p in (block0 if k == 0 else patterns)]
-        kids = [(chosen + (p,), eq + e, strict + s)
-                for chosen, eq, strict in prefixes for p, e, s in cands]
-        depth = _face_depths([(e, s) for _chosen, e, s in kids])
-        prefixes = [kid for kid, d in zip(kids, depth) if d > _FEAS_TOL]
-        classes = {_canonical_pattern(chosen, dims.q) for chosen, _e, _s in prefixes}
-        if len(classes) > _FACE_BUDGET:
-            raise ValueError(
-                f"the (n, q) = ({dims.n}, {dims.q}) cone has more than "
-                f"{_FACE_BUDGET} faces, the budget that the lattice build "
-                "supports")
-    return sorted(classes)
+    q = spec.dims.q
+    kept = [((), [], [])]  # (chosen block patterns, eq rows, strict rows)
+    for k in range(spec.dims.h):
+        rows = functools.cache(functools.partial(_pattern_rows, spec, k))
+        kids = ((chosen + (p,), eq + rows(p)[0], strict + rows(p)[1])
+                for chosen, eq, strict in kept
+                for p in _block_patterns(q, tuple(j for j in range(1, q) if all(
+                    b[0][j - 1] == b[0][j] for b in chosen))))
+        kept = []  # kids reads the previous level's list
+        while batch := list(itertools.islice(kids, _SPAN_PAIRS)):
+            depth = _face_depths([(e, s) for _chosen, e, s in batch])
+            kept += [kid for kid, d in zip(batch, depth) if d > _FEAS_TOL]
+            if len(kept) > _FACE_BUDGET:
+                raise ValueError(
+                    f"the (n, q) = ({spec.dims.n}, {q}) cone has more than "
+                    f"{_FACE_BUDGET} faces, the budget that the lattice build "
+                    "supports")
+    return [chosen for chosen, _e, _s in kept]
 
 
 def _face_samples(lattice, faces, count, seed):

@@ -400,11 +400,16 @@ def test_face_test_agrees_with_lp_oracle(monkeypatch):
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_block_patterns_are_the_product_filter(q):
     """The pruned recursion lists exactly the level tuples whose used levels
-    are 0..L-1, in the product's lexicographic order."""
+    are 0..L-1, in the product's lexicographic order; with `tied`, those
+    that keep each tied label at or above the label before it."""
     want = [(lv[:q], lv[q], max(lv) + 1)
             for lv in itertools.product(range(q + 1), repeat=q + 1)
             if len(set(lv)) == max(lv) + 1]
     assert embed._block_patterns(q) == want
+    for r in range(q):
+        for tied in itertools.combinations(range(1, q), r):
+            assert embed._block_patterns(q, tied) == [
+                p for p in want if all(p[0][j - 1] <= p[0][j] for j in tied)]
 
 
 def test_lattice_over_budget_raises(monkeypatch):
@@ -456,6 +461,39 @@ def test_face_patterns_plane_three(monkeypatch):
     blob = json.dumps([[[list(levels), z, nl] for levels, z, nl in p] for p in found])
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "ff5b5044f8ba28965e5b4131fa553896e4736024e93e013113ece0b2a9d4c419")
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_face_search_batches_its_children(monkeypatch, q):
+    # the (2, 4) search's second block has 25,968 children: no face test
+    # takes more than _SPAN_PAIRS of them, and both cones stay over budget
+    calls = spy(monkeypatch, "_face_depths")
+    with pytest.raises(ValueError, match=rf"\(2, {q}\) cone has more than 1000 faces"):
+        embed._face_patterns(build_embedding(2, q))
+    assert calls and max(len(children) for children, in calls) <= embed._SPAN_PAIRS
+
+
+def test_face_search_skips_relabelings(monkeypatch):
+    # (1, 8) tries only its 1,280 sorted block patterns, and never lists the
+    # 7,087,261 patterns of all relabelings, before it goes over budget
+    depths, blocks = spy(monkeypatch, "_face_depths"), spy(monkeypatch, "_block_patterns")
+    with pytest.raises(ValueError, match=r"\(1, 8\) cone has more than 1000 faces"):
+        embed._face_patterns(build_embedding(1, 8))
+    assert [len(children) for children, in depths] == [1280]
+    assert (8, ()) not in [(args + ((),))[:2] for args in blocks]
+
+
+@pytest.mark.parametrize("q, count, digest", [
+    (5, 112, "8d7c75cf4ed1df2232ae281cf062959a772e5fcd85f130856d1ffd4d08832dfe"),
+    (6, 256, "b256a30bf885e92b6e95f9b0a0111d6300dae47a8e0960ba6a9b52ab7925e052"),
+    (7, 576, "48d5aeac86edbde2d0945647d229ec92429164f52f16fe95f2977f2497b2847d"),
+])
+def test_face_patterns_line(q, count, digest):
+    # pins the (1, 5), (1, 6) and (1, 7) searches
+    found = embed._face_patterns(build_embedding(1, q))
+    assert len(found) == count
+    blob = json.dumps([[[list(levels), z, nl] for levels, z, nl in p] for p in found])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_lattice_snapshot_plane_two():
